@@ -218,7 +218,6 @@ def main(argv: list[str] | None = None) -> int:
     p = sub.add_parser("eval-bound", help="evaluate one closed-form bound")
     p.add_argument("name", choices=names, metavar="name", help=", ".join(names))
     _add_param_flags(p)
-    p.add_argument("--seed", type=int, default=0, help="accepted for uniformity; unused")
     p.set_defaults(func=cmd_eval_bound)
 
     p = sub.add_parser("verify", help="verify a scenario file against exact enumeration")
@@ -250,7 +249,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--rho-range", dest="rho_range", help="rho axis as start:stop:steps")
     _add_param_flags(p)
     p.add_argument("--out", help="write the CSV here instead of stdout")
-    p.add_argument("--seed", type=int, default=0, help="accepted for uniformity; unused")
     p.set_defaults(func=cmd_curves)
 
     args = parser.parse_args(argv)

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .functionals import Functional, Stats, stats_from_law
-from .hamming import AlphaWeights, Point
+from .hamming import AlphaWeights, Point, distance_field
 from .space import Distribution, FiniteSpace, SetSpec, _sample_symbols, law_arrays
 
 __all__ = [
@@ -41,7 +41,7 @@ __all__ = [
 MC_DEFAULT_N = 10**5
 MC_DEFAULT_DELTA = 0.01
 
-# Outcome rows processed per block when measuring distances to a set.
+# Sampled rows processed per block when measuring distances to a set.
 _CHUNK = 1 << 16
 
 
@@ -219,12 +219,11 @@ def exact_set_stats(
     """Enumerate the law of d_alpha(X, A) and P(X in A) exactly."""
     if alpha.n != space.n:
         raise ValueError(f"alpha has {alpha.n} weights, space has {space.n} coordinates")
-    symbols, probs = law_arrays(space, dist, cap)
-    member_syms = _member_matrix(a, space)
-    dists = _distances_to_members(symbols, member_syms, alpha.weights)
+    _, probs = law_arrays(space, dist, cap)
+    in_set = a.mask(space)
+    dists = distance_field(alpha, in_set).ravel()
     total = math.fsum(map(float, probs))
-    member_ranks = a.member_ranks(space)
-    p_in = math.fsum(float(probs[r]) for r in member_ranks) / total
+    p_in = math.fsum(probs[in_set.ravel()].tolist()) / total
     rho = math.fsum(float(d) * float(p) for d, p in zip(dists, probs)) / total
     return SetStats(p_in, rho, TailCurve.from_law(dists, probs))
 

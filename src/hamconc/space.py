@@ -283,6 +283,12 @@ class SetSpec:
     def member_ranks(self, space: FiniteSpace) -> tuple[int, ...]:
         return tuple(space.rank(p) for p in self.members(space))
 
+    def mask(self, space: FiniteSpace) -> np.ndarray:
+        """Membership as a boolean tensor of shape ``space.alphabet_sizes``."""
+        in_set = np.zeros(space.size, dtype=bool)
+        in_set[list(self.member_ranks(space))] = True
+        return in_set.reshape(space.alphabet_sizes)
+
     def is_empty(self, space: FiniteSpace) -> bool:
         return next(iter(self.members(space)), None) is None
 

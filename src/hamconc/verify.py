@@ -25,7 +25,7 @@ import numpy as np
 from . import bounds
 from ._util import dumps, fmt_float
 from .bounds import BoundId
-from .estimators import exact_functional_stats, exact_set_stats, mgf_from_law
+from .estimators import FunctionalLaw, exact_functional_stats, exact_set_stats, mgf_from_law
 from .functionals import (
     Functional,
     check_drop_condition,
@@ -33,7 +33,7 @@ from .functionals import (
     check_self_bounding,
     drop_infimum_family,
 )
-from .hamming import AlphaWeights
+from .hamming import AlphaWeights, distance_field
 from .space import RNG_NAME, Distribution, FiniteSpace, SetSpec, _rng
 
 __all__ = [
@@ -422,25 +422,7 @@ def _require_product(dist: Distribution, what: str) -> None:
 def _certify_lipschitz(
     f: Functional, alpha: AlphaWeights, space: FiniteSpace
 ) -> list[str]:
-    """Certify the Lipschitz property, via the drop reduction when possible.
-
-    A drop family with gaps in [0, alpha_i] forces the Lipschitz bound
-    coordinate by coordinate, so when the functional carries one we try
-    that reduction first and record which path succeeded.
-    """
-    notes: list[str] = []
-    if f.drop_family is not None:
-        cert = check_drop_condition(f, alpha, space)
-        if cert.holds:
-            notes.append(
-                "lipschitz certified via the drop-condition reduction "
-                f"(drop worst slack {fmt_float(cert.worst_slack)})"
-            )
-            return notes
-        notes.append(
-            f"drop condition does not hold (worst slack {fmt_float(cert.worst_slack)}); "
-            "checking the Lipschitz condition directly"
-        )
+    """Certify the Lipschitz property edge by edge, or raise with the edge."""
     cert = check_lipschitz(f, alpha, space)
     if not cert.holds:
         a, b = cert.witness
@@ -449,8 +431,7 @@ def _certify_lipschitz(
             f"|f(x) - f(x')| exceeds d_alpha(x, x') by {fmt_float(cert.worst_slack)} "
             f"at x={a.symbols}, x'={b.symbols}"
         )
-    notes.append(f"lipschitz certified directly (worst slack {fmt_float(cert.worst_slack)})")
-    return notes
+    return [f"lipschitz certified directly (worst slack {fmt_float(cert.worst_slack)})"]
 
 
 def verify_set(scenario: Scenario) -> BoundReport:
@@ -490,38 +471,32 @@ def verify_set(scenario: Scenario) -> BoundReport:
     return _make_report(scenario, rows, derived, ())
 
 
-def _median_infos(
-    scenario: Scenario, f: Functional, law_stats, mu: float
-) -> list[dict]:
+def _median_infos(scenario: Scenario, law: FunctionalLaw) -> list[dict]:
     """Per-median derived quantities: rho for both level sets and the gap.
 
-    The tail rows use the sublevel-set rho on both tails, matching the
-    bound's published form; the superlevel-set rho (the one the lower
-    tail's own derivation passes through) is recorded as a diagnostic
-    but never asserted.
+    rho_sublevel is the mean distance to {f <= m}, rho_superlevel the
+    mean distance to {f >= m}; both sets carry mass at least 1/2.
     """
-    medians = [law_stats.median_lo]
-    if law_stats.median_hi != law_stats.median_lo:
-        medians.append(law_stats.median_hi)
-    infos = []
-    for m in medians:
-        sub = SetSpec.sublevel(f.value, m)
-        sup = SetSpec.from_predicate(lambda p, _m=m: f.value(p) >= _m)
-        rho_sub = exact_set_stats(
-            scenario.space, scenario.dist, scenario.alpha, sub, scenario.cap
-        ).rho
-        rho_sup = exact_set_stats(
-            scenario.space, scenario.dist, scenario.alpha, sup, scenario.cap
-        ).rho
-        infos.append(
-            {
-                "median": m,
-                "rho_sublevel": rho_sub,
-                "rho_superlevel": rho_sup,
-                "gap": abs(m - mu),
-            }
-        )
-    return infos
+    values = np.asarray(law.values).reshape(scenario.space.alphabet_sizes)
+    probs = np.asarray(law.probs)
+    total = math.fsum(law.probs)
+
+    def rho(in_set: np.ndarray) -> float:
+        dists = distance_field(scenario.alpha, in_set).ravel()
+        return math.fsum((dists * probs).tolist()) / total
+
+    medians = [law.stats.median_lo]
+    if law.stats.median_hi != law.stats.median_lo:
+        medians.append(law.stats.median_hi)
+    return [
+        {
+            "median": m,
+            "rho_sublevel": rho(values <= m),
+            "rho_superlevel": rho(values >= m),
+            "gap": abs(m - law.stats.mean),
+        }
+        for m in medians
+    ]
 
 
 def verify_median(scenario: Scenario) -> BoundReport:
@@ -531,6 +506,11 @@ def verify_median(scenario: Scenario) -> BoundReport:
     P(m - f >= t), each against 2*exp(-h(t, rho)) and the classical
     2*exp(-t^2/2); shifted rows reuse the mean-centered bound
     exp(-2(t - gap)^2) and only exist for t > gap = |m - mu|.
+
+    Upper rows take rho from the sublevel set {f <= m}: it has mass at
+    least 1/2, and {f >= m + t} lies at distance at least t from it.
+    Lower rows take rho from the superlevel set {f >= m}, for the same
+    reason with {f <= m - t}.
     """
     tgt = scenario.target
     if not isinstance(tgt, MedianTarget):
@@ -541,18 +521,18 @@ def verify_median(scenario: Scenario) -> BoundReport:
     notes = _certify_lipschitz(f, scenario.alpha, scenario.space)
     law = exact_functional_stats(scenario.space, scenario.dist, f, scenario.cap)
     mu = law.stats.mean
-    infos = _median_infos(scenario, f, law.stats, mu)
-    extras = [x for info in infos for x in (info["rho_sublevel"], info["gap"])]
+    infos = _median_infos(scenario, law)
+    extras = [info[k] for info in infos for k in ("rho_sublevel", "rho_superlevel", "gap")]
     ts = scenario.t_grid or default_t_grid(scenario.alpha, extras=extras)
     rows: list[BoundRow] = []
     for info in infos:
         m = info["median"]
-        rho = info["rho_sublevel"]
         gap = info["gap"]
         for t in ts:
-            lhs_u = law.curve.prob_ge(m + t)
-            lhs_l = law.curve.prob_le(m - t)
-            for tail, lhs in (("upper", lhs_u), ("lower", lhs_l)):
+            for tail, lhs, rho in (
+                ("upper", law.curve.prob_ge(m + t), info["rho_sublevel"]),
+                ("lower", law.curve.prob_le(m - t), info["rho_superlevel"]),
+            ):
                 rows.append(
                     _row(
                         "median",
@@ -594,8 +574,8 @@ def verify_median(scenario: Scenario) -> BoundReport:
         "medians": infos,
     }
     notes.append(
-        "tail rows use rho from the sublevel set {f <= m} on both tails; "
-        "the superlevel-set rho is recorded in summary.derived.medians as a diagnostic"
+        "upper tail rows use rho from the sublevel set {f <= m}, "
+        "lower tail rows rho from the superlevel set {f >= m}"
     )
     return _make_report(scenario, rows, derived, notes)
 
@@ -615,7 +595,7 @@ def verify_gap(scenario: Scenario) -> BoundReport:
     notes = _certify_lipschitz(f, scenario.alpha, scenario.space)
     law = exact_functional_stats(scenario.space, scenario.dist, f, scenario.cap)
     mu = law.stats.mean
-    infos = _median_infos(scenario, f, law.stats, mu)
+    infos = _median_infos(scenario, law)
     rows: list[BoundRow] = []
     for info in infos:
         m = info["median"]

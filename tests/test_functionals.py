@@ -1,9 +1,9 @@
-"""Functional constructors and the exhaustive condition certificates."""
+"""Functional constructors, the exact condition certificates, and distance fields."""
 
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hamconc.functionals import (
@@ -16,7 +16,14 @@ from hamconc.functionals import (
     stats,
     stats_from_law,
 )
-from hamconc.hamming import AlphaWeights, hamming_distance
+from hamconc.hamming import (
+    AlphaWeights,
+    Point,
+    distance_field,
+    distance_to_set,
+    hamming_distance,
+    normalize,
+)
 from hamconc.space import Distribution, FiniteSpace, SetSpec
 
 ALPHA_2 = AlphaWeights((0.6, 0.8))
@@ -69,7 +76,7 @@ def test_drop_value_without_family():
 
 def test_distance_functional_is_lipschitz():
     f = Functional.distance_to(ALPHA_2, ORIGIN, SPACE_2)
-    cert = check_lipschitz(f, ALPHA_2, SPACE_2, mode="exhaustive")
+    cert = check_lipschitz(f, ALPHA_2, SPACE_2)
     assert cert.condition == "lipschitz"
     assert cert.holds
     assert cert.witness is None
@@ -79,7 +86,7 @@ def test_distance_functional_is_lipschitz():
 def test_doubled_distance_fails_with_witness():
     base = Functional.distance_to(ALPHA_2, ORIGIN, SPACE_2)
     f = Functional(evaluator=lambda p: 2.0 * base.value(p))
-    cert = check_lipschitz(f, ALPHA_2, SPACE_2, mode="exhaustive")
+    cert = check_lipschitz(f, ALPHA_2, SPACE_2)
     assert not cert.holds
     x, y = cert.witness
     gap = abs(f.value(x) - f.value(y)) - hamming_distance(ALPHA_2, x, y)
@@ -89,10 +96,14 @@ def test_doubled_distance_fails_with_witness():
 
 def test_constant_functional_has_negative_slack():
     f = Functional(evaluator=lambda p: 3.5)
-    cert = check_lipschitz(f, ALPHA_2, SPACE_2, mode="exhaustive")
+    cert = check_lipschitz(f, ALPHA_2, SPACE_2)
     assert cert.holds
     # slack excludes self pairs, so the margin is the minimum distance
     assert cert.worst_slack == pytest.approx(-0.6)
+    # an axis with one symbol has no edges and sets no margin
+    cert = check_lipschitz(f, ALPHA_2, FiniteSpace((1, 2)))
+    assert cert.holds
+    assert cert.worst_slack == -0.8
 
 
 def test_lipschitz_requires_unit_alpha():
@@ -101,25 +112,34 @@ def test_lipschitz_requires_unit_alpha():
         check_lipschitz(f, AlphaWeights((1.0, 1.0)), SPACE_2)
 
 
-def test_lipschitz_exhaustive_limit_message():
-    f = Functional.distance_to(ALPHA_2, ORIGIN, SPACE_2)
-    with pytest.raises(ValueError, match="use sampled mode"):
-        check_lipschitz(f, ALPHA_2, SPACE_2, mode="exhaustive", max_pairs=10)
-
-
-def test_lipschitz_sampled_mode():
-    f = Functional.distance_to(ALPHA_2, ORIGIN, SPACE_2)
-    cert = check_lipschitz(f, ALPHA_2, SPACE_2, mode="sampled", pair_budget=500)
-    assert cert.holds
-    bad = Functional(evaluator=lambda p: 2.0 * f.value(p))
-    cert = check_lipschitz(bad, ALPHA_2, SPACE_2, mode="sampled", pair_budget=500)
+def test_single_edge_violation_is_found():
+    # f = 0.5 * sum alpha_i x_i is Lipschitz; lowering f(0) by 0.6 * alpha_0
+    # breaks exactly the edge (0, e_0), by 0.1 * alpha_0 ~ 0.0063.
+    space = FiniteSpace((2,) * 11)
+    alpha = normalize([0.2] + [1.0] * 10)
+    table = [0.5 * sum(a * s for a, s in zip(alpha.weights, p.symbols)) for p in space.points()]
+    table[0] -= 0.6 * alpha.weights[0]
+    cert = check_lipschitz(Functional.from_table(space, table), alpha, space)
     assert not cert.holds
+    assert cert.witness == (Point((0,) * 11), Point((1,) + (0,) * 10))
+    assert cert.worst_slack == pytest.approx(0.1 * alpha.weights[0])
 
 
-def test_lipschitz_mode_validation():
-    f = Functional(evaluator=lambda p: 0.0)
-    with pytest.raises(ValueError, match="mode must be"):
-        check_lipschitz(f, ALPHA_2, SPACE_2, mode="nope")
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_distance_field_matches_pointwise_definition(data):
+    sizes = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    space = FiniteSpace(sizes)
+    assume(space.size <= 64)
+    weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=space.n, max_size=space.n))
+    alpha = AlphaWeights(tuple(weights))
+    ranks = data.draw(
+        st.sets(st.integers(0, space.size - 1), min_size=1, max_size=space.size)
+    )
+    spec = SetSpec.from_points(space.unrank(r) for r in ranks)
+    field = distance_field(alpha, spec.mask(space))
+    for p in space.points():
+        assert field[p.symbols] == distance_to_set(alpha, p, spec, space)
 
 
 # -- drop condition -----------------------------------------------------------
@@ -163,7 +183,7 @@ def test_drop_condition_implies_lipschitz(table):
     f = drop_infimum_family(Functional.from_table(SPACE_2, table), SPACE_2)
     drop = check_drop_condition(f, ALPHA_2, SPACE_2)
     if drop.holds:
-        lip = check_lipschitz(f, ALPHA_2, SPACE_2, mode="exhaustive")
+        lip = check_lipschitz(f, ALPHA_2, SPACE_2)
         # a chain over n coordinates can stack one tolerance per step
         assert lip.worst_slack <= SPACE_2.n * CERT_TOL
 

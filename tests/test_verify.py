@@ -194,8 +194,8 @@ def test_median_flow_derived_quantities():
     assert hi["median"] == 1.1547005383792517
     assert hi["gap"] == 0.28867513459481287
     assert report.notes[-1] == (
-        "tail rows use rho from the sublevel set {f <= m} on both tails; "
-        "the superlevel-set rho is recorded in summary.derived.medians as a diagnostic"
+        "upper tail rows use rho from the sublevel set {f <= m}, "
+        "lower tail rows rho from the superlevel set {f >= m}"
     )
 
 
@@ -240,6 +240,38 @@ def test_median_flow_rejects_non_lipschitz():
     )
     with pytest.raises(ValueError, match="not Lipschitz"):
         verify_median(sc)
+
+
+def test_median_flow_rejects_a_single_bad_edge():
+    # one edge (0, e_0) breaks the Lipschitz condition by ~0.0063 in S = 2048
+    space = FiniteSpace((2,) * 11)
+    alpha = normalize([0.2] + [1.0] * 10)
+    table = [0.5 * sum(a * s for a, s in zip(alpha.weights, p.symbols)) for p in space.points()]
+    table[0] -= 0.6 * alpha.weights[0]
+    sc = Scenario(
+        space=space,
+        dist=Distribution.uniform(space),
+        alpha=alpha,
+        target=MedianTarget(Functional.from_table(space, table)),
+    )
+    with pytest.raises(ValueError, match="not Lipschitz"):
+        verify_median(sc)
+
+
+@pytest.mark.parametrize("seed", [2435, 3178, 1000001416])
+def test_median_lower_tail_uses_the_superlevel_rho(seed):
+    # these scenarios fail a lower-tail row when it takes the sublevel-set rho
+    report = verify_scenario(random_scenario(seed, "median"))
+    assert report.all_pass
+    for info in report.summary["derived"]["medians"]:
+        lower = [
+            r
+            for r in report.rows
+            if r.median_used == info["median"]
+            and r.tail == "lower"
+            and r.bound_id == "median-improved"
+        ]
+        assert any(r.t == info["rho_superlevel"] for r in lower)
 
 
 # -- gap flow ------------------------------------------------------------------
