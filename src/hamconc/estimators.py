@@ -3,10 +3,15 @@
 Exact results come from a full sweep of the outcome space (guarded by
 the enumeration cap) and are aggregated with compensated summation, so
 tail probabilities at points beyond the support are exactly 0.0 and the
-total mass is exactly 1.0.  The Monte Carlo path reports a two-sided
+total mass is exactly 1.0.  Functionals are evaluated in bulk through
+:meth:`~hamconc.functionals.Functional.values`, over the whole space or
+over a sample matrix.  The Monte Carlo path reports a two-sided
 confidence half-width from Hoeffding's inequality, which makes the
 cross-check against exact values a testable contract rather than a
-matter of eyeballing.
+matter of eyeballing.  It never tabulates the space: distances to a set
+are summed per coordinate against the member list in blocks of bounded
+size, so its memory does not grow with the sample count, and each
+sampled distance is bit-identical to the exact one.
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .functionals import Functional, Stats, stats_from_law
-from .hamming import AlphaWeights, Point, distance_field
+from .functionals import Functional, Stats, _tabulate, stats_from_law
+from .hamming import AlphaWeights, distance_field
 from .space import Distribution, FiniteSpace, SetSpec, _sample_symbols, law_arrays
 
 __all__ = [
@@ -41,8 +46,8 @@ __all__ = [
 MC_DEFAULT_N = 10**5
 MC_DEFAULT_DELTA = 0.01
 
-# Sampled rows processed per block when measuring distances to a set.
-_CHUNK = 1 << 16
+# Bytes of one block of partial distances (sampled rows x set members).
+_BLOCK_BYTES = 1 << 20
 
 
 def _compensated_cumsum(arr: np.ndarray) -> np.ndarray:
@@ -196,17 +201,45 @@ def _member_matrix(a: SetSpec, space: FiniteSpace) -> np.ndarray:
     return np.asarray([m.symbols for m in members], dtype=np.int64)
 
 
-def _distances_to_members(
-    symbols: np.ndarray, member_syms: np.ndarray, weights: Sequence[float]
+def _sampled_distances(
+    symbols: np.ndarray, members: np.ndarray, alpha: AlphaWeights, sizes: Sequence[int]
 ) -> np.ndarray:
-    """Min weighted Hamming distance from each row of symbols to the set."""
-    w = np.asarray(weights, dtype=np.float64)
+    """d_alpha(x, A) for each row x of the (N, n) ``symbols`` matrix.
+
+    ``tabs[i][s, j]`` is alpha_i when symbol s differs from member j at
+    coordinate i, else 0.  Each block of rows sums those contributions
+    in coordinate order, as :func:`~hamconc.hamming.hamming_distance`
+    does (adding 0.0 changes no sum), so every distance is bit-identical
+    to ``distance_to_set`` and ``distance_field``.  Blocks hold about
+    ``_BLOCK_BYTES`` of partial sums, so memory does not grow with N.
+    """
+    tabs = [
+        np.where(np.arange(m)[:, None] != members[:, i], w, 0.0)
+        for i, (m, w) in enumerate(zip(sizes, alpha.weights))
+    ]
+    rows = max(1, _BLOCK_BYTES // (8 * members.shape[0]))
     out = np.empty(symbols.shape[0], dtype=np.float64)
-    for lo in range(0, symbols.shape[0], _CHUNK):
-        block = symbols[lo : lo + _CHUNK]
-        neq = block[:, None, :] != member_syms[None, :, :]
-        out[lo : lo + block.shape[0]] = (neq @ w).min(axis=1)
+    for lo in range(0, symbols.shape[0], rows):
+        block = symbols[lo : lo + rows]
+        d = tabs[0][block[:, 0]]
+        for i in range(1, len(tabs)):
+            d += tabs[i][block[:, i]]
+        out[lo : lo + block.shape[0]] = d.min(axis=1)
     return out
+
+
+def _sampled_values(
+    space: FiniteSpace, quantity: "Functional | DistanceToSet", symbols: np.ndarray
+) -> np.ndarray:
+    """The quantity at each row of the (N, n) ``symbols`` matrix."""
+    if isinstance(quantity, DistanceToSet):
+        if quantity.alpha.n != space.n:
+            raise ValueError(
+                f"alpha has {quantity.alpha.n} weights, space has {space.n} coordinates"
+            )
+        members = _member_matrix(quantity.target, space)
+        return _sampled_distances(symbols, members, quantity.alpha, space.alphabet_sizes)
+    return quantity.values(tuple(symbols.T))
 
 
 def exact_set_stats(
@@ -232,11 +265,11 @@ def exact_functional_stats(
     space: FiniteSpace, dist: Distribution, f: Functional, cap: int | None = None
 ) -> FunctionalLaw:
     """Enumerate the law of f(X) exactly; one pass serves stats and curve."""
-    symbols, probs = law_arrays(space, dist, cap)
-    values = [f.value(Point(tuple(int(s) for s in row))) for row in symbols]
+    _, probs = law_arrays(space, dist, cap)
+    values = _tabulate(f, space).ravel()
     st = stats_from_law(values, probs)
     curve = TailCurve.from_law(values, probs)
-    return FunctionalLaw(tuple(values), tuple(map(float, probs)), st, curve)
+    return FunctionalLaw(tuple(values.tolist()), tuple(map(float, probs)), st, curve)
 
 
 def mgf_from_law(
@@ -267,9 +300,8 @@ def exact_mgf(
     cap: int | None = None,
 ) -> float:
     """E exp(lam * (f(X) - mu)) by full enumeration, mu computed exactly."""
-    symbols, probs = law_arrays(space, dist, cap)
-    values = [f.value(Point(tuple(int(s) for s in row))) for row in symbols]
-    return mgf_from_law(values, probs, lam)
+    _, probs = law_arrays(space, dist, cap)
+    return mgf_from_law(_tabulate(f, space).ravel(), probs, lam)
 
 
 def hoeffding_half_width(n_samples: int, delta: float) -> float:
@@ -308,24 +340,17 @@ def mc_tail(
 ) -> McEstimate:
     """Estimate P(q(X) >= t) by sampling the distribution.
 
-    The set-distance quantity is evaluated in vectorized blocks; a plain
-    functional is evaluated pointwise.  Bit-reproducible for a given
-    seed.
+    The samples are one (n_samples, n) matrix and q is evaluated on it
+    in bulk: a functional through :meth:`Functional.values` (table and
+    weighted-sum functionals without a Point per sample, a plain
+    callable point by point), the distance to a set by summing
+    per-coordinate contributions against the member list in blocks of
+    about 1 MB, bit-identical to the exact distance.  The space is never
+    tabulated, so this path also serves spaces past the enumeration
+    cap.  Bit-reproducible for a given seed.
     """
     half = hoeffding_half_width(n_samples, delta)
     symbols = _sample_symbols(space, dist, seed, n_samples)
-    if isinstance(quantity, DistanceToSet):
-        if quantity.alpha.n != space.n:
-            raise ValueError(
-                f"alpha has {quantity.alpha.n} weights, space has {space.n} coordinates"
-            )
-        member_syms = _member_matrix(quantity.target, space)
-        vals = _distances_to_members(symbols, member_syms, quantity.alpha.weights)
-    else:
-        vals = np.fromiter(
-            (quantity.value(Point(tuple(int(s) for s in row))) for row in symbols),
-            dtype=np.float64,
-            count=n_samples,
-        )
+    vals = _sampled_values(space, quantity, symbols)
     hits = int(np.count_nonzero(vals >= t))
     return McEstimate(hits / n_samples, half, n_samples, seed, delta)

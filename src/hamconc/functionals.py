@@ -33,7 +33,7 @@ from .hamming import AlphaWeights, Point, distance_field
 # Not called here since distance_to tabulates through distance_field; the
 # name stays because bench/tracer.py counts calls through this attribute.
 from .hamming import hamming_distance  # noqa: F401
-from .space import Distribution, FiniteSpace, SetSpec, enumerate_outcomes
+from .space import Distribution, FiniteSpace, SetSpec, law_arrays
 
 __all__ = [
     "Functional",
@@ -53,9 +53,122 @@ CERT_TOL = 1e-12
 VALUE_ATOL = 1e-12
 
 
+def _require_in(point: Point, shape: tuple[int, ...]) -> None:
+    if point.n != len(shape) or any(s >= m for s, m in zip(point.symbols, shape)):
+        raise ValueError(f"point {point.symbols} is not in this space")
+
+
+def _pointwise(fn: Callable[[Point], float], coords: Sequence[np.ndarray]) -> np.ndarray:
+    """fn at every point of a broadcast coordinate tuple, one Point at a time."""
+    shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
+    cols = [c.ravel().tolist() for c in np.broadcast_arrays(*coords)]
+    rows = zip(*cols) if cols else [()]
+    out = np.fromiter(
+        (fn(Point(r)) for r in rows), dtype=np.float64, count=math.prod(shape)
+    )
+    return out.reshape(shape)
+
+
+def _mesh(sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Open mesh of a product space's points: axis i has shape (1, ..., s_i, ..., 1).
+
+    Values over it come out in the shape ``sizes``, in rank order, and
+    no (S, n) matrix of symbols is built.
+    """
+    return np.ix_(*(np.arange(m) for m in sizes))
+
+
+def _tabulate(f: "Functional", space: FiniteSpace) -> np.ndarray:
+    """f at every point, as an array of shape ``space.alphabet_sizes``."""
+    return f.values(_mesh(space.alphabet_sizes))
+
+
+class _Evaluator:
+    """An evaluator with a bulk form: ``values(coords)`` next to ``__call__(point)``.
+
+    The constructors of :class:`Functional` build these; a plain
+    callable evaluator has no bulk form and is evaluated point by point.
+    """
+
+
+class _Table(_Evaluator):
+    """f(x) = table[x], for a table of shape alphabet_sizes."""
+
+    def __init__(self, table: np.ndarray) -> None:
+        self.table = table
+
+    def __call__(self, point: Point) -> float:
+        _require_in(point, self.table.shape)
+        return float(self.table[point.symbols])
+
+    def values(self, coords: Sequence[np.ndarray]) -> np.ndarray:
+        if len(coords) != self.table.ndim:
+            raise ValueError(
+                f"dimension mismatch: table has {self.table.ndim} axes, "
+                f"got {len(coords)} coordinates"
+            )
+        return self.table[tuple(coords)]
+
+
+class _WeightedSum(_Evaluator):
+    """f(x) = sum of c_i * x_i, added in coordinate order on both paths."""
+
+    def __init__(self, coeffs: tuple[float, ...]) -> None:
+        self.coeffs = coeffs
+
+    def _require_dim(self, n: int) -> None:
+        if n != len(self.coeffs):
+            raise ValueError(
+                f"dimension mismatch: {len(self.coeffs)} coefficients, point has {n}"
+            )
+
+    def __call__(self, point: Point) -> float:
+        self._require_dim(point.n)
+        total = 0.0
+        for c, s in zip(self.coeffs, point.symbols):
+            total += c * s
+        return total
+
+    def values(self, coords: Sequence[np.ndarray]) -> np.ndarray:
+        self._require_dim(len(coords))
+        total = 0.0
+        for c, x in zip(self.coeffs, coords):
+            total = total + c * x
+        return np.asarray(total, dtype=np.float64)
+
+
+class _AxisMin(_Evaluator):
+    """f_i(y) = min of a table along axis i: one entry of the infimum drop family."""
+
+    def __init__(self, table: np.ndarray, axis: int) -> None:
+        self.table = table
+        self.axis = axis
+
+    def __call__(self, point: Point) -> float:
+        i = self.axis
+        _require_in(point, self.table.shape[:i] + self.table.shape[i + 1 :])
+        syms = point.symbols
+        return float(self.table[syms[:i] + (slice(None),) + syms[i:]].min())
+
+    def values(self, coords: Sequence[np.ndarray]) -> np.ndarray:
+        return self.table.min(axis=self.axis)[tuple(coords)]
+
+
 @dataclass(frozen=True)
 class Functional:
     """A real-valued function of a point, with optional extra structure.
+
+    ``value(point)`` evaluates one point.  ``values(coords)`` evaluates
+    many at once: ``coords`` is a tuple of n integer arrays, one per
+    coordinate, that broadcast to a common shape, and the result has
+    that shape.  Pass the columns of an (N, n) sample matrix for N
+    points, or the ``np.ix_`` open mesh of ``arange(s_i)`` for the
+    whole space in the shape ``alphabet_sizes``.  Functionals made by
+    :meth:`from_table` and :meth:`distance_to` look the points up in
+    their stored table, and :meth:`weighted_sum` adds ``c_i * coords[i]``
+    in coordinate order; each result is bit-identical to calling
+    ``value`` point by point, which is what a plain callable evaluator
+    falls back to.
 
     Attributes
     ----------
@@ -92,6 +205,12 @@ class Functional:
     def value(self, point: Point) -> float:
         return float(self.evaluator(point))
 
+    def values(self, coords: Sequence[np.ndarray]) -> np.ndarray:
+        """f at every point of the broadcast coordinate arrays ``coords``."""
+        if isinstance(self.evaluator, _Evaluator):
+            return self.evaluator.values(coords)
+        return _pointwise(self.value, coords)
+
     def drop_value(self, i: int, reduced: Point) -> float:
         if self.drop_family is None:
             raise ValueError("functional has no drop family")
@@ -100,29 +219,17 @@ class Functional:
     @classmethod
     def from_table(cls, space: FiniteSpace, values: Iterable[float], **kw) -> "Functional":
         """Explicit value per outcome rank."""
-        table = tuple(float(v) for v in values)
-        if len(table) != space.size:
+        table = np.asarray([float(v) for v in values], dtype=np.float64)
+        if table.size != space.size:
             raise ValueError(
-                f"table has {len(table)} values, space has {space.size} outcomes"
+                f"table has {table.size} values, space has {space.size} outcomes"
             )
-        return cls(evaluator=lambda p: table[space.rank(p)], **kw)
+        return cls(evaluator=_Table(table.reshape(space.alphabet_sizes)), **kw)
 
     @classmethod
     def weighted_sum(cls, coefficients: Iterable[float], **kw) -> "Functional":
         """f(x) = sum of c_i * x_i over the symbol indices x_i."""
-        coeffs = tuple(float(c) for c in coefficients)
-
-        def ev(p: Point) -> float:
-            if p.n != len(coeffs):
-                raise ValueError(
-                    f"dimension mismatch: {len(coeffs)} coefficients, point has {p.n}"
-                )
-            total = 0.0
-            for c, s in zip(coeffs, p.symbols):
-                total += c * s
-            return total
-
-        return cls(evaluator=ev, **kw)
+        return cls(evaluator=_WeightedSum(tuple(float(c) for c in coefficients)), **kw)
 
     @classmethod
     def distance_to(
@@ -133,8 +240,7 @@ class Functional:
         The distances are tabulated once over the space by
         :func:`~hamconc.hamming.distance_field`; evaluation looks them up.
         """
-        table = distance_field(alpha, a.mask(space)).ravel().tolist()
-        return cls(evaluator=lambda p: table[space.rank(p)], **kw)
+        return cls(evaluator=_Table(distance_field(alpha, a.mask(space))), **kw)
 
 
 @dataclass(frozen=True)
@@ -164,12 +270,6 @@ class Stats:
     value_distribution: tuple[tuple[float, float], ...]
 
 
-def _values_in_rank_order(f: Functional, space: FiniteSpace) -> np.ndarray:
-    return np.fromiter(
-        (f.value(p) for p in space.points()), dtype=np.float64, count=space.size
-    )
-
-
 def check_lipschitz(f: Functional, alpha: AlphaWeights, space: FiniteSpace) -> Certificate:
     """Certify |f(x) - f(x')| <= d_alpha(x, x') over pairs of points.
 
@@ -192,7 +292,7 @@ def check_lipschitz(f: Functional, alpha: AlphaWeights, space: FiniteSpace) -> C
         raise ValueError("Lipschitz certification assumes a unit weight vector")
     if alpha.n != space.n:
         raise ValueError(f"alpha has {alpha.n} weights, space has {space.n} coordinates")
-    values = _values_in_rank_order(f, space).reshape(space.alphabet_sizes)
+    values = _tabulate(f, space)
     worst = -math.inf
     edge = None
     for i, w in enumerate(alpha.weights):
@@ -222,17 +322,15 @@ def _drop_gap_arrays(f: Functional, space: FiniteSpace) -> list[np.ndarray]:
             f"drop family has {len(f.drop_family)} entries, space has {space.n} coordinates"
         )
     sizes = space.alphabet_sizes
-    values = _values_in_rank_order(f, space).reshape(sizes)
+    values = _tabulate(f, space)
     gaps = []
-    for i in range(space.n):
-        reduced = sizes[:i] + sizes[i + 1 :]
-        reduced_points = list(FiniteSpace(reduced).points()) if reduced else [Point(())]
-        fi = np.fromiter(
-            (f.drop_value(i, p) for p in reduced_points),
-            dtype=np.float64,
-            count=len(reduced_points),
-        ).reshape(reduced)
-        gaps.append((values - np.expand_dims(fi, i)).ravel())
+    for i, fi in enumerate(f.drop_family):
+        reduced = _mesh(sizes[:i] + sizes[i + 1 :])
+        if isinstance(fi, _Evaluator):
+            fi_values = fi.values(reduced)
+        else:
+            fi_values = _pointwise(lambda p, i=i: f.drop_value(i, p), reduced)
+        gaps.append((values - np.expand_dims(fi_values, i)).ravel())
     return gaps
 
 
@@ -271,19 +369,12 @@ def drop_infimum_family(f: Functional, space: FiniteSpace) -> Functional:
 
     For every x this family satisfies f(x) - f_i >= 0 exactly, because
     the minimum ranges over f(x) itself; the upper drop comparison then
-    measures the oscillation of f along coordinate i.
+    measures the oscillation of f along coordinate i.  f is tabulated
+    over the space once, here, and every f_i reads that table.
     """
-    sizes = space.alphabet_sizes
-
-    def make(i: int) -> Callable[[Point], float]:
-        def fi(reduced: Point) -> float:
-            return min(f.value(reduced.insert(i, s)) for s in range(sizes[i]))
-
-        return fi
-
-    return replace(
-        f, drop_family=tuple(make(i) for i in range(space.n)), drop_label="infimum"
-    )
+    table = _tabulate(f, space)
+    family = tuple(_AxisMin(table, i) for i in range(space.n))
+    return replace(f, drop_family=family, drop_label="infimum")
 
 
 def check_self_bounding(f: Functional, space: FiniteSpace) -> Certificate:
@@ -298,7 +389,7 @@ def check_self_bounding(f: Functional, space: FiniteSpace) -> Certificate:
         raise ValueError("functional has no self-bounding parameters")
     a, b = f.self_bounding_params
     gaps = _drop_gap_arrays(f, space)
-    values = _values_in_rank_order(f, space)
+    values = _tabulate(f, space).ravel()
     total = np.zeros(space.size, dtype=np.float64)
     holds = True
     witness_rank: int | None = None
@@ -374,9 +465,5 @@ def stats(
     f: Functional, space: FiniteSpace, dist: Distribution, cap: int | None = None
 ) -> Stats:
     """Exact mean, median interval, and value law of f(X) by enumeration."""
-    values: list[float] = []
-    probs: list[float] = []
-    for point, prob in enumerate_outcomes(space, dist, cap):
-        values.append(f.value(point))
-        probs.append(prob)
-    return stats_from_law(values, probs)
+    _, probs = law_arrays(space, dist, cap)
+    return stats_from_law(_tabulate(f, space).ravel(), probs)

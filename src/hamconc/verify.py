@@ -28,6 +28,7 @@ from .bounds import BoundId
 from .estimators import FunctionalLaw, exact_functional_stats, exact_set_stats, mgf_from_law
 from .functionals import (
     Functional,
+    _tabulate,
     check_drop_condition,
     check_lipschitz,
     check_self_bounding,
@@ -332,7 +333,7 @@ def _summary(rows: list[BoundRow], derived: dict) -> dict:
 def _functional_to_dict(f: Functional, space: FiniteSpace) -> dict:
     d: dict = {
         "type": "table",
-        "values": [f.value(p) for p in space.points()],
+        "values": _tabulate(f, space).ravel().tolist(),
     }
     if f.drop_label is not None:
         d["drop"] = f.drop_label

@@ -1,7 +1,9 @@
 """Exact enumeration and Monte Carlo estimators against hand-computed laws."""
 
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from hamconc.estimators import (
@@ -14,12 +16,13 @@ from hamconc.estimators import (
     exact_set_stats,
     exact_tail,
     hoeffding_half_width,
+    _sampled_values,
     mc_tail,
     mgf_from_law,
 )
 from hamconc.functionals import Functional
-from hamconc.hamming import AlphaWeights
-from hamconc.space import Distribution, FiniteSpace, SetSpec
+from hamconc.hamming import AlphaWeights, distance_field, normalize
+from hamconc.space import Distribution, FiniteSpace, SetSpec, _sample_symbols
 
 SQRT_HALF = 0.7071067811865475
 C3 = 0.5773502691896258
@@ -150,6 +153,46 @@ def test_mc_tail_seed_changes_draw():
     a = mc_tail(SPACE_2, UNIFORM_2, q, SQRT_HALF, n_samples=5_000, seed=0)
     b = mc_tail(SPACE_2, UNIFORM_2, q, SQRT_HALF, n_samples=5_000, seed=1)
     assert a.estimate != b.estimate
+
+
+@pytest.mark.parametrize(
+    "sizes, members", [((2,) * 10, 64), ((3, 1, 4, 2, 3), 5), ((5, 2, 2), 1)]
+)
+def test_sampled_distances_equal_the_distance_field(sizes, members):
+    rng = np.random.default_rng(len(sizes))
+    space = FiniteSpace(sizes)
+    dist = Distribution.product([rng.dirichlet(np.ones(m)).tolist() for m in sizes])
+    alpha = normalize(rng.uniform(0.1, 1.0, space.n).tolist())
+    ranks = rng.choice(space.size, size=members, replace=False)
+    target = SetSpec.from_points(space.unrank(int(r)) for r in ranks)
+    q = DistanceToSet(alpha, target)
+    n_samples, seed = 5_000, 11
+    symbols = _sample_symbols(space, dist, seed, n_samples)
+    exact = distance_field(alpha, target.mask(space))[tuple(symbols.T)]
+    # 5000 rows span several blocks when |A| = 64
+    assert _sampled_values(space, q, symbols).tobytes() == exact.tobytes()
+    t = float(np.median(exact))
+    est = mc_tail(space, dist, q, t, n_samples=n_samples, seed=seed)
+    assert est.estimate == np.count_nonzero(exact >= t) / n_samples
+
+
+def test_mc_tail_distance_memory_is_bounded():
+    # 10^5 samples against 64 members of {0,1}^18: a (rows, |A|, n) block
+    # of the samples would take about 600 MB
+    n = 18
+    space = FiniteSpace((2,) * n)
+    rng = np.random.default_rng(3)
+    ranks = rng.choice(space.size, size=64, replace=False)
+    q = DistanceToSet(
+        normalize([1.0] * n), SetSpec.from_points(space.unrank(int(r)) for r in ranks)
+    )
+    tracemalloc.start()
+    try:
+        mc_tail(space, Distribution.uniform(space), q, 1.0, n_samples=10**5, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_mc_defaults():

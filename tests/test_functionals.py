@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -43,8 +44,11 @@ def test_from_table_length_check():
 
 def test_weighted_sum_dimension_check():
     f = Functional.weighted_sum((1.0, 1.0, 1.0))
-    with pytest.raises(ValueError, match="dimension mismatch"):
+    with pytest.raises(ValueError, match="dimension mismatch") as pointwise:
         f.value(SPACE_2.unrank(0))
+    with pytest.raises(ValueError) as bulk:
+        f.values(np.ix_(np.arange(2), np.arange(2)))
+    assert str(bulk.value) == str(pointwise.value)
 
 
 def test_distance_to_empty_set():
@@ -69,6 +73,60 @@ def test_drop_value_without_family():
     f = Functional.weighted_sum((1.0, 1.0))
     with pytest.raises(ValueError, match="no drop family"):
         f.drop_value(0, SPACE_2.unrank(0))
+
+
+# -- bulk evaluation ----------------------------------------------------------
+
+
+def _one_of_each(space, data):
+    """A table, a weighted sum, a distance functional and a plain lambda on space."""
+    floats = st.floats(-10.0, 10.0)
+    table = data.draw(st.lists(floats, min_size=space.size, max_size=space.size))
+    coeffs = data.draw(st.lists(floats, min_size=space.n, max_size=space.n))
+    weights = data.draw(st.lists(st.floats(0.0, 1.0), min_size=space.n, max_size=space.n))
+    ranks = data.draw(st.sets(st.integers(0, space.size - 1), min_size=1, max_size=4))
+    spec = SetSpec.from_points(space.unrank(r) for r in ranks)
+    return {
+        "table": Functional.from_table(space, table),
+        "weighted_sum": Functional.weighted_sum(coeffs),
+        "distance_to": Functional.distance_to(AlphaWeights(tuple(weights)), spec, space),
+        "lambda": Functional(evaluator=lambda p: math.sqrt(sum(p.symbols)) - p.symbols[0]),
+    }
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_bulk_values_match_pointwise_values(data):
+    sizes = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    space = FiniteSpace(sizes)
+    ranks = data.draw(st.lists(st.integers(0, space.size - 1), min_size=1, max_size=20))
+    samples = np.stack(np.unravel_index(np.asarray(ranks), sizes), axis=1)
+    mesh = np.ix_(*(np.arange(m) for m in sizes))
+    for name, f in _one_of_each(space, data).items():
+        full = f.values(mesh)
+        assert full.shape == sizes, name
+        assert _bits(full) == _bits([f.value(p) for p in space.points()]), name
+        sampled = f.values(tuple(samples.T))
+        assert sampled.shape == (len(ranks),), name
+        assert _bits(sampled) == _bits([f.value(Point(tuple(r))) for r in samples]), name
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_infimum_family_is_the_coordinate_minimum(data):
+    sizes = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    space = FiniteSpace(sizes)
+    for name, f in _one_of_each(space, data).items():
+        g = drop_infimum_family(f, space)
+        for p in space.points():
+            for i in range(space.n):
+                reduced = p.drop(i)
+                want = min(f.value(reduced.insert(i, s)) for s in range(sizes[i]))
+                assert g.drop_value(i, reduced) == want, name
 
 
 # -- Lipschitz certificates ---------------------------------------------------
