@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as quote
 
-__all__ = ["fmt_float", "dumps"]
+__all__ = ["fmt_float", "dumps", "quote"]
 
 
 def fmt_float(x: float) -> str:
@@ -14,56 +14,66 @@ def fmt_float(x: float) -> str:
     Negative zero is normalized to "0" so that equal values always
     produce equal strings.
     """
-    x = float(x)
+    if type(x) is not float:
+        x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    if x == 0.0:
-        x = 0.0
-    return format(x, ".17g")
+    return format(x, ".17g") if x else "0"
 
 
-def _dump(obj, parts: list[str], sort_keys: bool) -> None:
+def _encode(obj, sort_keys: bool) -> str:
+    t = type(obj)
+    if t is float:
+        return fmt_float(obj)
+    if t is str:
+        return quote(obj)
+    if t is list or t is tuple:
+        # Tables, pmfs, grids and member lists hold one scalar type.
+        kinds = set(map(type, obj))
+        if kinds <= {float}:
+            return "[" + ",".join(map(fmt_float, obj)) + "]"
+        if kinds == {int}:
+            return "[" + ",".join(map(str, obj)) + "]"
+        return "[" + ",".join([_encode(item, sort_keys) for item in obj]) + "]"
+    if t is dict:
+        return _encode_dict(obj, sort_keys)
+    if t is int:
+        return str(obj)
+    # bool, None, and subclasses or numpy scalars of the types above.
     if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        parts.append(fmt_float(obj))
-    elif isinstance(obj, (list, tuple)):
-        parts.append("[")
-        for k, item in enumerate(obj):
-            if k:
-                parts.append(",")
-            _dump(item, parts, sort_keys)
-        parts.append("]")
-    elif isinstance(obj, dict):
-        parts.append("{")
-        keys = sorted(obj) if sort_keys else list(obj)
-        for k, key in enumerate(keys):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON object keys must be strings, got {key!r}")
-            if k:
-                parts.append(",")
-            parts.append(json.dumps(key))
-            parts.append(":")
-            _dump(obj[key], parts, sort_keys)
-        parts.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, str):
+        return quote(obj)
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return fmt_float(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join([_encode(item, sort_keys) for item in obj]) + "]"
+    if isinstance(obj, dict):
+        return _encode_dict(obj, sort_keys)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _encode_dict(obj: dict, sort_keys: bool) -> str:
+    parts = []
+    for key in sorted(obj) if sort_keys else obj:
+        if not isinstance(key, str):
+            raise TypeError(f"JSON object keys must be strings, got {key!r}")
+        parts.append(quote(key) + ":" + _encode(obj[key], sort_keys))
+    return "{" + ",".join(parts) + "}"
 
 
 def dumps(obj, *, sort_keys: bool = False) -> str:
     """JSON text with floats written via :func:`fmt_float`.
 
-    Byte-stable: the same object graph always yields the same string,
-    which is what report fingerprints and reproducibility tests rely on.
+    Compact separators, keys in insertion order unless ``sort_keys``,
+    strings ASCII-escaped as :func:`json.dumps` escapes them.  Byte-stable:
+    the same object graph always yields the same string, which is what
+    report fingerprints and reproducibility tests rely on.
     """
-    parts: list[str] = []
-    _dump(obj, parts, sort_keys)
-    return "".join(parts)
+    return _encode(obj, sort_keys)

@@ -195,10 +195,10 @@ class DistanceToSet:
 
 
 def _member_matrix(a: SetSpec, space: FiniteSpace) -> np.ndarray:
-    members = list(a.members(space))
-    if not members:
+    members = a.member_symbols(space)
+    if not len(members):
         raise ValueError("empty set has infinite distance")
-    return np.asarray([m.symbols for m in members], dtype=np.int64)
+    return members
 
 
 def _sampled_distances(
@@ -257,7 +257,7 @@ def exact_set_stats(
     dists = distance_field(alpha, in_set).ravel()
     total = math.fsum(map(float, probs))
     p_in = math.fsum(probs[in_set.ravel()].tolist()) / total
-    rho = math.fsum(float(d) * float(p) for d, p in zip(dists, probs)) / total
+    rho = math.fsum((dists * probs).tolist()) / total
     return SetStats(p_in, rho, TailCurve.from_law(dists, probs))
 
 

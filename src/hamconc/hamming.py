@@ -87,10 +87,10 @@ class Point:
     symbols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        syms = tuple(int(s) for s in self.symbols)
-        for s in syms:
-            if s < 0:
-                raise ValueError(f"symbols are nonnegative indices, got {s}")
+        syms = tuple(map(int, self.symbols))
+        if syms and min(syms) < 0:
+            bad = next(s for s in syms if s < 0)
+            raise ValueError(f"symbols are nonnegative indices, got {bad}")
         object.__setattr__(self, "symbols", syms)
 
     @property

@@ -29,9 +29,12 @@ the offending key; the command-line driver maps that to exit code 2.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Any
+
+import numpy as np
 
 from .functionals import Functional, drop_infimum_family
 from .hamming import AlphaWeights, normalize
@@ -147,28 +150,46 @@ def _alpha_from(data: dict) -> AlphaWeights:
     return a
 
 
+def _checked_members(raw: list, where: str, space: FiniteSpace) -> list:
+    """The member symbol lists, checked in bulk as one (|A|, n) int array.
+
+    Only when the bulk check fails are the members walked one by one, to
+    name the first offending entry.
+    """
+    sizes, n = space.alphabet_sizes, space.n
+    if all(type(m) is list and len(m) == n for m in raw) and set(
+        map(type, itertools.chain.from_iterable(raw))
+    ) == {int}:
+        try:
+            symbols = np.array(raw, dtype=np.int64)
+        except OverflowError:
+            pass
+        else:
+            if ((symbols >= 0) & (symbols < sizes)).all():
+                return raw
+    for i, m in enumerate(raw):
+        row = _as_list(m, f"{where}.members[{i}]")
+        syms = [_as_int(s, f"{where}.members[{i}][{j}]") for j, s in enumerate(row)]
+        if len(syms) != n:
+            raise ScenarioFileError(
+                f"{where}.members[{i}] has {len(syms)} symbols, "
+                f"space has {n} coordinates"
+            )
+        for j, s in enumerate(syms):
+            if not 0 <= s < sizes[j]:
+                raise ScenarioFileError(
+                    f"{where}.members[{i}][{j}] must be in "
+                    f"[0, {sizes[j] - 1}], got {s}"
+                )
+    return raw
+
+
 def _set_from(v: Any, where: str, space: FiniteSpace) -> SetSpec:
     sd = _as_dict(v, where)
     raw = _as_list(_require(sd, "members", where), f"{where}.members")
     if not raw:
         raise ScenarioFileError(f"{where}.members must be nonempty")
-    points = []
-    for i, m in enumerate(raw):
-        row = _as_list(m, f"{where}.members[{i}]")
-        syms = [_as_int(s, f"{where}.members[{i}][{j}]") for j, s in enumerate(row)]
-        if len(syms) != space.n:
-            raise ScenarioFileError(
-                f"{where}.members[{i}] has {len(syms)} symbols, "
-                f"space has {space.n} coordinates"
-            )
-        for j, s in enumerate(syms):
-            if not 0 <= s < space.alphabet_sizes[j]:
-                raise ScenarioFileError(
-                    f"{where}.members[{i}][{j}] must be in "
-                    f"[0, {space.alphabet_sizes[j] - 1}], got {s}"
-                )
-        points.append(tuple(syms))
-    return SetSpec.from_points(points)
+    return SetSpec.from_points(_checked_members(raw, where, space))
 
 
 def _functional_from(

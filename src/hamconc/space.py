@@ -224,12 +224,19 @@ class SetSpec:
     Either an explicit list of member points or a predicate (including
     sublevel sets of a functional, see :meth:`sublevel`).  Membership of
     predicate sets is decided pointwise; their member list is produced
-    by scanning the space.
+    by scanning the space.  An explicit set is checked against a space
+    once, the first time it is used with it.
     """
 
     explicit: tuple[Point, ...] | None = None
     predicate: Callable[[Point], bool] | None = None
     _member_keys: frozenset[tuple[int, ...]] | None = field(
+        init=False, repr=False, compare=False, default=None
+    )
+    # Explicit members as a read-only (|A|, n) array in canonical order,
+    # and the alphabet sizes of the last space they were checked against.
+    _symbols: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
+    _checked: tuple[int, ...] | None = field(
         init=False, repr=False, compare=False, default=None
     )
 
@@ -239,11 +246,17 @@ class SetSpec:
         if self.explicit is not None:
             # Canonical member order: deduped, sorted by symbols.
             unique = {p.symbols: p for p in self.explicit}
-            members = tuple(unique[k] for k in sorted(unique))
-            if members and any(p.n != members[0].n for p in members):
+            keys = sorted(unique)
+            if len(set(map(len, keys))) > 1:
                 raise ValueError("explicit set members must share one dimension")
-            object.__setattr__(self, "explicit", members)
+            try:
+                symbols = np.array(keys, dtype=np.int64)
+            except OverflowError:  # such symbols lie outside every space
+                symbols = np.array(keys, dtype=object)
+            symbols.setflags(write=False)
+            object.__setattr__(self, "explicit", tuple(unique[k] for k in keys))
             object.__setattr__(self, "_member_keys", frozenset(unique))
+            object.__setattr__(self, "_symbols", symbols)
 
     @classmethod
     def from_points(cls, points: Iterable[Point | Iterable[int]]) -> "SetSpec":
@@ -269,24 +282,47 @@ class SetSpec:
         assert self.predicate is not None
         return bool(self.predicate(point))
 
+    def member_symbols(self, space: FiniteSpace) -> np.ndarray:
+        """Members as an (|A|, n) int64 array, one row per member in rank order."""
+        if self.explicit is None:
+            rows = [p.symbols for p in space.points() if self.contains(p)]
+            return np.array(rows, dtype=np.int64).reshape(len(rows), space.n)
+        symbols = self._symbols
+        assert symbols is not None
+        if not len(symbols):
+            return np.empty((0, space.n), dtype=np.int64)
+        if self._checked != space.alphabet_sizes:
+            if symbols.shape[1] != space.n:
+                bad = 0
+            else:
+                outside = (symbols >= np.asarray(space.alphabet_sizes)).any(axis=1)
+                bad = int(np.argmax(outside)) if outside.any() else None
+            if bad is not None:
+                raise ValueError(f"point {self.explicit[bad].symbols} is not in this space")
+            object.__setattr__(self, "_checked", space.alphabet_sizes)
+        return symbols
+
     def members(self, space: FiniteSpace) -> Iterator[Point]:
         """Member points in rank order."""
         if self.explicit is not None:
-            for p in self.explicit:
-                space.require_point(p)
-                yield p
+            self.member_symbols(space)
+            yield from self.explicit
         else:
             for p in space.points():
                 if self.contains(p):
                     yield p
 
+    def _rank_array(self, space: FiniteSpace) -> np.ndarray:
+        symbols = self.member_symbols(space)
+        return np.ravel_multi_index(tuple(symbols.T), space.alphabet_sizes)
+
     def member_ranks(self, space: FiniteSpace) -> tuple[int, ...]:
-        return tuple(space.rank(p) for p in self.members(space))
+        return tuple(self._rank_array(space).tolist())
 
     def mask(self, space: FiniteSpace) -> np.ndarray:
         """Membership as a boolean tensor of shape ``space.alphabet_sizes``."""
         in_set = np.zeros(space.size, dtype=bool)
-        in_set[list(self.member_ranks(space))] = True
+        in_set[self._rank_array(space)] = True
         return in_set.reshape(space.alphabet_sizes)
 
     def is_empty(self, space: FiniteSpace) -> bool:

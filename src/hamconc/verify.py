@@ -23,7 +23,7 @@ from typing import ClassVar, Iterable, Union
 import numpy as np
 
 from . import bounds
-from ._util import dumps, fmt_float
+from ._util import dumps, fmt_float, quote
 from .bounds import BoundId
 from .estimators import FunctionalLaw, exact_functional_stats, exact_set_stats, mgf_from_law
 from .functionals import (
@@ -215,6 +215,29 @@ class BoundRow:
             "vacuous": self.vacuous,
         }
 
+    def _cells(self, num, text, null: str) -> tuple[str, ...]:
+        """The values of :meth:`to_dict` as text, in CSV_COLUMNS order.
+
+        Floats go through ``num`` (a :class:`_FloatText` lookup), strings
+        through ``text``, absent values become ``null`` and flags are
+        written as in JSON: ``(num, quote, "null")`` gives the JSON values,
+        ``(num, str, "")`` the CSV cells.
+        """
+        m, tail, t, lam = self.median_used, self.tail, self.t, self.lam
+        return (
+            text(self.target_kind),
+            null if m is None else num(m),
+            null if tail is None else text(tail),
+            null if t is None else num(t),
+            null if lam is None else num(lam),
+            num(self.lhs),
+            text(self.bound_id),
+            num(self.bound),
+            num(self.slack),
+            _FLAGS[self.passed],
+            _FLAGS[self.vacuous],
+        )
+
 
 CSV_COLUMNS = (
     "target_kind",
@@ -229,6 +252,25 @@ CSV_COLUMNS = (
     "pass",
     "vacuous",
 )
+
+# One row as a JSON object: the keys of BoundRow.to_dict, in CSV_COLUMNS order.
+_ROW_JSON = "{" + ",".join(quote(c) + ":%s" for c in CSV_COLUMNS) + "}"
+_REPORT_JSON = (
+    '{"fingerprint":%s,"rng":%s,"scenario":%s,"rows":[%s],"summary":%s,"notes":%s}'
+)
+_FLAGS = ("false", "true")
+
+
+class _FloatText(dict):
+    """fmt_float with a memo, kept for one report.
+
+    A report's rows repeat their t values, medians, lhs values and many
+    bounds: about one float in three is distinct.
+    """
+
+    def __missing__(self, x: float) -> str:
+        text = self[x] = fmt_float(x)
+        return text
 
 
 def _row(
@@ -261,16 +303,6 @@ def _row(
     )
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return fmt_float(value)
-    return str(value)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """All rows for one scenario, with a summary and certificate notes.
@@ -296,21 +328,21 @@ class BoundReport:
         return tuple(r for r in self.rows if not r.passed)
 
     def to_json(self) -> str:
-        payload = {
-            "fingerprint": self.fingerprint,
-            "rng": self.rng,
-            "scenario": self.scenario,
-            "rows": [r.to_dict() for r in self.rows],
-            "summary": self.summary,
-            "notes": list(self.notes),
-        }
-        return dumps(payload)
+        num = _FloatText().__getitem__
+        rows = ",".join([_ROW_JSON % r._cells(num, quote, "null") for r in self.rows])
+        return _REPORT_JSON % (
+            dumps(self.fingerprint),
+            dumps(self.rng),
+            dumps(self.scenario),
+            rows,
+            dumps(self.summary),
+            dumps(list(self.notes)),
+        )
 
     def to_csv(self) -> str:
+        num = _FloatText().__getitem__
         lines = [",".join(CSV_COLUMNS)]
-        for r in self.rows:
-            d = r.to_dict()
-            lines.append(",".join(_csv_cell(d[c]) for c in CSV_COLUMNS))
+        lines += [",".join(r._cells(num, str, "")) for r in self.rows]
         return "\r\n".join(lines) + "\r\n"
 
 
@@ -356,9 +388,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     if isinstance(tgt, SetTarget):
         td: dict = {
             "kind": "set",
-            "set": {
-                "members": [list(p.symbols) for p in tgt.set_spec.members(scenario.space)]
-            },
+            "set": {"members": tgt.set_spec.member_symbols(scenario.space).tolist()},
         }
     else:
         td = {

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from hamconc.scenario_io import ScenarioFileError, load_scenario, scenario_from_dict
+from hamconc.space import FiniteSpace, SetSpec
 from hamconc.verify import (
     GapTarget,
     MeanTarget,
@@ -166,6 +167,36 @@ def test_key_named_rejections():
 
     with pytest.raises(ScenarioFileError, match="JSON object"):
         scenario_from_dict([1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "members, message",
+    [
+        ([[0, 0], [1, 2]], "target.set.members[1][1] must be in [0, 1], got 2"),
+        ([[0, -1], [1, 2]], "target.set.members[0][1] must be in [0, 1], got -1"),
+        ([[0, 0], [0, 2**70]], f"target.set.members[1][1] must be in [0, 1], got {2**70}"),
+        ([[0, 0], [1, True]], "target.set.members[1][1] must be an integer"),
+        ([[0, 0], [1.0, 0]], "target.set.members[1][0] must be an integer"),
+        ([[0, 0], [0, "1"]], "target.set.members[1][1] must be an integer"),
+        ([[0, 0], [0]], "target.set.members[1] has 1 symbols, space has 2 coordinates"),
+        ([[0, 0], [0, 5, 0]], "target.set.members[1] has 3 symbols, space has 2 coordinates"),
+        ([[0, 0], 1], "target.set.members[1] must be an array"),
+    ],
+)
+def test_member_errors_name_the_first_bad_entry(members, message):
+    d = _base()
+    d["target"]["set"]["members"] = members
+    with pytest.raises(ScenarioFileError) as info:
+        scenario_from_dict(d)
+    assert str(info.value) == message
+
+
+def test_members_parse_to_the_canonical_set():
+    d = _base()
+    d["target"]["set"]["members"] = [[1, 1], [0, 1], [1, 1]]
+    spec = scenario_from_dict(d).target.set_spec
+    assert spec == SetSpec.from_points([(0, 1), (1, 1)])
+    assert spec.member_ranks(FiniteSpace((2, 2))) == (1, 3)
 
 
 def test_grids_are_kept():

@@ -119,6 +119,41 @@ def test_set_spec_predicate_and_sublevel():
     assert empty.is_empty(space)
 
 
+def test_set_spec_member_array_in_rank_order():
+    space = FiniteSpace((2, 3))
+    spec = SetSpec.from_points(np.array([[1, 2], [0, 1], [1, 2]]))
+    assert spec == SetSpec.from_points([(0, 1), (1, 2)])
+    assert spec.member_symbols(space).tolist() == [[0, 1], [1, 2]]
+    assert spec.member_ranks(space) == (1, 5)
+    assert spec.mask(space).ravel().tolist() == [r in (1, 5) for r in range(6)]
+    odd = SetSpec.from_predicate(lambda p: sum(p.symbols) % 2 == 1)
+    assert odd.member_symbols(space).tolist() == [[0, 1], [1, 0], [1, 2]]
+    assert SetSpec.from_predicate(lambda p: False).member_symbols(space).shape == (0, 2)
+    assert SetSpec(explicit=()).member_ranks(space) == ()
+
+
+def test_set_spec_outside_the_space_names_its_first_bad_member():
+    spec = SetSpec.from_points([(0, 0), (0, 3), (1, 4)])
+    small, large = FiniteSpace((2, 3)), FiniteSpace((2, 5))
+    first_bad = r"^point \(0, 3\) is not in this space$"
+    with pytest.raises(ValueError, match=first_bad):
+        spec.member_ranks(small)
+    with pytest.raises(ValueError, match=first_bad):
+        spec.mask(small)
+    with pytest.raises(ValueError, match=first_bad):
+        list(spec.members(small))
+    with pytest.raises(ValueError, match=r"^point \(0, 0\) is not in this space$"):
+        spec.member_ranks(FiniteSpace((2, 2, 2)))
+    assert spec.member_ranks(large) == (0, 3, 9)
+    assert [p.symbols for p in spec.members(large)] == [(0, 0), (0, 3), (1, 4)]
+    # A check against one space is not reused for another.
+    with pytest.raises(ValueError, match=first_bad):
+        spec.member_ranks(small)
+    huge = SetSpec.from_points([(2**70, 0), (0, 0)])
+    with pytest.raises(ValueError, match=r"^point \(1180591620717411303424, 0\) is not"):
+        huge.mask(small)
+
+
 def test_set_spec_takes_exactly_one_form():
     with pytest.raises(ValueError, match="exactly one"):
         SetSpec(explicit=None, predicate=None)
