@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
 import sys
 
@@ -204,7 +205,12 @@ def cmd_curves(args: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use.
+
+    Parsing leaves it unchanged: each call fills a new namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="hamconc",
         description=(
@@ -250,8 +256,11 @@ def main(argv: list[str] | None = None) -> int:
     _add_param_flags(p)
     p.add_argument("--out", help="write the CSV here instead of stdout")
     p.set_defaults(func=cmd_curves)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

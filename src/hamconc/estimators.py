@@ -1,8 +1,9 @@
 """Exact enumeration and Monte Carlo estimation of the quantities bounded.
 
 Exact results come from a full sweep of the outcome space (guarded by
-the enumeration cap) and are aggregated with compensated summation, so
-tail probabilities at points beyond the support are exactly 0.0 and the
+the enumeration cap) and are aggregated with correctly rounded sums
+(:func:`~hamconc._util.exact_sum`, equal to ``math.fsum``), so tail
+probabilities at points beyond the support are exactly 0.0 and the
 total mass is exactly 1.0.  Functionals are evaluated in bulk through
 :meth:`~hamconc.functionals.Functional.values`, over the whole space or
 over a sample matrix.  The Monte Carlo path reports a two-sided
@@ -22,7 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .functionals import Functional, Stats, _tabulate, stats_from_law
+from ._util import exact_layers, exact_sum
+from .functionals import Functional, Stats, _law_atoms, _tabulate, stats_from_law
 from .hamming import AlphaWeights, distance_field
 from .space import Distribution, FiniteSpace, SetSpec, _sample_symbols, law_arrays
 
@@ -50,100 +52,112 @@ MC_DEFAULT_DELTA = 0.01
 _BLOCK_BYTES = 1 << 20
 
 
-def _compensated_cumsum(arr: np.ndarray) -> np.ndarray:
-    """Running sums with Neumaier compensation; error stays O(eps) per entry."""
-    out = np.empty(arr.size, dtype=np.float64)
-    total = 0.0
-    comp = 0.0
-    for k in range(arr.size):
-        x = float(arr[k])
-        s = total + x
-        if abs(total) >= abs(x):
-            comp += (total - s) + x
-        else:
-            comp += (x - s) + total
-        total = s
-        out[k] = total + comp
-    return out
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
 
 
-@dataclass(frozen=True)
 class TailCurve:
     """Cumulative views of a discrete real law, queryable at any point.
 
     ``support`` holds the distinct outcome values in strictly increasing
     order and ``masses`` the (unnormalized) probability on each; queries
     divide by ``total`` so the curve is a probability even when the
-    input weights do not quite sum to one.  Queries past the top of the
-    support return exactly 0.0, which is what makes "tail vanishes past
-    the range" checks exact rather than approximate.
+    input weights do not quite sum to one.
+
+    Every prefix and suffix mass is the correctly rounded sum of its
+    masses: the masses are split once into the exact layers of
+    :func:`~hamconc._util.exact_layers`, whose running sums (and their
+    differences) are exact, and a query adds one value per layer with
+    ``math.fsum``.  Queries past either end of the support return
+    exactly 0.0, which is what makes "tail vanishes past the range"
+    checks exact rather than approximate.
     """
 
-    support: tuple[float, ...]
-    masses: tuple[float, ...]
-    total: float
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.support, dtype=np.float64)
-        m = np.asarray(self.masses, dtype=np.float64)
-        object.__setattr__(self, "_v", v)
-        object.__setattr__(self, "_prefix", _compensated_cumsum(m))
-        object.__setattr__(self, "_suffix", _compensated_cumsum(m[::-1])[::-1])
+    def __init__(self, support, masses, total: float) -> None:
+        self._v = _frozen(np.asarray(support, dtype=np.float64))
+        self._m = _frozen(np.asarray(masses, dtype=np.float64))
+        self.total = float(total)
+        layers, rest = exact_layers(self._m)
+        # (layers, S) running sums, and what could not be split (huge masses).
+        self._cum = np.cumsum(layers, axis=1) if layers else np.zeros((1, self._m.size))
+        self._rest = rest
 
     @classmethod
     def from_law(
-        cls, values: Sequence[float] | np.ndarray, probs: Sequence[float] | np.ndarray
+        cls,
+        values: Sequence[float] | np.ndarray,
+        probs: Sequence[float] | np.ndarray,
+        atoms: tuple[np.ndarray, np.ndarray, float] | None = None,
     ) -> "TailCurve":
-        v = np.asarray(values, dtype=np.float64)
-        p = np.asarray(probs, dtype=np.float64)
-        if v.shape != p.shape or v.ndim != 1 or v.size == 0:
-            raise ValueError("values and probs must be matching nonempty 1-d arrays")
-        uniq, inverse = np.unique(v, return_inverse=True)
-        mass = np.bincount(inverse, weights=p, minlength=uniq.size)
-        total = math.fsum(map(float, p))
-        if total <= 0.0:
-            raise ValueError("law has no mass")
-        return cls(tuple(map(float, uniq)), tuple(map(float, mass)), total)
+        """The curve of a law given by parallel value/probability arrays.
+
+        ``atoms`` is the law's ``_law_atoms(values, probs)``, when the
+        caller already has it.
+        """
+        return cls(*(atoms or _law_atoms(values, probs)))
+
+    @property
+    def support(self) -> tuple[float, ...]:
+        return tuple(self._v.tolist())
+
+    @property
+    def masses(self) -> tuple[float, ...]:
+        return tuple(self._m.tolist())
+
+    def _prefix(self, i: int) -> float:
+        """Mass on the first i + 1 support points."""
+        parts = self._cum[:, i].tolist()
+        if self._rest is not None:
+            parts += self._rest[: i + 1].tolist()
+        return math.fsum(parts)
+
+    def _suffix(self, i: int) -> float:
+        """Mass on support points i and above."""
+        top = self._cum[:, -1]
+        parts = (top - self._cum[:, i - 1] if i else top).tolist()
+        if self._rest is not None:
+            parts += self._rest[i:].tolist()
+        return math.fsum(parts)
 
     @property
     def cdf(self) -> tuple[float, ...]:
         """P(V <= v) at each support point."""
-        return tuple(float(x) / self.total for x in self._prefix)
+        return tuple(self._prefix(i) / self.total for i in range(self._v.size))
 
     def prob_ge(self, x: float) -> float:
         """P(V >= x)."""
         idx = int(np.searchsorted(self._v, x, side="left"))
         if idx >= self._v.size:
             return 0.0
-        return float(self._suffix[idx]) / self.total
+        return self._suffix(idx) / self.total
 
     def prob_gt(self, x: float) -> float:
         """P(V > x)."""
         idx = int(np.searchsorted(self._v, x, side="right"))
         if idx >= self._v.size:
             return 0.0
-        return float(self._suffix[idx]) / self.total
+        return self._suffix(idx) / self.total
 
     def prob_le(self, x: float) -> float:
         """P(V <= x)."""
         idx = int(np.searchsorted(self._v, x, side="right")) - 1
         if idx < 0:
             return 0.0
-        return float(self._prefix[idx]) / self.total
+        return self._prefix(idx) / self.total
 
     def prob_lt(self, x: float) -> float:
         """P(V < x)."""
         idx = int(np.searchsorted(self._v, x, side="left")) - 1
         if idx < 0:
             return 0.0
-        return float(self._prefix[idx]) / self.total
+        return self._prefix(idx) / self.total
 
     def expectation(self) -> float:
         """Mean of the law, from the stored atoms."""
-        return (
-            math.fsum(v * float(m) for v, m in zip(self.support, self.masses))
-            / self.total
-        )
+        return exact_sum(self._v * self._m) / self.total
 
     @property
     def support_max(self) -> float:
@@ -178,10 +192,14 @@ class SetStats:
 
 @dataclass(frozen=True)
 class FunctionalLaw:
-    """Full exact law of f(X) plus its summary statistics."""
+    """Full exact law of f(X) plus its summary statistics.
 
-    values: tuple[float, ...]
-    probs: tuple[float, ...]
+    ``values`` and ``probs`` are read-only float64 arrays over the
+    outcomes, in rank order.
+    """
+
+    values: np.ndarray
+    probs: np.ndarray
     stats: Stats
     curve: TailCurve
 
@@ -255,41 +273,51 @@ def exact_set_stats(
     _, probs = law_arrays(space, dist, cap)
     in_set = a.mask(space)
     dists = distance_field(alpha, in_set).ravel()
-    total = math.fsum(map(float, probs))
-    p_in = math.fsum(probs[in_set.ravel()].tolist()) / total
-    rho = math.fsum((dists * probs).tolist()) / total
-    return SetStats(p_in, rho, TailCurve.from_law(dists, probs))
+    atoms = _law_atoms(dists, probs)
+    total = atoms[2]
+    p_in = exact_sum(probs[in_set.ravel()]) / total
+    rho = exact_sum(dists * probs) / total
+    return SetStats(p_in, rho, TailCurve.from_law(dists, probs, atoms))
 
 
 def exact_functional_stats(
     space: FiniteSpace, dist: Distribution, f: Functional, cap: int | None = None
 ) -> FunctionalLaw:
-    """Enumerate the law of f(X) exactly; one pass serves stats and curve."""
+    """Enumerate the law of f(X) exactly; one set of atoms serves stats and curve."""
     _, probs = law_arrays(space, dist, cap)
     values = _tabulate(f, space).ravel()
-    st = stats_from_law(values, probs)
-    curve = TailCurve.from_law(values, probs)
-    return FunctionalLaw(tuple(values.tolist()), tuple(map(float, probs)), st, curve)
+    atoms = _law_atoms(values, probs)
+    st = stats_from_law(values, probs, atoms)
+    curve = TailCurve.from_law(values, probs, atoms)
+    return FunctionalLaw(_frozen(values), _frozen(probs), st, curve)
 
 
 def mgf_from_law(
     values: Sequence[float] | np.ndarray,
     probs: Sequence[float] | np.ndarray,
     lam: float,
+    mean: float | None = None,
 ) -> float:
     """Centered moment generating function E exp(lam * (V - E V)), exactly.
 
+    ``mean`` is E V when the caller has it (it must be the exact mean,
+    ``exact_sum(values * probs) / exact_sum(probs)``, as
+    :func:`stats_from_law` computes it).  Each term is
+    ``p * math.exp(lam * (v - mean))`` with the same IEEE operations as
+    a per-outcome loop, and the sums are correctly rounded.
     Self-normalizing: at lam = 0 the numerator and denominator are the
-    same compensated sum, so the result is exactly 1.0.
+    same sum, so the result is exactly 1.0.
     """
     lam = float(lam)
-    vs = [float(v) for v in values]
-    ps = [float(p) for p in probs]
-    total = math.fsum(ps)
+    v = np.asarray(values, dtype=np.float64)
+    p = np.asarray(probs, dtype=np.float64)
+    total = exact_sum(p)
     if total <= 0.0:
         raise ValueError("law has no mass")
-    mean = math.fsum(v * p for v, p in zip(vs, ps)) / total
-    return math.fsum(p * math.exp(lam * (v - mean)) for v, p in zip(vs, ps)) / total
+    if mean is None:
+        mean = exact_sum(v * p) / total
+    e = np.fromiter(map(math.exp, (lam * (v - mean)).tolist()), np.float64, v.size)
+    return exact_sum(p * e) / total
 
 
 def exact_mgf(

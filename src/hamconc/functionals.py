@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ._util import exact_sum
 from .hamming import AlphaWeights, Point, distance_field
 # Not called here since distance_to tabulates through distance_field; the
 # name stays because bench/tracer.py counts calls through this attribute.
@@ -49,8 +50,6 @@ __all__ = [
 
 # Checks allow this much float slack on their upper comparisons.
 CERT_TOL = 1e-12
-# Values closer than this collapse into one atom of a reported law.
-VALUE_ATOL = 1e-12
 
 
 def _require_in(point: Point, shape: tuple[int, ...]) -> None:
@@ -141,17 +140,14 @@ class _AxisMin(_Evaluator):
     """f_i(y) = min of a table along axis i: one entry of the infimum drop family."""
 
     def __init__(self, table: np.ndarray, axis: int) -> None:
-        self.table = table
-        self.axis = axis
+        self.mins = table.min(axis=axis)
 
     def __call__(self, point: Point) -> float:
-        i = self.axis
-        _require_in(point, self.table.shape[:i] + self.table.shape[i + 1 :])
-        syms = point.symbols
-        return float(self.table[syms[:i] + (slice(None),) + syms[i:]].min())
+        _require_in(point, self.mins.shape)
+        return float(self.mins[point.symbols])
 
     def values(self, coords: Sequence[np.ndarray]) -> np.ndarray:
-        return self.table.min(axis=self.axis)[tuple(coords)]
+        return self.mins[tuple(coords)]
 
 
 @dataclass(frozen=True)
@@ -262,12 +258,11 @@ class Certificate:
 
 @dataclass(frozen=True)
 class Stats:
-    """Exact mean, the median interval, and the aggregated value law."""
+    """Exact mean and the median interval of a discrete law."""
 
     mean: float
     median_lo: float
     median_hi: float
-    value_distribution: tuple[tuple[float, float], ...]
 
 
 def check_lipschitz(f: Functional, alpha: AlphaWeights, space: FiniteSpace) -> Certificate:
@@ -345,7 +340,13 @@ def check_drop_condition(
     """
     if alpha.n != space.n:
         raise ValueError(f"alpha has {alpha.n} weights, space has {space.n} coordinates")
-    gaps = _drop_gap_arrays(f, space)
+    return _drop_certificate(_drop_gap_arrays(f, space), alpha, space)
+
+
+def _drop_certificate(
+    gaps: list[np.ndarray], alpha: AlphaWeights, space: FiniteSpace
+) -> Certificate:
+    """:func:`check_drop_condition` on gap arrays already built."""
     worst = -math.inf
     witness_rank: int | None = None
     holds = True
@@ -411,59 +412,55 @@ def check_self_bounding(f: Functional, space: FiniteSpace) -> Certificate:
     return Certificate("self_bounding", holds, witness, worst)
 
 
-def stats_from_law(
+def _law_atoms(
     values: Sequence[float] | np.ndarray, probs: Sequence[float] | np.ndarray
-) -> Stats:
-    """Exact stats of a discrete law given parallel value/probability arrays.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """The atoms of a discrete law: (distinct values, mass on each, total mass).
 
-    Medians come from exact float comparisons on the raw values, so the
-    median interval endpoints really are medians of the stored law:
-    median_lo is the least value v with P(f <= v) >= 1/2, median_hi the
-    greatest with P(f >= v) >= 1/2.  The reported value_distribution
-    additionally collapses values within VALUE_ATOL of each other, which
-    absorbs float noise between equal-in-exact-arithmetic outcomes.
+    The values come out strictly increasing; the total is the correctly
+    rounded sum of ``probs``.  Raises for mismatched or empty input and
+    for a law without mass.
     """
     v = np.asarray(values, dtype=np.float64)
     p = np.asarray(probs, dtype=np.float64)
     if v.shape != p.shape or v.ndim != 1 or v.size == 0:
         raise ValueError("values and probs must be matching nonempty 1-d arrays")
-    total = math.fsum(map(float, p))
+    total = exact_sum(p)
     if total <= 0.0:
         raise ValueError("law has no mass")
-    mean = math.fsum(float(x) * float(q) for x, q in zip(v, p)) / total
-
     uniq, inverse = np.unique(v, return_inverse=True)
-    mass = np.bincount(inverse, weights=p, minlength=uniq.size)
+    return uniq, np.bincount(inverse, weights=p, minlength=uniq.size), total
+
+
+def stats_from_law(
+    values: Sequence[float] | np.ndarray,
+    probs: Sequence[float] | np.ndarray,
+    atoms: tuple[np.ndarray, np.ndarray, float] | None = None,
+) -> Stats:
+    """Exact stats of a discrete law given parallel value/probability arrays.
+
+    The mean is the correctly rounded sum of value * probability over
+    the total.  Medians come from exact float comparisons on the raw
+    values, so the median interval endpoints really are medians of the
+    stored law: median_lo is the least value v with P(f <= v) >= 1/2,
+    median_hi the greatest with P(f >= v) >= 1/2.  ``atoms`` is the
+    law's ``_law_atoms(values, probs)``, when the caller already has it.
+    """
+    uniq, mass, total = atoms or _law_atoms(values, probs)
+    v = np.asarray(values, dtype=np.float64)
+    p = np.asarray(probs, dtype=np.float64)
+    mean = exact_sum(v * p) / total
     cum = np.cumsum(mass)
     half = 0.5 * total - 1e-12
     median_lo = float(uniq[int(np.argmax(cum >= half))])
     suffix = total - cum + mass
     median_hi = float(uniq[uniq.size - 1 - int(np.argmax(suffix[::-1] >= half))])
-
-    atoms: list[tuple[float, float]] = []
-    group_value: float | None = None
-    group_mass: list[float] = []
-    prev = None
-    for value, m in zip(uniq, mass):
-        value = float(value)
-        if m == 0.0:
-            continue
-        if prev is not None and value - prev <= VALUE_ATOL:
-            group_mass.append(float(m))
-        else:
-            if group_value is not None:
-                atoms.append((group_value, math.fsum(group_mass) / total))
-            group_value = value
-            group_mass = [float(m)]
-        prev = value
-    if group_value is not None:
-        atoms.append((group_value, math.fsum(group_mass) / total))
-    return Stats(mean, median_lo, median_hi, tuple(atoms))
+    return Stats(mean, median_lo, median_hi)
 
 
 def stats(
     f: Functional, space: FiniteSpace, dist: Distribution, cap: int | None = None
 ) -> Stats:
-    """Exact mean, median interval, and value law of f(X) by enumeration."""
+    """Exact mean and median interval of f(X) by enumeration."""
     _, probs = law_arrays(space, dist, cap)
     return stats_from_law(_tabulate(f, space).ravel(), probs)

@@ -89,7 +89,15 @@ def _as_bool(v: Any, where: str) -> bool:
 
 
 def _number_list(v: Any, where: str) -> list[float]:
-    return [_as_number(x, f"{where}[{i}]") for i, x in enumerate(_as_list(v, where))]
+    """The list as floats, its types checked in bulk.
+
+    Only when the bulk check fails is the list walked one entry at a
+    time, to name the first entry that is not a number.
+    """
+    raw = _as_list(v, where)
+    if set(map(type, raw)) <= {float, int}:
+        return list(map(float, raw))
+    return [_as_number(x, f"{where}[{i}]") for i, x in enumerate(raw)]
 
 
 def _space_from(data: dict) -> FiniteSpace:

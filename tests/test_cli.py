@@ -233,3 +233,30 @@ def test_curves_usage_errors(capsys):
 
     assert main(["curves", "--bound-set", "mcd-set", "--t-range", "1:2"]) == 2
     assert "start:stop:steps" in capsys.readouterr().err
+
+
+# -- repeated calls -----------------------------------------------------------
+
+
+def test_back_to_back_calls_share_no_state(tmp_path, capsys):
+    # The parser is built once; flags of one call must not reach the next.
+    assert main(["eval-bound", "h", "--t", "1", "--rho", "0"]) == 0
+    assert main(["eval-bound", "mgf", "--lam", "2"]) == 0
+    assert capsys.readouterr().out == (
+        "t = 1\nrho = 0\nh = 2\nlam = 2\nmgf = 1.6487212707001282\n"
+    )
+    out = tmp_path / "r.json"
+    assert main(["verify", S1, "--seed", "7", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["scenario"]["seed"] == 7
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--trials", "3"])
+    assert exc.value.code == 2
+    assert "--kind" in capsys.readouterr().err
+    assert main(["verify", S1, "--format", "csv"]) == 0
+    assert capsys.readouterr().out.startswith("target_kind,")
+    assert main(["verify", S1]) == 0
+    assert json.loads(capsys.readouterr().out)["scenario"]["seed"] == 0
+    assert main(["sweep", "--kind", "set", "--trials", "2"]) == 0
+    assert "2/2 pass" in capsys.readouterr().out
+    assert main(["curves", "--bound-set", "mgf", "--rho-range", "0:1:2", "--lam", "1"]) == 0
+    assert capsys.readouterr().out == "rho,mgf\r\n0,1.1331484530668263\r\n1,1.1331484530668263\r\n"

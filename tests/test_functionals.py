@@ -302,11 +302,6 @@ def test_stats_from_law_median_interval():
     assert s.mean == 1.0
 
 
-def test_stats_from_law_aggregates_near_equal_values():
-    s = stats_from_law([0.0, 5e-13, 1.0], [0.25, 0.25, 0.5])
-    assert s.value_distribution == ((0.0, 0.5), (1.0, 0.5))
-
-
 def test_stats_from_law_validation():
     with pytest.raises(ValueError, match="matching nonempty"):
         stats_from_law([0.0, 1.0], [1.0])
@@ -322,5 +317,3 @@ def test_stats_of_scaled_bit_sum():
     assert s.mean == 0.8660254037844388
     assert s.median_lo == C3
     assert s.median_hi == 1.1547005383792517
-    assert len(s.value_distribution) == 4
-    assert s.value_distribution[0] == (0.0, 0.125)

@@ -191,6 +191,61 @@ def test_member_errors_name_the_first_bad_entry(members, message):
     assert str(info.value) == message
 
 
+def _median_table(values: list) -> dict:
+    d = _base()
+    d["target"] = {"kind": "median", "functional": {"type": "table", "values": values}}
+    return d
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("distribution", "pmfs", 1), [0.5, True], "distribution.pmfs[1][1] must be a number"),
+        (("distribution", "pmfs", 0), ["0.5", 0.5], "distribution.pmfs[0][0] must be a number"),
+        (("alpha", "weights"), [1.0, None], "alpha.weights[1] must be a number"),
+        (("alpha", "weights"), [False, 1.0], "alpha.weights[0] must be a number"),
+        (("alpha", "weights"), (1.0, 1.0), "alpha.weights must be an array"),
+        (("grids", "t"), [0.5, 1, [2.0]], "grids.t[2] must be a number"),
+        (("grids", "lambda"), [0, True], "grids.lambda[1] must be a number"),
+    ],
+)
+def test_number_list_errors_name_the_first_bad_entry(path, value, message):
+    d = _base()
+    d["grids"] = {"t": [1.0], "lambda": [1.0]}
+    *keys, last = path
+    node = d
+    for k in keys:
+        node = node[k]
+    node[last] = value
+    with pytest.raises(ScenarioFileError) as info:
+        scenario_from_dict(d)
+    assert str(info.value) == message
+
+
+def test_number_lists_in_functionals_and_joint_tables():
+    with pytest.raises(ScenarioFileError) as info:
+        scenario_from_dict(_median_table([0.0, 0.5, 0.5, True]))
+    assert str(info.value) == "target.functional.values[3] must be a number"
+    d = _median_table([0.0, 0.5, 0.5, 1.0])
+    d["target"]["functional"] = {"type": "weighted_sum", "coefficients": [0.5, "x"]}
+    with pytest.raises(ScenarioFileError) as info:
+        scenario_from_dict(d)
+    assert str(info.value) == "target.functional.coefficients[1] must be a number"
+    d = _base()
+    d["distribution"] = {"kind": "joint", "joint_table": [0.25, 0.25, 0.25, True]}
+    with pytest.raises(ScenarioFileError) as info:
+        scenario_from_dict(d)
+    assert str(info.value) == "distribution.joint_table[3] must be a number"
+    # Integers are numbers: a table of ints and floats parses to floats.
+    sc = scenario_from_dict(_median_table([0, 0.5, 0.5, 1]))
+    assert verify_scenario(sc).scenario["target"]["functional"]["values"] == [
+        0.0,
+        0.5,
+        0.5,
+        1.0,
+    ]
+
+
 def test_members_parse_to_the_canonical_set():
     d = _base()
     d["target"]["set"]["members"] = [[1, 1], [0, 1], [1, 1]]
