@@ -69,20 +69,24 @@ class TailCurve:
 
     Every prefix and suffix mass is the correctly rounded sum of its
     masses: the masses are split once into the exact layers of
-    :func:`~hamconc._util.exact_layers`, whose running sums (and their
-    differences) are exact, and a query adds one value per layer with
+    :func:`~hamconc._util.exact_layers`, whose running sums from either
+    end are exact, and a query adds one value per layer with
     ``math.fsum``.  Queries past either end of the support return
     exactly 0.0, which is what makes "tail vanishes past the range"
     checks exact rather than approximate.
     """
 
     def __init__(self, support, masses, total: float) -> None:
-        self._v = _frozen(np.asarray(support, dtype=np.float64))
-        self._m = _frozen(np.asarray(masses, dtype=np.float64))
+        self._v = np.array(support, dtype=np.float64)
+        self._m = np.array(masses, dtype=np.float64)
         self.total = float(total)
         layers, rest = exact_layers(self._m)
-        # (layers, S) running sums, and what could not be split (huge masses).
-        self._cum = np.cumsum(layers, axis=1) if layers else np.zeros((1, self._m.size))
+        parts = np.stack(layers, axis=1) if layers else np.zeros((self._m.size, 1))
+        # Row i, one exact value per layer: the mass on support points
+        # 0..i (_pre) and on points i and above (_suf).
+        self._pre = np.cumsum(parts, axis=0)
+        self._suf = np.cumsum(parts[::-1], axis=0)[::-1]
+        # Masses too large to split (None for any probability law).
         self._rest = rest
 
     @classmethod
@@ -109,15 +113,14 @@ class TailCurve:
 
     def _prefix(self, i: int) -> float:
         """Mass on the first i + 1 support points."""
-        parts = self._cum[:, i].tolist()
+        parts = self._pre[i].tolist()
         if self._rest is not None:
             parts += self._rest[: i + 1].tolist()
         return math.fsum(parts)
 
     def _suffix(self, i: int) -> float:
         """Mass on support points i and above."""
-        top = self._cum[:, -1]
-        parts = (top - self._cum[:, i - 1] if i else top).tolist()
+        parts = self._suf[i].tolist()
         if self._rest is not None:
             parts += self._rest[i:].tolist()
         return math.fsum(parts)
