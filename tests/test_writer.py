@@ -130,6 +130,23 @@ def test_bundled_reports_match_the_reference_writer(name):
     _check_report(verify_scenario(load_scenario(SCENARIOS / name)))
 
 
+def test_json_follows_changes_to_the_scenario_table():
+    # The table's text is formatted once; a report whose table a caller
+    # changes must be written from the table as it is now.
+    report = verify_scenario(random_scenario(3, "median"))
+    fd = report.scenario["target"]["functional"]
+    _check_report(report)
+    fd["values"][0] = 123.5
+    assert '"values":[123.5,' in report.to_json()
+    assert report.to_json() == ref.dumps(ref.report_payload(report))
+    fd["values"][0] = True
+    assert '"values":[true,' in report.to_json()
+    fd["values"] = [0.25] * len(fd["values"])
+    assert report.to_json() == ref.dumps(ref.report_payload(report))
+    del report.scenario["target"]["functional"]
+    assert report.to_json() == ref.dumps(ref.report_payload(report))
+
+
 def test_rows_with_every_optional_field_match_the_reference_writer():
     rows = (
         BoundRow("median", "median-improved", 0.25, 1.5, 1.25, True, True, -0.0, "lower", 0.1),
