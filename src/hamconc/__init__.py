@@ -44,7 +44,6 @@ from .estimators import (
     SetStats,
     TailCurve,
     exact_functional_stats,
-    exact_mgf,
     exact_set_stats,
     exact_tail,
     hoeffding_half_width,
@@ -59,7 +58,6 @@ from .functionals import (
     check_lipschitz,
     check_self_bounding,
     drop_infimum_family,
-    stats,
 )
 from .hamming import AlphaWeights, Point, distance_to_set, hamming_distance, normalize
 from .scenario_io import ScenarioFileError, load_scenario, scenario_from_dict
@@ -67,7 +65,6 @@ from .space import (
     Distribution,
     FiniteSpace,
     SetSpec,
-    enumerate_outcomes,
     enumeration_cap,
     sample,
 )
@@ -106,7 +103,6 @@ __all__ = [
     "FiniteSpace",
     "Distribution",
     "SetSpec",
-    "enumerate_outcomes",
     "enumeration_cap",
     "sample",
     # functionals and certificates
@@ -117,7 +113,6 @@ __all__ = [
     "check_drop_condition",
     "check_self_bounding",
     "drop_infimum_family",
-    "stats",
     # exact and Monte Carlo estimation
     "TailCurve",
     "SetStats",
@@ -127,7 +122,6 @@ __all__ = [
     "exact_set_stats",
     "exact_functional_stats",
     "exact_tail",
-    "exact_mgf",
     "mgf_from_law",
     "hoeffding_half_width",
     "mc_tail",

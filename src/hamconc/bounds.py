@@ -137,7 +137,12 @@ def median_tail_classical(t: float) -> float:
 
 
 def mean_tail_bound(t: float) -> float:
-    """One-sided mean tail under a unit weight vector: exp(-2*t^2)."""
+    """One-sided mean tail under a unit weight vector: exp(-2*t^2).
+
+    It serves ``mean-tail`` and, as :func:`drop_mean_tail_bound`,
+    ``drop-mean-tail``: the mean tail under the drop condition, whose
+    gaps in [0, alpha_i] bound the differences by alpha_i the same way.
+    """
     t = _require_pos("t", t)
     return math.exp(-2.0 * t * t)
 
@@ -206,10 +211,7 @@ def sb_lower_bound(t: float, mu: float, a: float, b: float) -> float:
     return math.exp(-t * t / (2.0 * denom))
 
 
-def drop_mean_tail_bound(t: float) -> float:
-    """Mean tail under the drop condition with unit-norm weights: exp(-2*t^2)."""
-    t = _require_pos("t", t)
-    return math.exp(-2.0 * t * t)
+drop_mean_tail_bound = mean_tail_bound
 
 
 def drop_mean_tail_scaled(t: float, n: int) -> float:

@@ -78,6 +78,23 @@ def _describe_row(r: BoundRow) -> str:
     )
 
 
+def _emit(text: str, out: str | None, end: str = "") -> bool:
+    """Write ``text`` to the file ``out``, or to stdout followed by ``end``.
+
+    Returns False, having reported the error, if the file cannot be written.
+    """
+    if not out:
+        sys.stdout.write(text + end)
+        return True
+    try:
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as e:
+        print(f"error: cannot write {out}: {e}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
@@ -87,21 +104,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
     except OSError as e:
         print(f"error: cannot read {args.scenario}: {e}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        scenario = dataclasses.replace(scenario, seed=args.seed)
     try:
+        if args.seed is not None:
+            scenario = dataclasses.replace(scenario, seed=args.seed)
         report = verify_scenario(scenario)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     text = report.to_json() if args.format == "json" else report.to_csv()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-        if args.format == "json":
-            sys.stdout.write("\n")
+    if not _emit(text, args.out, "\n" if args.format == "json" else ""):
+        return 2
     if not report.all_pass:
         failing = report.failing_rows()
         print(f"FAIL: {len(failing)} row(s) violate their bound", file=sys.stderr)
@@ -196,13 +208,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
                 print(f"error: {e}", file=sys.stderr)
                 return 2
         lines.append(",".join(row))
-    text = "\r\n".join(lines) + "\r\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    return 0 if _emit("\r\n".join(lines) + "\r\n", args.out) else 2
 
 
 @functools.cache

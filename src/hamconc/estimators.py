@@ -24,7 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from ._util import exact_layers, exact_sum
-from .functionals import Functional, Stats, _law_atoms, _tabulate, stats_from_law
+from .functionals import Functional, Stats, _law_atoms, stats_from_law
 from .hamming import AlphaWeights, distance_field
 from .space import Distribution, FiniteSpace, SetSpec, _sample_symbols, law_arrays
 
@@ -37,7 +37,6 @@ __all__ = [
     "exact_set_stats",
     "exact_functional_stats",
     "exact_tail",
-    "exact_mgf",
     "mgf_from_law",
     "hoeffding_half_width",
     "mc_tail",
@@ -287,8 +286,8 @@ def exact_functional_stats(
     space: FiniteSpace, dist: Distribution, f: Functional, cap: int | None = None
 ) -> FunctionalLaw:
     """Enumerate the law of f(X) exactly; one set of atoms serves stats and curve."""
-    _, probs = law_arrays(space, dist, cap)
-    values = _tabulate(f, space).ravel()
+    coords, probs = law_arrays(space, dist, cap)
+    values = f.values(coords).ravel()
     atoms = _law_atoms(values, probs)
     st = stats_from_law(values, probs, atoms)
     curve = TailCurve.from_law(values, probs, atoms)
@@ -321,18 +320,6 @@ def mgf_from_law(
         mean = exact_sum(v * p) / total
     e = np.fromiter(map(math.exp, (lam * (v - mean)).tolist()), np.float64, v.size)
     return exact_sum(p * e) / total
-
-
-def exact_mgf(
-    space: FiniteSpace,
-    dist: Distribution,
-    f: Functional,
-    lam: float,
-    cap: int | None = None,
-) -> float:
-    """E exp(lam * (f(X) - mu)) by full enumeration, mu computed exactly."""
-    _, probs = law_arrays(space, dist, cap)
-    return mgf_from_law(_tabulate(f, space).ravel(), probs, lam)
 
 
 def hoeffding_half_width(n_samples: int, delta: float) -> float:

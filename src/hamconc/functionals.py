@@ -34,7 +34,7 @@ from .hamming import AlphaWeights, Point, distance_field
 # Not called here since distance_to tabulates through distance_field; the
 # name stays because bench/tracer.py counts calls through this attribute.
 from .hamming import hamming_distance  # noqa: F401
-from .space import Distribution, FiniteSpace, SetSpec, law_arrays
+from .space import FiniteSpace, SetSpec, _mesh
 
 __all__ = [
     "Functional",
@@ -44,7 +44,6 @@ __all__ = [
     "check_drop_condition",
     "drop_infimum_family",
     "check_self_bounding",
-    "stats",
     "stats_from_law",
 ]
 
@@ -66,15 +65,6 @@ def _pointwise(fn: Callable[[Point], float], coords: Sequence[np.ndarray]) -> np
         (fn(Point(r)) for r in rows), dtype=np.float64, count=math.prod(shape)
     )
     return out.reshape(shape)
-
-
-def _mesh(sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Open mesh of a product space's points: axis i has shape (1, ..., s_i, ..., 1).
-
-    Values over it come out in the shape ``sizes``, in rank order, and
-    no (S, n) matrix of symbols is built.
-    """
-    return np.ix_(*(np.arange(m) for m in sizes))
 
 
 def _tabulate(f: "Functional", space: FiniteSpace) -> np.ndarray:
@@ -457,10 +447,3 @@ def stats_from_law(
     median_hi = float(uniq[uniq.size - 1 - int(np.argmax(suffix[::-1] >= half))])
     return Stats(mean, median_lo, median_hi)
 
-
-def stats(
-    f: Functional, space: FiniteSpace, dist: Distribution, cap: int | None = None
-) -> Stats:
-    """Exact mean and median interval of f(X) by enumeration."""
-    _, probs = law_arrays(space, dist, cap)
-    return stats_from_law(_tabulate(f, space).ravel(), probs)

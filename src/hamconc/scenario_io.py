@@ -347,4 +347,6 @@ def load_scenario(path) -> Scenario:
             data = json.load(fh)
     except json.JSONDecodeError as e:
         raise ScenarioFileError(f"invalid JSON in {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise ScenarioFileError(f"{path} is not UTF-8 text: {e}") from None
     return scenario_from_dict(data)

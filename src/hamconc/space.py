@@ -30,7 +30,6 @@ __all__ = [
     "Distribution",
     "SetSpec",
     "enumeration_cap",
-    "enumerate_outcomes",
     "law_arrays",
     "sample",
 ]
@@ -337,54 +336,45 @@ def _check_cap(space: FiniteSpace, cap: int | None) -> None:
         )
 
 
-def enumerate_outcomes(
-    space: FiniteSpace, dist: Distribution, cap: int | None = None
-) -> Iterator[tuple[Point, float]]:
-    """Yield every (point, probability) pair in rank order.
+def _mesh(sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Open mesh of the points: ``np.ix_`` over ``arange(s_i)``, built faster.
 
-    The cap (default :func:`enumeration_cap`) guards against runaway
-    exhaustive sweeps; pass an explicit ``cap`` to raise it for one call.
+    Axis i has shape (1, ..., s_i, ..., 1); values over it come out in
+    the shape ``sizes``, in rank order, with no (S, n) symbols matrix.
     """
-    _check_cap(space, cap)
-    dist.require_matches(space)
-    if dist.kind == "product":
-        assert dist.pmfs is not None
-        pmfs = dist.pmfs
-        for syms in itertools.product(*(range(m) for m in space.alphabet_sizes)):
-            p = 1.0
-            for pmf, s in zip(pmfs, syms):
-                p *= pmf[s]
-            yield Point(syms), p
-    else:
-        assert dist.joint_table is not None
-        table = dist.joint_table
-        for r, syms in enumerate(
-            itertools.product(*(range(m) for m in space.alphabet_sizes))
-        ):
-            yield Point(syms), table[r]
+    return np.indices(sizes, sparse=True)
 
 
 def law_arrays(
     space: FiniteSpace, dist: Distribution, cap: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized enumeration: (symbols matrix (S, n), probabilities (S,)).
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The exact law over the whole space: (coords, probabilities (S,)).
 
-    Row r of the matrix is the symbol tuple of the outcome with rank r,
-    matching :func:`enumerate_outcomes` exactly.
+    ``coords`` is the ``np.ix_`` open mesh of ``arange(s_i)``, the form
+    :meth:`~hamconc.functionals.Functional.values` takes for the whole
+    space; the probabilities are in rank order.  A product law is the
+    product ``pmf_0[c_0] * pmf_1[c_1] * ...`` over the mesh, built as
+    flat outer products that multiply in coordinate order, so each
+    probability is bit-identical to :meth:`Distribution.probability`.
+    The cap (default
+    :func:`enumeration_cap`) guards against runaway exhaustive sweeps;
+    pass an explicit ``cap`` to raise it for one call.
+
+    The name and the pair are kept because ``bench/tracer.py`` wraps
+    ``estimators.law_arrays`` and counts outcomes as the size of the
+    second element; both change together with the benchmark.
     """
     _check_cap(space, cap)
     dist.require_matches(space)
-    sizes = space.alphabet_sizes
-    symbols = np.indices(sizes, dtype=np.int64).reshape(space.n, -1).T
+    coords = _mesh(space.alphabet_sizes)
     if dist.kind == "product":
         assert dist.pmfs is not None
-        probs = np.ones(space.size, dtype=np.float64)
-        for i, pmf in enumerate(dist.pmfs):
-            probs *= np.asarray(pmf, dtype=np.float64)[symbols[:, i]]
-    else:
-        assert dist.joint_table is not None
-        probs = np.asarray(dist.joint_table, dtype=np.float64)
-    return symbols, probs
+        probs = np.ones(1)
+        for pmf in dist.pmfs:
+            probs = np.multiply.outer(probs, pmf).ravel()
+        return coords, probs
+    assert dist.joint_table is not None
+    return coords, np.asarray(dist.joint_table, dtype=np.float64)
 
 
 def _sample_symbols(

@@ -574,6 +574,34 @@ def _median_infos(scenario: Scenario, law: FunctionalLaw) -> list[dict]:
     ]
 
 
+def _median_law(
+    scenario: Scenario, target_type: type, flow: str, bounds_name: str
+) -> tuple[FunctionalLaw, list[dict], dict, list[str]]:
+    """The start shared by the median and gap flows.
+
+    Checks the target and the hypotheses (unit weights, independent
+    coordinates, a certified Lipschitz functional), then enumerates the
+    exact law and the per-median quantities.  Returns the law, the
+    per-median infos, the report's ``derived`` dict and the notes.
+    """
+    tgt = scenario.target
+    if not isinstance(tgt, target_type):
+        raise ValueError(f"{flow} needs a scenario with a {target_type.kind} target")
+    _require_unit_alpha(scenario.alpha)
+    _require_product(scenario.dist, bounds_name)
+    f = tgt.functional
+    notes = _certify_lipschitz(f, scenario.alpha, scenario.space)
+    law = exact_functional_stats(scenario.space, scenario.dist, f, scenario.cap)
+    infos = _median_infos(scenario, law)
+    derived = {
+        "mu": law.stats.mean,
+        "median_lo": law.stats.median_lo,
+        "median_hi": law.stats.median_hi,
+        "medians": infos,
+    }
+    return law, infos, derived, notes
+
+
 def verify_median(scenario: Scenario) -> BoundReport:
     """Median-centered tail bounds at both median endpoints.
 
@@ -587,67 +615,30 @@ def verify_median(scenario: Scenario) -> BoundReport:
     Lower rows take rho from the superlevel set {f >= m}, for the same
     reason with {f <= m - t}.
     """
-    tgt = scenario.target
-    if not isinstance(tgt, MedianTarget):
-        raise ValueError("verify_median needs a scenario with a median target")
-    _require_unit_alpha(scenario.alpha)
-    _require_product(scenario.dist, "the median bounds")
-    f = tgt.functional
-    notes = _certify_lipschitz(f, scenario.alpha, scenario.space)
-    law = exact_functional_stats(scenario.space, scenario.dist, f, scenario.cap)
-    mu = law.stats.mean
-    infos = _median_infos(scenario, law)
+    law, infos, derived, notes = _median_law(
+        scenario, MedianTarget, "verify_median", "the median bounds"
+    )
     extras = [info[k] for info in infos for k in ("rho_sublevel", "rho_superlevel", "gap")]
     ts = scenario.t_grid or default_t_grid(scenario.alpha, extras=extras)
     rows: list[BoundRow] = []
     for info in infos:
-        m = info["median"]
-        gap = info["gap"]
+        m, gap = info["median"], info["gap"]
         for t in ts:
             for tail, lhs, rho in (
                 ("upper", law.curve.prob_ge(m + t), info["rho_sublevel"]),
                 ("lower", law.curve.prob_le(m - t), info["rho_superlevel"]),
             ):
-                rows.append(
-                    _row(
-                        "median",
-                        BoundId.MEDIAN_IMPROVED,
-                        lhs,
-                        bounds.median_tail_bound(t, rho),
-                        median_used=m,
-                        tail=tail,
-                        t=t,
-                    )
-                )
-                rows.append(
-                    _row(
-                        "median",
-                        BoundId.MEDIAN_CLASSICAL,
-                        lhs,
-                        bounds.median_tail_classical(t),
-                        median_used=m,
-                        tail=tail,
-                        t=t,
-                    )
-                )
+                pairs = [
+                    (BoundId.MEDIAN_IMPROVED, bounds.median_tail_bound(t, rho)),
+                    (BoundId.MEDIAN_CLASSICAL, bounds.median_tail_classical(t)),
+                ]
                 if t > gap:
-                    rows.append(
-                        _row(
-                            "median",
-                            BoundId.SHIFTED_MEDIAN,
-                            lhs,
-                            bounds.shifted_median_bound(t, gap),
-                            median_used=m,
-                            tail=tail,
-                            t=t,
-                        )
-                    )
-    derived = {
-        "mu": mu,
-        "median_lo": law.stats.median_lo,
-        "median_hi": law.stats.median_hi,
-        "medians": infos,
-    }
+                    shifted = bounds.shifted_median_bound(t, gap)
+                    pairs.append((BoundId.SHIFTED_MEDIAN, shifted))
+                rows += [
+                    _row("median", bid, lhs, b, median_used=m, tail=tail, t=t)
+                    for bid, b in pairs
+                ]
     notes.append(
         "upper tail rows use rho from the sublevel set {f <= m}, "
         "lower tail rows rho from the superlevel set {f >= m}"
@@ -661,46 +652,21 @@ def verify_gap(scenario: Scenario) -> BoundReport:
     lhs = |mu - m| against (2*rho + sqrt(pi/2))*exp(-2*rho^2) with rho
     from the sublevel set, and against the rho-free sqrt(2*pi).
     """
-    tgt = scenario.target
-    if not isinstance(tgt, GapTarget):
-        raise ValueError("verify_gap needs a scenario with a gap target")
-    _require_unit_alpha(scenario.alpha)
-    _require_product(scenario.dist, "the gap bounds")
-    f = tgt.functional
-    notes = _certify_lipschitz(f, scenario.alpha, scenario.space)
-    law = exact_functional_stats(scenario.space, scenario.dist, f, scenario.cap)
-    mu = law.stats.mean
-    infos = _median_infos(scenario, law)
+    law, infos, derived, notes = _median_law(
+        scenario, GapTarget, "verify_gap", "the gap bounds"
+    )
     rows: list[BoundRow] = []
     for info in infos:
         m = info["median"]
-        lhs = abs(mu - m)
-        rows.append(
-            _row(
-                "gap",
-                BoundId.GAP_IMPROVED,
-                lhs,
-                bounds.gap_bound(info["rho_sublevel"]),
-                probability=False,
-                median_used=m,
-            )
+        lhs = abs(law.stats.mean - m)
+        pairs = (
+            (BoundId.GAP_IMPROVED, bounds.gap_bound(info["rho_sublevel"])),
+            (BoundId.GAP_CLASSICAL, bounds.gap_bound_classical()),
         )
-        rows.append(
-            _row(
-                "gap",
-                BoundId.GAP_CLASSICAL,
-                lhs,
-                bounds.gap_bound_classical(),
-                probability=False,
-                median_used=m,
-            )
-        )
-    derived = {
-        "mu": mu,
-        "median_lo": law.stats.median_lo,
-        "median_hi": law.stats.median_hi,
-        "medians": infos,
-    }
+        rows += [
+            _row("gap", bid, lhs, b, probability=False, median_used=m)
+            for bid, b in pairs
+        ]
     return _make_report(scenario, rows, derived, notes)
 
 
@@ -767,53 +733,41 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
     lams = scenario.lambda_grid or DEFAULT_LAMBDA_GRID
     rows: list[BoundRow] = []
     for t in ts:
-        lhs_u = law.curve.prob_ge(mu + t)
-        lhs_l = law.curve.prob_le(mu - t)
+        upper = law.curve.prob_ge(mu + t)
+        lower = law.curve.prob_le(mu - t)
+        cells = []
         if cert_alpha.holds:
             b = bounds.drop_mean_tail_bound(t)
-            rows.append(_row("mean", BoundId.DROP_MEAN_TAIL, lhs_u, b, tail="upper", t=t))
-            rows.append(_row("mean", BoundId.DROP_MEAN_TAIL, lhs_l, b, tail="lower", t=t))
+            cells += [
+                (BoundId.DROP_MEAN_TAIL, "upper", upper, b),
+                (BoundId.DROP_MEAN_TAIL, "lower", lower, b),
+            ]
         if cert_unit.holds:
             b = bounds.drop_mean_tail_scaled(t, space.n)
-            rows.append(
-                _row("mean", BoundId.DROP_MEAN_TAIL_SCALED, lhs_u, b, tail="upper", t=t)
-            )
-            rows.append(
-                _row("mean", BoundId.DROP_MEAN_TAIL_SCALED, lhs_l, b, tail="lower", t=t)
-            )
+            cells += [
+                (BoundId.DROP_MEAN_TAIL_SCALED, "upper", upper, b),
+                (BoundId.DROP_MEAN_TAIL_SCALED, "lower", lower, b),
+            ]
         if cert_sb is not None:
-            rows.append(
-                _row(
-                    "mean",
-                    BoundId.SB_UPPER,
-                    lhs_u,
-                    bounds.sb_upper_bound(t, mu, params[0], params[1]),
-                    tail="upper",
-                    t=t,
-                )
-            )
-            rows.append(
-                _row(
-                    "mean",
-                    BoundId.SB_LOWER,
-                    lhs_l,
-                    bounds.sb_lower_bound(t, mu, params[0], params[1]),
-                    tail="lower",
-                    t=t,
-                )
-            )
+            cells += [
+                (BoundId.SB_UPPER, "upper", upper, bounds.sb_upper_bound(t, mu, *params)),
+                (BoundId.SB_LOWER, "lower", lower, bounds.sb_lower_bound(t, mu, *params)),
+            ]
+        rows += [
+            _row("mean", bid, lhs, b, tail=tail, t=t) for bid, tail, lhs, b in cells
+        ]
     if cert_alpha.holds:
-        for lam in lams:
-            rows.append(
-                _row(
-                    "mean",
-                    BoundId.MGF,
-                    mgf_from_law(law.values, law.probs, lam, mu),
-                    bounds.mgf_bound(lam),
-                    probability=False,
-                    lam=lam,
-                )
+        rows += [
+            _row(
+                "mean",
+                BoundId.MGF,
+                mgf_from_law(law.values, law.probs, lam, mu),
+                bounds.mgf_bound(lam),
+                probability=False,
+                lam=lam,
             )
+            for lam in lams
+        ]
     derived = {
         "mu": mu,
         "n": space.n,

@@ -112,6 +112,28 @@ def test_verify_rejects_empty_t_grid(tmp_path, capsys):
     assert "grids.t" in capsys.readouterr().err
 
 
+def test_verify_negative_seed_is_an_input_error(capsys):
+    assert main(["verify", S1, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: seed must be a nonnegative integer, got -1\n"
+    )
+
+
+def test_verify_non_utf8_file_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"space": "\u00e9"}'.encode("latin-1"))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path} is not UTF-8 text: ")
+
+
+def test_verify_out_into_missing_directory_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    assert main(["verify", S1, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+    assert not out.parent.exists()
+
+
 def test_verify_csv_output_uses_crlf(tmp_path):
     out = tmp_path / "report.csv"
     assert main(["verify", S1, "--format", "csv", "--out", str(out)]) == 0
@@ -203,6 +225,15 @@ def test_curves_writes_file(tmp_path):
         b"1.5,0.32465246735834974\r\n"
         b"2,0.1353352832366127\r\n"
     )
+
+
+def test_curves_out_into_missing_directory_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "curve.csv"
+    code = main(
+        ["curves", "--bound-set", "mcd-set", "--t-range", "1:2:3", "--out", str(out)]
+    )
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
 
 def test_curves_usage_errors(capsys):

@@ -12,7 +12,6 @@ from hamconc.estimators import (
     DistanceToSet,
     TailCurve,
     exact_functional_stats,
-    exact_mgf,
     exact_set_stats,
     exact_tail,
     hoeffding_half_width,
@@ -115,11 +114,11 @@ def test_mgf_normalizes_at_zero():
     assert mgf_from_law([0.3, 1.7, 2.9], [0.2, 0.5, 0.3], 0.0) == 1.0
 
 
-def test_exact_mgf_two_fair_bits():
+def test_mgf_from_law_two_fair_bits():
     # f = x1 + x2, centered at 1: E exp(V - 1) = 0.5 + 0.5*cosh(1)
-    f = Functional.weighted_sum((1.0, 1.0))
-    assert exact_mgf(SPACE_2, UNIFORM_2, f, 1.0) == 1.2715403174076219
-    assert exact_mgf(SPACE_2, UNIFORM_2, f, 0.0) == 1.0
+    law = exact_functional_stats(SPACE_2, UNIFORM_2, Functional.weighted_sum((1.0, 1.0)))
+    assert mgf_from_law(law.values, law.probs, 1.0) == 1.2715403174076219
+    assert mgf_from_law(law.values, law.probs, 0.0) == 1.0
 
 
 def test_hoeffding_half_width():

@@ -1,12 +1,14 @@
 """Finite spaces, distributions, subsets, enumeration, and sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamconc.functionals import Functional
 from hamconc.hamming import Point
 from hamconc.space import (
     DEFAULT_ENUM_CAP,
@@ -15,7 +17,6 @@ from hamconc.space import (
     Distribution,
     FiniteSpace,
     SetSpec,
-    enumerate_outcomes,
     enumeration_cap,
     law_arrays,
     sample,
@@ -161,32 +162,75 @@ def test_set_spec_takes_exactly_one_form():
         SetSpec(explicit=(Point((0,)),), predicate=lambda p: True)
 
 
-def test_enumerate_outcomes_masses():
+def test_law_arrays_masses():
     space = FiniteSpace((2, 2))
     dist = Distribution.product(((0.3, 0.7), (0.9, 0.1)))
-    pairs = list(enumerate_outcomes(space, dist))
-    assert [p.symbols for p, _ in pairs] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert math.fsum(pr for _, pr in pairs) == pytest.approx(1.0, abs=1e-15)
-    assert pairs[0][1] == pytest.approx(0.27)
+    coords, probs = law_arrays(space, dist)
+    assert [c.shape for c in coords] == [(2, 1), (1, 2)]
+    points = list(zip(*(c.ravel().tolist() for c in np.broadcast_arrays(*coords))))
+    assert points == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert math.fsum(probs) == pytest.approx(1.0, abs=1e-15)
+    assert probs[0] == pytest.approx(0.27)
 
 
 def test_law_arrays_matches_enumeration():
     space = FiniteSpace((2, 3))
     dist = Distribution.joint((0.05, 0.1, 0.15, 0.2, 0.25, 0.25))
-    symbols, probs = law_arrays(space, dist)
-    assert symbols.shape == (6, 2)
-    for r, (p, pr) in enumerate(enumerate_outcomes(space, dist)):
-        assert tuple(int(s) for s in symbols[r]) == p.symbols
-        assert probs[r] == pr
+    coords, probs = law_arrays(space, dist)
+    assert [c.shape for c in coords] == [(2, 1), (1, 3)]
+    assert probs.shape == (6,)
+    grid = np.broadcast_arrays(*coords)
+    for r, p in enumerate(space.points()):
+        assert tuple(int(c[p.symbols]) for c in grid) == p.symbols
+        assert probs[r] == dist.probability(space, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_law_arrays_agree_with_pointwise_definitions(data):
+    sizes = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    space = FiniteSpace(sizes)
+
+    def reals(k, lo, hi):
+        return data.draw(st.lists(st.floats(lo, hi), min_size=k, max_size=k))
+
+    def pmf(k):
+        w = np.array(reals(k, 0.01, 1.0))
+        return tuple((w / w.sum()).tolist())
+
+    if data.draw(st.booleans()):
+        dist = Distribution.product(tuple(pmf(k) for k in sizes))
+    else:
+        dist = Distribution.joint(pmf(space.size))
+    coords, probs = law_arrays(space, dist)
+    assert probs.tolist() == [dist.probability(space, p) for p in space.points()]
+    for f in (
+        Functional.from_table(space, reals(space.size, -5.0, 5.0)),
+        Functional.weighted_sum(reals(space.n, -5.0, 5.0)),
+    ):
+        assert f.values(coords).ravel().tolist() == [f.value(p) for p in space.points()]
+
+
+def test_law_arrays_memory_is_bounded():
+    # The uniform law on {0,1}^20: an (S, n) int64 matrix of symbols
+    # alone would take 160 MB; the probabilities take 8 MB.
+    space = FiniteSpace((2,) * 20)
+    tracemalloc.start()
+    try:
+        law_arrays(space, Distribution.uniform(space))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_enumeration_cap_guards_sweeps():
     space = FiniteSpace((2, 2, 2))
     dist = Distribution.uniform(space)
     with pytest.raises(ValueError, match="enumeration cap"):
-        list(enumerate_outcomes(space, dist, cap=7))
+        law_arrays(space, dist, cap=7)
     # explicit cap >= size is fine
-    assert len(list(enumerate_outcomes(space, dist, cap=8))) == 8
+    assert law_arrays(space, dist, cap=8)[1].size == 8
 
 
 def test_enumeration_cap_env_override(monkeypatch):
