@@ -575,7 +575,7 @@ def _median_infos(scenario: Scenario, law: FunctionalLaw) -> list[dict]:
 
 
 def _median_law(
-    scenario: Scenario, target_type: type, flow: str, bounds_name: str
+    scenario: Scenario, target_type: type
 ) -> tuple[FunctionalLaw, list[dict], dict, list[str]]:
     """The start shared by the median and gap flows.
 
@@ -584,11 +584,12 @@ def _median_law(
     exact law and the per-median quantities.  Returns the law, the
     per-median infos, the report's ``derived`` dict and the notes.
     """
+    kind = target_type.kind
     tgt = scenario.target
     if not isinstance(tgt, target_type):
-        raise ValueError(f"{flow} needs a scenario with a {target_type.kind} target")
+        raise ValueError(f"verify_{kind} needs a scenario with a {kind} target")
     _require_unit_alpha(scenario.alpha)
-    _require_product(scenario.dist, bounds_name)
+    _require_product(scenario.dist, f"the {kind} bounds")
     f = tgt.functional
     notes = _certify_lipschitz(f, scenario.alpha, scenario.space)
     law = exact_functional_stats(scenario.space, scenario.dist, f, scenario.cap)
@@ -615,9 +616,7 @@ def verify_median(scenario: Scenario) -> BoundReport:
     Lower rows take rho from the superlevel set {f >= m}, for the same
     reason with {f <= m - t}.
     """
-    law, infos, derived, notes = _median_law(
-        scenario, MedianTarget, "verify_median", "the median bounds"
-    )
+    law, infos, derived, notes = _median_law(scenario, MedianTarget)
     extras = [info[k] for info in infos for k in ("rho_sublevel", "rho_superlevel", "gap")]
     ts = scenario.t_grid or default_t_grid(scenario.alpha, extras=extras)
     rows: list[BoundRow] = []
@@ -652,9 +651,7 @@ def verify_gap(scenario: Scenario) -> BoundReport:
     lhs = |mu - m| against (2*rho + sqrt(pi/2))*exp(-2*rho^2) with rho
     from the sublevel set, and against the rho-free sqrt(2*pi).
     """
-    law, infos, derived, notes = _median_law(
-        scenario, GapTarget, "verify_gap", "the gap bounds"
-    )
+    law, infos, derived, notes = _median_law(scenario, GapTarget)
     rows: list[BoundRow] = []
     for info in infos:
         m = info["median"]
