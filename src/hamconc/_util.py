@@ -1,4 +1,4 @@
-"""Exact sums, and deterministic text formatting shared by reports and the CLI."""
+"""Exact sums, read-only views and deterministic text for reports and the CLI."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from json.encoder import encode_basestring_ascii as quote
 
 import numpy as np
 
-__all__ = ["exact_sum", "exact_layers", "fmt_float", "dumps", "quote", "Raw"]
+__all__ = ["exact_sum", "exact_layers", "frozen", "fmt_float", "dumps", "quote", "Raw"]
 
 # Below this many terms math.fsum of a list is faster than the layered split.
 _FSUM_BELOW = 512
@@ -64,6 +64,13 @@ def exact_sum(x) -> float:
     if rest is not None:
         parts += rest.tolist()
     return math.fsum(parts)
+
+
+def frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only view of ``a``."""
+    a = a.view()
+    a.flags.writeable = False
+    return a
 
 
 def fmt_float(x: float) -> str:

@@ -4,9 +4,9 @@ Exact results come from a full sweep of the outcome space (guarded by
 the enumeration cap) and are aggregated with correctly rounded sums
 (:func:`~hamconc._util.exact_sum`, equal to ``math.fsum``), so tail
 probabilities at points beyond the support are exactly 0.0 and the
-total mass is exactly 1.0.  Functionals are evaluated in bulk through
-:meth:`~hamconc.functionals.Functional.values`, over the whole space or
-over a sample matrix.  The Monte Carlo path reports a two-sided
+total mass is exactly 1.0.  A functional is evaluated in bulk, once
+over the whole space (a table functional is read in place) or over a
+sample matrix.  The Monte Carlo path reports a two-sided
 confidence half-width from Hoeffding's inequality, which makes the
 cross-check against exact values a testable contract rather than a
 matter of eyeballing.  It never tabulates the space: distances to a set
@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import exact_layers, exact_sum
-from .functionals import Functional, Stats, _law_atoms, stats_from_law
+from ._util import exact_layers, exact_sum, frozen
+from .functionals import Functional, Stats, _law_atoms, _tabulate, stats_from_law
 from .hamming import AlphaWeights, distance_field
 from .space import Distribution, FiniteSpace, SetSpec, _sample_symbols, law_arrays
 
@@ -51,20 +51,13 @@ MC_DEFAULT_DELTA = 0.01
 _BLOCK_BYTES = 1 << 20
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """A read-only view of ``a``."""
-    a = a.view()
-    a.flags.writeable = False
-    return a
-
-
 class TailCurve:
     """Cumulative views of a discrete real law, queryable at any point.
 
     ``support`` holds the distinct outcome values in strictly increasing
-    order and ``masses`` the (unnormalized) probability on each; queries
-    divide by ``total`` so the curve is a probability even when the
-    input weights do not quite sum to one.
+    order and ``masses`` the (unnormalized) probability on each, both as
+    read-only float64 arrays; queries divide by ``total`` so the curve is
+    a probability even when the input weights do not quite sum to one.
 
     Every prefix and suffix mass is the correctly rounded sum of its
     masses: the masses are split once into the exact layers of
@@ -76,8 +69,8 @@ class TailCurve:
     """
 
     def __init__(self, support, masses, total: float) -> None:
-        self._v = np.array(support, dtype=np.float64)
-        self._m = np.array(masses, dtype=np.float64)
+        self._v = frozen(np.array(support, dtype=np.float64))
+        self._m = frozen(np.array(masses, dtype=np.float64))
         self.total = float(total)
         layers, rest = exact_layers(self._m)
         parts = np.stack(layers, axis=1) if layers else np.zeros((self._m.size, 1))
@@ -103,12 +96,12 @@ class TailCurve:
         return cls(*(atoms or _law_atoms(values, probs)))
 
     @property
-    def support(self) -> tuple[float, ...]:
-        return tuple(self._v.tolist())
+    def support(self) -> np.ndarray:
+        return self._v
 
     @property
-    def masses(self) -> tuple[float, ...]:
-        return tuple(self._m.tolist())
+    def masses(self) -> np.ndarray:
+        return self._m
 
     def _prefix(self, i: int) -> float:
         """Mass on the first i + 1 support points."""
@@ -285,13 +278,16 @@ def exact_set_stats(
 def exact_functional_stats(
     space: FiniteSpace, dist: Distribution, f: Functional, cap: int | None = None
 ) -> FunctionalLaw:
-    """Enumerate the law of f(X) exactly; one set of atoms serves stats and curve."""
-    coords, probs = law_arrays(space, dist, cap)
-    values = f.values(coords).ravel()
+    """Enumerate the law of f(X) exactly; one set of atoms serves stats and curve.
+
+    The cap is checked before f is evaluated; a table f is read in place.
+    """
+    _, probs = law_arrays(space, dist, cap)
+    values = _tabulate(f.evaluator, space.alphabet_sizes).ravel()
     atoms = _law_atoms(values, probs)
     st = stats_from_law(values, probs, atoms)
     curve = TailCurve.from_law(values, probs, atoms)
-    return FunctionalLaw(_frozen(values), _frozen(probs), st, curve)
+    return FunctionalLaw(frozen(values), frozen(probs), st, curve)
 
 
 def mgf_from_law(

@@ -29,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._util import exact_sum
+from ._util import exact_sum, frozen
 from .hamming import AlphaWeights, Point, distance_field
 # Not called here since distance_to tabulates through distance_field; the
 # name stays because bench/tracer.py counts calls through this attribute.
@@ -51,11 +51,6 @@ __all__ = [
 CERT_TOL = 1e-12
 
 
-def _require_in(point: Point, shape: tuple[int, ...]) -> None:
-    if point.n != len(shape) or any(s >= m for s, m in zip(point.symbols, shape)):
-        raise ValueError(f"point {point.symbols} is not in this space")
-
-
 def _pointwise(fn: Callable[[Point], float], coords: Sequence[np.ndarray]) -> np.ndarray:
     """fn at every point of a broadcast coordinate tuple, one Point at a time."""
     shape = np.broadcast_shapes(*(np.shape(c) for c in coords))
@@ -67,9 +62,20 @@ def _pointwise(fn: Callable[[Point], float], coords: Sequence[np.ndarray]) -> np
     return out.reshape(shape)
 
 
-def _tabulate(f: "Functional", space: FiniteSpace) -> np.ndarray:
-    """f at every point, as an array of shape ``space.alphabet_sizes``."""
-    return f.values(_mesh(space.alphabet_sizes))
+def _tabulate(fn: Callable[[Point], float], sizes: tuple[int, ...]) -> np.ndarray:
+    """An evaluator at every point of the space ``sizes``, in that shape.
+
+    A table is returned as it is, read-only and not copied; a bulk
+    evaluator runs over the open mesh, a plain callable point by point.
+    """
+    if isinstance(fn, _Table):
+        if fn.table.shape != tuple(sizes):
+            raise ValueError(f"table has shape {fn.table.shape}, space has {tuple(sizes)}")
+        return fn.table
+    coords = _mesh(sizes)
+    if isinstance(fn, _Evaluator):
+        return fn.values(coords)
+    return _pointwise(fn, coords)
 
 
 class _Evaluator:
@@ -81,13 +87,15 @@ class _Evaluator:
 
 
 class _Table(_Evaluator):
-    """f(x) = table[x], for a table of shape alphabet_sizes."""
+    """f(x) = table[x], for a table of shape alphabet_sizes, kept read-only."""
 
     def __init__(self, table: np.ndarray) -> None:
-        self.table = table
+        self.table = frozen(np.asarray(table))
 
     def __call__(self, point: Point) -> float:
-        _require_in(point, self.table.shape)
+        shape = self.table.shape
+        if point.n != len(shape) or any(s >= m for s, m in zip(point.symbols, shape)):
+            raise ValueError(f"point {point.symbols} is not in this space")
         return float(self.table[point.symbols])
 
     def values(self, coords: Sequence[np.ndarray]) -> np.ndarray:
@@ -124,20 +132,6 @@ class _WeightedSum(_Evaluator):
         for c, x in zip(self.coeffs, coords):
             total = total + c * x
         return np.asarray(total, dtype=np.float64)
-
-
-class _AxisMin(_Evaluator):
-    """f_i(y) = min of a table along axis i: one entry of the infimum drop family."""
-
-    def __init__(self, table: np.ndarray, axis: int) -> None:
-        self.mins = table.min(axis=axis)
-
-    def __call__(self, point: Point) -> float:
-        _require_in(point, self.mins.shape)
-        return float(self.mins[point.symbols])
-
-    def values(self, coords: Sequence[np.ndarray]) -> np.ndarray:
-        return self.mins[tuple(coords)]
 
 
 @dataclass(frozen=True)
@@ -277,7 +271,7 @@ def check_lipschitz(f: Functional, alpha: AlphaWeights, space: FiniteSpace) -> C
         raise ValueError("Lipschitz certification assumes a unit weight vector")
     if alpha.n != space.n:
         raise ValueError(f"alpha has {alpha.n} weights, space has {space.n} coordinates")
-    values = _tabulate(f, space)
+    values = _tabulate(f.evaluator, space.alphabet_sizes)
     worst = -math.inf
     edge = None
     for i, w in enumerate(alpha.weights):
@@ -307,16 +301,11 @@ def _drop_gap_arrays(f: Functional, space: FiniteSpace) -> list[np.ndarray]:
             f"drop family has {len(f.drop_family)} entries, space has {space.n} coordinates"
         )
     sizes = space.alphabet_sizes
-    values = _tabulate(f, space)
-    gaps = []
-    for i, fi in enumerate(f.drop_family):
-        reduced = _mesh(sizes[:i] + sizes[i + 1 :])
-        if isinstance(fi, _Evaluator):
-            fi_values = fi.values(reduced)
-        else:
-            fi_values = _pointwise(lambda p, i=i: f.drop_value(i, p), reduced)
-        gaps.append((values - np.expand_dims(fi_values, i)).ravel())
-    return gaps
+    values = _tabulate(f.evaluator, sizes)
+    return [
+        (values - np.expand_dims(_tabulate(fi, sizes[:i] + sizes[i + 1 :]), i)).ravel()
+        for i, fi in enumerate(f.drop_family)
+    ]
 
 
 def check_drop_condition(
@@ -338,21 +327,21 @@ def _drop_certificate(
 ) -> Certificate:
     """:func:`check_drop_condition` on gap arrays already built."""
     worst = -math.inf
-    witness_rank: int | None = None
-    holds = True
-    for i, g in enumerate(gaps):
-        viol = np.maximum(-g, g - alpha.weights[i])
-        k = int(np.argmax(viol))
-        if float(viol[k]) > worst:
-            worst = float(viol[k])
-        bad = (g < 0.0) | (g > alpha.weights[i] + CERT_TOL)
+    for g, w in zip(gaps, alpha.weights):
+        viol = np.maximum(-g, g - w)
+        worst = max(worst, float(viol[np.argmax(viol)]))
+    bad = ((g < 0.0) | (g > w + CERT_TOL) for g, w in zip(gaps, alpha.weights))
+    return Certificate("drop", *_first_violation(bad, space), worst)
+
+
+def _first_violation(
+    masks: Iterable[np.ndarray], space: FiniteSpace
+) -> tuple[bool, Point | None]:
+    """(no mask flags a rank, the first flagged point of the first mask that flags one)."""
+    for bad in masks:
         if bad.any():
-            holds = False
-            r = int(np.argmax(bad))
-            if witness_rank is None:
-                witness_rank = r
-    witness = space.unrank(witness_rank) if witness_rank is not None else None
-    return Certificate("drop", holds, witness, worst)
+            return False, space.unrank(int(np.argmax(bad)))
+    return True, None
 
 
 def drop_infimum_family(f: Functional, space: FiniteSpace) -> Functional:
@@ -361,11 +350,12 @@ def drop_infimum_family(f: Functional, space: FiniteSpace) -> Functional:
     For every x this family satisfies f(x) - f_i >= 0 exactly, because
     the minimum ranges over f(x) itself; the upper drop comparison then
     measures the oscillation of f along coordinate i.  f is tabulated
-    over the space once, here, and every f_i reads that table.
+    over the space once, here, unless it already is a table.  The result
+    evaluates f by that table, and each f_i by its minimum along axis i.
     """
-    table = _tabulate(f, space)
-    family = tuple(_AxisMin(table, i) for i in range(space.n))
-    return replace(f, drop_family=family, drop_label="infimum")
+    table = _tabulate(f.evaluator, space.alphabet_sizes)
+    family = tuple(_Table(table.min(axis=i)) for i in range(space.n))
+    return replace(f, evaluator=_Table(table), drop_family=family, drop_label="infimum")
 
 
 def check_self_bounding(f: Functional, space: FiniteSpace) -> Certificate:
@@ -380,26 +370,11 @@ def check_self_bounding(f: Functional, space: FiniteSpace) -> Certificate:
         raise ValueError("functional has no self-bounding parameters")
     a, b = f.self_bounding_params
     gaps = _drop_gap_arrays(f, space)
-    values = _tabulate(f, space).ravel()
-    total = np.zeros(space.size, dtype=np.float64)
-    holds = True
-    witness_rank: int | None = None
-    for g in gaps:
-        bad = (g < 0.0) | (g > 1.0 + CERT_TOL)
-        if bad.any():
-            holds = False
-            if witness_rank is None:
-                witness_rank = int(np.argmax(bad))
-        total += g
-    sum_slack = total - a * values - b
-    worst = float(np.max(sum_slack))
-    bad_sum = sum_slack > CERT_TOL
-    if bad_sum.any():
-        holds = False
-        if witness_rank is None:
-            witness_rank = int(np.argmax(bad_sum))
-    witness = space.unrank(witness_rank) if witness_rank is not None else None
-    return Certificate("self_bounding", holds, witness, worst)
+    values = _tabulate(f.evaluator, space.alphabet_sizes).ravel()
+    sum_slack = sum(gaps) - a * values - b
+    bad = [(g < 0.0) | (g > 1.0 + CERT_TOL) for g in gaps] + [sum_slack > CERT_TOL]
+    holds, witness = _first_violation(bad, space)
+    return Certificate("self_bounding", holds, witness, float(np.max(sum_slack)))
 
 
 def _law_atoms(

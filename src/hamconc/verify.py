@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import ClassVar, Iterable, Union
 
 import numpy as np
@@ -31,6 +31,7 @@ from .functionals import (
     Functional,
     _drop_certificate,
     _drop_gap_arrays,
+    _Table,
     _tabulate,
     # Not called here since the drop flow checks both weight vectors on one
     # set of gap arrays; the name stays because bench/tracer.py patches it.
@@ -408,7 +409,7 @@ def _summary(rows: list[BoundRow], derived: dict) -> dict:
 def _functional_to_dict(f: Functional, space: FiniteSpace) -> dict:
     d: dict = {
         "type": "table",
-        "values": _tabulate(f, space).ravel().tolist(),
+        "values": _tabulate(f.evaluator, space.alphabet_sizes).ravel().tolist(),
     }
     if f.drop_label is not None:
         d["drop"] = f.drop_label
@@ -511,6 +512,20 @@ def _certify_lipschitz(
     return [f"lipschitz certified directly (worst slack {fmt_float(cert.worst_slack)})"]
 
 
+def _tabulated(scenario: Scenario) -> tuple[Scenario, FunctionalLaw]:
+    """The exact law of the scenario's functional, and the scenario with
+    that functional evaluated by the law's values as its table.
+
+    The cap is checked before the functional is evaluated, and it is
+    evaluated once: the certificates and the report read that table.
+    """
+    tgt = scenario.target
+    law = exact_functional_stats(scenario.space, scenario.dist, tgt.functional, scenario.cap)
+    table = _Table(law.values.reshape(scenario.space.alphabet_sizes))
+    f = replace(tgt.functional, evaluator=table)
+    return replace(scenario, target=replace(tgt, functional=f)), law
+
+
 def verify_set(scenario: Scenario) -> BoundReport:
     """Set-distance bounds: three tail rows per t plus one membership row.
 
@@ -576,23 +591,22 @@ def _median_infos(scenario: Scenario, law: FunctionalLaw) -> list[dict]:
 
 def _median_law(
     scenario: Scenario, target_type: type
-) -> tuple[FunctionalLaw, list[dict], dict, list[str]]:
+) -> tuple[Scenario, FunctionalLaw, list[dict], dict, list[str]]:
     """The start shared by the median and gap flows.
 
     Checks the target and the hypotheses (unit weights, independent
-    coordinates, a certified Lipschitz functional), then enumerates the
-    exact law and the per-median quantities.  Returns the law, the
-    per-median infos, the report's ``derived`` dict and the notes.
+    coordinates), enumerates the exact law, certifies the functional
+    Lipschitz and computes the per-median quantities.  Returns the
+    scenario from :func:`_tabulated`, the law, the per-median infos, the
+    report's ``derived`` dict and the notes.
     """
     kind = target_type.kind
-    tgt = scenario.target
-    if not isinstance(tgt, target_type):
+    if not isinstance(scenario.target, target_type):
         raise ValueError(f"verify_{kind} needs a scenario with a {kind} target")
     _require_unit_alpha(scenario.alpha)
     _require_product(scenario.dist, f"the {kind} bounds")
-    f = tgt.functional
-    notes = _certify_lipschitz(f, scenario.alpha, scenario.space)
-    law = exact_functional_stats(scenario.space, scenario.dist, f, scenario.cap)
+    scenario, law = _tabulated(scenario)
+    notes = _certify_lipschitz(scenario.target.functional, scenario.alpha, scenario.space)
     infos = _median_infos(scenario, law)
     derived = {
         "mu": law.stats.mean,
@@ -600,7 +614,7 @@ def _median_law(
         "median_hi": law.stats.median_hi,
         "medians": infos,
     }
-    return law, infos, derived, notes
+    return scenario, law, infos, derived, notes
 
 
 def verify_median(scenario: Scenario) -> BoundReport:
@@ -616,7 +630,7 @@ def verify_median(scenario: Scenario) -> BoundReport:
     Lower rows take rho from the superlevel set {f >= m}, for the same
     reason with {f <= m - t}.
     """
-    law, infos, derived, notes = _median_law(scenario, MedianTarget)
+    scenario, law, infos, derived, notes = _median_law(scenario, MedianTarget)
     extras = [info[k] for info in infos for k in ("rho_sublevel", "rho_superlevel", "gap")]
     ts = scenario.t_grid or default_t_grid(scenario.alpha, extras=extras)
     rows: list[BoundRow] = []
@@ -651,7 +665,7 @@ def verify_gap(scenario: Scenario) -> BoundReport:
     lhs = |mu - m| against (2*rho + sqrt(pi/2))*exp(-2*rho^2) with rho
     from the sublevel set, and against the rho-free sqrt(2*pi).
     """
-    law, infos, derived, notes = _median_law(scenario, GapTarget)
+    scenario, law, infos, derived, notes = _median_law(scenario, GapTarget)
     rows: list[BoundRow] = []
     for info in infos:
         m = info["median"]
@@ -680,12 +694,12 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
     product and the (a, b) conditions must certify; that adds the
     sb-upper/sb-lower rows.
     """
-    tgt = scenario.target
-    if not isinstance(tgt, MeanTarget):
+    if not isinstance(scenario.target, MeanTarget):
         raise ValueError("verify_drop_functional needs a scenario with a mean target")
     _require_unit_alpha(scenario.alpha)
     space = scenario.space
-    f = tgt.functional
+    scenario, law = _tabulated(scenario)
+    f = scenario.target.functional
     notes: list[str] = []
     if f.drop_family is None:
         f = drop_infimum_family(f, space)
@@ -724,7 +738,6 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
         notes.append(
             f"self-bounding certificate holds (worst sum slack {fmt_float(cert_sb.worst_slack)})"
         )
-    law = exact_functional_stats(scenario.space, scenario.dist, f, scenario.cap)
     mu = law.stats.mean
     ts = scenario.t_grid or default_t_grid(scenario.alpha)
     lams = scenario.lambda_grid or DEFAULT_LAMBDA_GRID

@@ -57,8 +57,9 @@ def test_tail_curve_queries():
 
 def test_tail_curve_merges_duplicate_values():
     curve = TailCurve.from_law([1.0, 0.0, 1.0], [0.2, 0.5, 0.3])
-    assert curve.support == (0.0, 1.0)
-    assert curve.masses == (0.5, 0.5)
+    for got, want in ((curve.support, [0.0, 1.0]), (curve.masses, [0.5, 0.5])):
+        assert got.dtype == np.float64 and not got.flags.writeable
+        assert got.tolist() == want
 
 
 def test_tail_curve_validation():

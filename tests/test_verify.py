@@ -6,7 +6,7 @@ import math
 import pytest
 
 from hamconc._util import fmt_float
-from hamconc.functionals import Functional
+from hamconc.functionals import Functional, drop_infimum_family
 from hamconc.hamming import AlphaWeights, normalize
 from hamconc.space import Distribution, FiniteSpace, SetSpec
 from hamconc.verify import (
@@ -410,6 +410,81 @@ def test_drop_flow_emits_sb_rows_when_certified():
     ids = {r.bound_id for r in report.rows}
     assert ids == {"drop-mean-tail-scaled", "sb-upper", "sb-lower"}
     assert report.all_pass
+
+
+# -- one evaluation per verify ---------------------------------------------------
+
+COUNT_SPACE = FiniteSpace((2,) * 6)
+COUNT_ALPHA = normalize((1.0,) * 6)
+
+
+class _Counting:
+    """A plain-callable functional, c * (number of ones), that counts its calls."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+
+    def __call__(self, point) -> float:
+        self.calls += 1
+        return COUNT_ALPHA.weights[0] * sum(point.symbols)
+
+
+def _counting_scenario(target, **kw) -> Scenario:
+    return Scenario(
+        space=COUNT_SPACE,
+        dist=Distribution.uniform(COUNT_SPACE),
+        alpha=COUNT_ALPHA,
+        target=target,
+        **kw,
+    )
+
+
+@pytest.mark.parametrize(
+    "target_cls, flow",
+    [(MedianTarget, verify_median), (GapTarget, verify_gap), (MeanTarget, verify_drop_functional)],
+)
+def test_functional_flows_evaluate_each_point_once(target_cls, flow):
+    fn = _Counting()
+    report = flow(_counting_scenario(target_cls(Functional(fn))))
+    assert fn.calls == COUNT_SPACE.size
+    assert report.all_pass
+    # the report is the one a table of the same values gives
+    table = Functional.from_table(COUNT_SPACE, report.scenario["target"]["functional"]["values"])
+    assert flow(_counting_scenario(target_cls(table))).to_json() == report.to_json()
+
+
+def test_an_infimum_family_target_is_not_evaluated_again():
+    fn = _Counting()
+    f = drop_infimum_family(Functional(fn), COUNT_SPACE)
+    assert fn.calls == COUNT_SPACE.size
+    report = verify_drop_functional(_counting_scenario(MeanTarget(f)))
+    assert fn.calls == COUNT_SPACE.size
+    assert report.summary["derived"]["drop_family"] == "infimum"
+    assert report.all_pass
+
+
+@pytest.mark.parametrize("target_cls", [MedianTarget, GapTarget, MeanTarget])
+def test_the_cap_is_checked_before_the_functional_is_evaluated(target_cls):
+    fn = _Counting()
+    sc = _counting_scenario(target_cls(Functional(fn)), cap=COUNT_SPACE.size - 1)
+    with pytest.raises(ValueError, match="exceeds enumeration cap"):
+        verify_scenario(sc)
+    assert fn.calls == 0
+
+
+def test_over_the_cap_is_reported_before_a_failed_certificate():
+    space = FiniteSpace((2, 2))
+    f = Functional.from_table(space, [0.0, 10.0, 10.0, 10.0])
+    for target in (MedianTarget(f), MeanTarget(f)):
+        sc = Scenario(
+            space=space,
+            dist=Distribution.uniform(space),
+            alpha=normalize((1.0, 1.0)),
+            target=target,
+            cap=3,
+        )
+        with pytest.raises(ValueError, match="exceeds enumeration cap 3"):
+            verify_scenario(sc)
 
 
 # -- report serialization --------------------------------------------------------
