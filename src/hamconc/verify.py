@@ -662,16 +662,20 @@ def verify_median(scenario: Scenario) -> BoundReport:
 def verify_gap(scenario: Scenario) -> BoundReport:
     """Mean-median gap bounds at both median endpoints.
 
-    lhs = |mu - m| against (2*rho + sqrt(pi/2))*exp(-2*rho^2) with rho
-    from the sublevel set, and against the rho-free sqrt(2*pi).
+    lhs = |mu - m| against (2*rho + sqrt(pi/2))*exp(-2*rho^2), and against
+    the rho-free sqrt(2*pi).  rho is taken on the side the gap falls on:
+    mu - m integrates the upper median tail, bounded with rho from the
+    sublevel set {f <= m}; m - mu the lower tail, with rho from the
+    superlevel set {f >= m}.
     """
     scenario, law, infos, derived, notes = _median_law(scenario, GapTarget)
     rows: list[BoundRow] = []
     for info in infos:
         m = info["median"]
         lhs = abs(law.stats.mean - m)
+        rho = info["rho_sublevel" if law.stats.mean >= m else "rho_superlevel"]
         pairs = (
-            (BoundId.GAP_IMPROVED, bounds.gap_bound(info["rho_sublevel"])),
+            (BoundId.GAP_IMPROVED, bounds.gap_bound(rho)),
             (BoundId.GAP_CLASSICAL, bounds.gap_bound_classical()),
         )
         rows += [

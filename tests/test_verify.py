@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from hamconc import bounds
 from hamconc._util import fmt_float
 from hamconc.functionals import Functional, drop_infimum_family
 from hamconc.hamming import AlphaWeights, normalize
@@ -290,6 +291,19 @@ def test_gap_flow_frozen_values():
     # gap rows compare plain reals, so bound > 1 is not vacuous
     assert not row.vacuous
     assert all(r.bound == 2.5066282746310002 for r in classical)
+
+
+def test_gap_row_takes_the_rho_of_its_own_side():
+    # mu < m here, and the sublevel rho would give the smaller bound
+    report = verify_scenario(random_scenario(0, "gap"))
+    mu = report.summary["derived"]["mu"]
+    (info,) = report.summary["derived"]["medians"]
+    rho_sub, rho_super = info["rho_sublevel"], info["rho_superlevel"]
+    assert mu < info["median"]
+    assert bounds.gap_bound(rho_sub) < bounds.gap_bound(rho_super)
+    (row,) = [r for r in report.rows if r.bound_id == "gap-improved"]
+    assert row.bound == bounds.gap_bound(rho_super)
+    assert report.all_pass
 
 
 # -- drop flow -----------------------------------------------------------------
