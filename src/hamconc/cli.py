@@ -29,6 +29,9 @@ __all__ = ["main"]
 
 _PARAM_FLAGS = ("t", "rho", "lam", "gap", "mu", "a", "b", "n")
 
+# Most points a curves range may ask for; a larger count is an input error.
+_MAX_RANGE_STEPS = 10**6
+
 
 def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t", type=float, help="tail offset t > 0")
@@ -159,8 +162,8 @@ def _parse_range(spec: str) -> np.ndarray:
         ) from None
     if not (math.isfinite(start) and math.isfinite(stop)):
         raise ValueError(f"range endpoints must be finite, got {spec!r}")
-    if steps < 1:
-        raise ValueError(f"range needs at least one point, got {steps}")
+    if not 1 <= steps <= _MAX_RANGE_STEPS:
+        raise ValueError(f"range needs 1 to {_MAX_RANGE_STEPS} points, got {steps}")
     return np.linspace(start, stop, steps)
 
 

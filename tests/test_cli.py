@@ -266,6 +266,15 @@ def test_curves_usage_errors(capsys):
     assert "start:stop:steps" in capsys.readouterr().err
 
 
+def test_curves_rejects_a_range_of_too_many_points(capsys):
+    # a typo in the step count is an input error, not an allocation failure
+    assert main(["curves", "--bound-set", "mcd-set", "--t-range", "1:2:100000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: range needs 1 to 1000000 points")
+
+
 # -- repeated calls -----------------------------------------------------------
 
 
