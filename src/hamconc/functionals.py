@@ -69,8 +69,8 @@ def _tabulate(fn: Callable[[Point], float], sizes: tuple[int, ...]) -> np.ndarra
     evaluator runs over the open mesh, a plain callable point by point.
     """
     if isinstance(fn, _Table):
-        if fn.table.shape != tuple(sizes):
-            raise ValueError(f"table has shape {fn.table.shape}, space has {tuple(sizes)}")
+        if fn.table.shape != sizes:
+            raise ValueError(f"table has shape {fn.table.shape}, space has {sizes}")
         return fn.table
     coords = _mesh(sizes)
     if isinstance(fn, _Evaluator):

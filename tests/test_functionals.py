@@ -42,6 +42,12 @@ def test_from_table_length_check():
         Functional.from_table(SPACE_2, [0.0, 1.0, 2.0, 3.0, 4.0])
 
 
+def test_table_is_checked_against_the_space_it_is_used_on():
+    f = Functional.from_table(FiniteSpace((2, 3)), range(6))
+    with pytest.raises(ValueError, match=r"table has shape \(2, 3\), space has \(3, 2\)"):
+        check_lipschitz(f, normalize((1.0, 1.0)), FiniteSpace((3, 2)))
+
+
 def test_weighted_sum_dimension_check():
     f = Functional.weighted_sum((1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="dimension mismatch") as pointwise:
