@@ -46,12 +46,13 @@ def _add_param_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, help="number of coordinates")
 
 
+def _given_params(args: argparse.Namespace) -> dict:
+    """The parameter flags given on the command line, by name."""
+    return {k: getattr(args, k) for k in _PARAM_FLAGS if getattr(args, k) is not None}
+
+
 def cmd_eval_bound(args: argparse.Namespace) -> int:
-    params: dict = {}
-    for key in _PARAM_FLAGS:
-        v = getattr(args, key)
-        if v is not None:
-            params[key] = v
+    params = _given_params(args)
     try:
         value = bounds.evaluate_bound(args.name, **params)
     except ValueError as e:
@@ -179,11 +180,7 @@ def cmd_curves(args: argparse.Namespace) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    fixed = {}
-    for key in _PARAM_FLAGS:
-        v = getattr(args, key)
-        if v is not None:
-            fixed[key] = v
+    fixed = _given_params(args)
     if axis in fixed:
         print(f"error: --{axis} conflicts with the range axis", file=sys.stderr)
         return 2

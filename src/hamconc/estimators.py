@@ -9,10 +9,12 @@ over the whole space (a table functional is read in place) or over a
 sample matrix.  The Monte Carlo path reports a two-sided
 confidence half-width from Hoeffding's inequality, which makes the
 cross-check against exact values a testable contract rather than a
-matter of eyeballing.  It never tabulates the space: distances to a set
-are summed per coordinate against the member list in blocks of bounded
-size, so its memory does not grow with the sample count, and each
-sampled distance is bit-identical to the exact one.
+matter of eyeballing.  It never tabulates the space, save to list the
+members of a predicate set (``SetSpec.sublevel``, ``from_predicate``),
+which tests all S points one at a time.  Distances to a set are summed
+per coordinate against the member list in blocks of bounded size, so
+its memory does not grow with the sample count, and each sampled
+distance is bit-identical to the exact one.
 """
 
 from __future__ import annotations
@@ -207,13 +209,6 @@ class DistanceToSet:
     target: SetSpec
 
 
-def _member_matrix(a: SetSpec, space: FiniteSpace) -> np.ndarray:
-    members = a.member_symbols(space)
-    if not len(members):
-        raise ValueError("empty set has infinite distance")
-    return members
-
-
 def _sampled_distances(
     symbols: np.ndarray, members: np.ndarray, alpha: AlphaWeights, sizes: Sequence[int]
 ) -> np.ndarray:
@@ -250,7 +245,9 @@ def _sampled_values(
             raise ValueError(
                 f"alpha has {quantity.alpha.n} weights, space has {space.n} coordinates"
             )
-        members = _member_matrix(quantity.target, space)
+        members = quantity.target.member_symbols(space)
+        if not len(members):
+            raise ValueError("empty set has infinite distance")
         return _sampled_distances(symbols, members, quantity.alpha, space.alphabet_sizes)
     return quantity.values(tuple(symbols.T))
 
@@ -359,9 +356,10 @@ def mc_tail(
     weighted-sum functionals without a Point per sample, a plain
     callable point by point), the distance to a set by summing
     per-coordinate contributions against the member list in blocks of
-    about 1 MB, bit-identical to the exact distance.  The space is never
+    about 1 MB, bit-identical to the exact distance.  The space is not
     tabulated, so this path also serves spaces past the enumeration
-    cap.  Bit-reproducible for a given seed.
+    cap; the exception is a predicate set, whose members are found by
+    testing all S points.  Bit-reproducible for a given seed.
     """
     half = hoeffding_half_width(n_samples, delta)
     symbols = _sample_symbols(space, dist, seed, n_samples)

@@ -292,8 +292,8 @@ def check_lipschitz(f: Functional, alpha: AlphaWeights, space: FiniteSpace) -> C
     return Certificate("lipschitz", holds, witness, worst)
 
 
-def _drop_gap_arrays(f: Functional, space: FiniteSpace) -> list[np.ndarray]:
-    """For each coordinate i, the gap f(x) - f_i(x without i), per rank."""
+def _family_tables(f: Functional, space: FiniteSpace) -> list[np.ndarray]:
+    """Each f_i of f's drop family over the space without coordinate i."""
     if f.drop_family is None:
         raise ValueError("functional has no drop family")
     if len(f.drop_family) != space.n:
@@ -301,11 +301,14 @@ def _drop_gap_arrays(f: Functional, space: FiniteSpace) -> list[np.ndarray]:
             f"drop family has {len(f.drop_family)} entries, space has {space.n} coordinates"
         )
     sizes = space.alphabet_sizes
-    values = _tabulate(f.evaluator, sizes)
-    return [
-        (values - np.expand_dims(_tabulate(fi, sizes[:i] + sizes[i + 1 :]), i)).ravel()
-        for i, fi in enumerate(f.drop_family)
-    ]
+    return [_tabulate(fi, sizes[:i] + sizes[i + 1 :]) for i, fi in enumerate(f.drop_family)]
+
+
+def _drop_gap_arrays(f: Functional, space: FiniteSpace) -> list[np.ndarray]:
+    """For each coordinate i, the gap f(x) - f_i(x without i), per rank."""
+    tables = _family_tables(f, space)
+    values = _tabulate(f.evaluator, space.alphabet_sizes)
+    return [(values - np.expand_dims(t, i)).ravel() for i, t in enumerate(tables)]
 
 
 def check_drop_condition(

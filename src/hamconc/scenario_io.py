@@ -21,10 +21,11 @@ Schema (one object per file)::
 
 "grids", "seed", "caps", and "params" are optional; "params" is only
 meaningful for mean targets and switches on the self-bounding rows.
-Weights must satisfy ||alpha|| = 1 unless "normalize" is true.  Mean
-targets get the coordinate-infimum drop family attached so the drop
-certificates can run.  Malformed files raise ScenarioFileError naming
-the offending key; the command-line driver maps that to exit code 2.
+Weights must satisfy ||alpha|| = 1 unless "normalize" is true.  No
+drop family is attached (the drop flow does that after its cap check),
+and only a "distance_to_set" functional is tabulated, once the space is
+within the cap.  Malformed files raise ScenarioFileError naming the
+offending key; the command-line driver maps that to exit code 2.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from typing import Any
 
 import numpy as np
 
-from .functionals import Functional, drop_infimum_family
+from .functionals import Functional
 from .hamming import AlphaWeights, normalize
-from .space import Distribution, FiniteSpace, SetSpec
+from .space import Distribution, FiniteSpace, SetSpec, _check_cap
 from .verify import GapTarget, MeanTarget, MedianTarget, Scenario, SetTarget, Target
 
 __all__ = ["ScenarioFileError", "scenario_from_dict", "load_scenario"]
@@ -206,6 +207,7 @@ def _functional_from(
     space: FiniteSpace,
     alpha: AlphaWeights,
     params: tuple[float, float] | None,
+    cap: int | None,
 ) -> Functional:
     fd = _as_dict(v, where)
     ftype = _require(fd, "type", where)
@@ -228,6 +230,10 @@ def _functional_from(
         return Functional.weighted_sum(coeffs, **kw)
     if ftype == "distance_to_set":
         spec = _set_from(_require(fd, "set", where), f"{where}.set", space)
+        try:
+            _check_cap(space, cap)
+        except ValueError as e:
+            raise ScenarioFileError(f"{where}: {e}") from None
         return Functional.distance_to(alpha, spec, space, **kw)
     raise ScenarioFileError(
         f'{where}.type must be "table", "weighted_sum", or "distance_to_set", '
@@ -235,7 +241,7 @@ def _functional_from(
     )
 
 
-def _target_from(data: dict, space: FiniteSpace, alpha: AlphaWeights) -> Target:
+def _target_from(data: dict, space: FiniteSpace, alpha: AlphaWeights, cap: int | None) -> Target:
     d = _as_dict(_require(data, "target", ""), "target")
     kind = _require(d, "kind", "target")
     if kind == "set":
@@ -257,17 +263,27 @@ def _target_from(data: dict, space: FiniteSpace, alpha: AlphaWeights) -> Target:
                     f"target.params[1] (b) must be nonnegative, got {b}"
                 )
             params = (a, b)
-        f = _functional_from(
-            _require(d, "functional", "target"), "target.functional", space, alpha, params
-        )
-        if kind == "median":
-            return MedianTarget(f)
-        if kind == "gap":
-            return GapTarget(f)
-        return MeanTarget(drop_infimum_family(f, space))
+        fd = _require(d, "functional", "target")
+        f = _functional_from(fd, "target.functional", space, alpha, params, cap)
+        return {"median": MedianTarget, "gap": GapTarget, "mean": MeanTarget}[kind](f)
     raise ScenarioFileError(
         f'target.kind must be one of "set", "median", "gap", "mean", got {kind!r}'
     )
+
+
+def _grid_from(gd: dict, key: str, positive: bool) -> tuple | None:
+    """The grid ``grids.<key>``, or None when the file gives none."""
+    if key not in gd:
+        return None
+    where = f"grids.{key}"
+    vals = _number_list(gd[key], where)
+    if not vals:
+        raise ScenarioFileError(f"{where} must be nonempty when given")
+    for i, v in enumerate(vals):
+        if not math.isfinite(v) or v < 0.0 or (positive and v == 0.0):
+            sign = "positive" if positive else "nonnegative"
+            raise ScenarioFileError(f"{where}[{i}] must be {sign}, got {v}")
+    return tuple(vals)
 
 
 def scenario_from_dict(data: Any) -> Scenario:
@@ -284,37 +300,6 @@ def scenario_from_dict(data: Any) -> Scenario:
         raise ScenarioFileError(
             f"alpha.weights has {alpha.n} entries, space has {space.n} coordinates"
         )
-    target = _target_from(data, space, alpha)
-    t_grid: tuple | None = None
-    lam_grid: tuple | None = None
-    if "grids" in data:
-        gd = _as_dict(data["grids"], "grids")
-        extra = set(gd) - {"t", "lambda"}
-        if extra:
-            raise ScenarioFileError(f"unknown key grids.{sorted(extra)[0]}")
-        if "t" in gd:
-            vals = _number_list(gd["t"], "grids.t")
-            if not vals:
-                raise ScenarioFileError("grids.t must be nonempty when given")
-            for i, t in enumerate(vals):
-                if not math.isfinite(t) or t <= 0.0:
-                    raise ScenarioFileError(f"grids.t[{i}] must be positive, got {t}")
-            t_grid = tuple(vals)
-        if "lambda" in gd:
-            vals = _number_list(gd["lambda"], "grids.lambda")
-            if not vals:
-                raise ScenarioFileError("grids.lambda must be nonempty when given")
-            for i, lam in enumerate(vals):
-                if not math.isfinite(lam) or lam < 0.0:
-                    raise ScenarioFileError(
-                        f"grids.lambda[{i}] must be nonnegative, got {lam}"
-                    )
-            lam_grid = tuple(vals)
-    seed = 0
-    if "seed" in data:
-        seed = _as_int(data["seed"], "seed")
-        if seed < 0:
-            raise ScenarioFileError(f"seed must be nonnegative, got {seed}")
     cap = None
     if "caps" in data:
         cd = _as_dict(data["caps"], "caps")
@@ -325,6 +310,18 @@ def scenario_from_dict(data: Any) -> Scenario:
             cap = _as_int(cd["enumeration"], "caps.enumeration")
             if cap < 1:
                 raise ScenarioFileError(f"caps.enumeration must be positive, got {cap}")
+    target = _target_from(data, space, alpha, cap)
+    gd = _as_dict(data.get("grids", {}), "grids")
+    extra = set(gd) - {"t", "lambda"}
+    if extra:
+        raise ScenarioFileError(f"unknown key grids.{sorted(extra)[0]}")
+    t_grid = _grid_from(gd, "t", positive=True)
+    lam_grid = _grid_from(gd, "lambda", positive=False)
+    seed = 0
+    if "seed" in data:
+        seed = _as_int(data["seed"], "seed")
+        if seed < 0:
+            raise ScenarioFileError(f"seed must be nonnegative, got {seed}")
     try:
         return Scenario(
             space=space,

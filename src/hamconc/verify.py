@@ -31,6 +31,7 @@ from .functionals import (
     Functional,
     _drop_certificate,
     _drop_gap_arrays,
+    _family_tables,
     _Table,
     _tabulate,
     # Not called here since the drop flow checks both weight vectors on one
@@ -406,13 +407,15 @@ def _summary(rows: list[BoundRow], derived: dict) -> dict:
     }
 
 
-def _functional_to_dict(f: Functional, space: FiniteSpace) -> dict:
+def _functional_to_dict(f: Functional, space: FiniteSpace, kind: str) -> dict:
     d: dict = {
         "type": "table",
         "values": _tabulate(f.evaluator, space.alphabet_sizes).ravel().tolist(),
     }
-    if f.drop_label is not None:
-        d["drop"] = f.drop_label
+    # the drop flow verifies a mean target that has no family with the infimum one
+    drop = f.drop_label or ("infimum" if kind == "mean" else None)
+    if drop is not None:
+        d["drop"] = drop
     if f.self_bounding_params is not None:
         d["params"] = list(f.self_bounding_params)
     return d
@@ -437,7 +440,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     else:
         td = {
             "kind": tgt.kind,
-            "functional": _functional_to_dict(tgt.functional, scenario.space),
+            "functional": _functional_to_dict(tgt.functional, scenario.space, tgt.kind),
         }
     return {
         "space": {"alphabet_sizes": list(scenario.space.alphabet_sizes)},
@@ -697,6 +700,9 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
     self-bounding parameters are present the distribution must be a
     product and the (a, b) conditions must certify; that adds the
     sb-upper/sb-lower rows.
+
+    After the cap check, a target without a drop family gets the
+    infimum family of the law's table; a supplied one is tabulated once.
     """
     if not isinstance(scenario.target, MeanTarget):
         raise ValueError("verify_drop_functional needs a scenario with a mean target")
@@ -704,22 +710,20 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
     space = scenario.space
     scenario, law = _tabulated(scenario)
     f = scenario.target.functional
-    notes: list[str] = []
     if f.drop_family is None:
         f = drop_infimum_family(f, space)
-        notes.append("no drop family supplied; using the coordinate-infimum family")
+    else:
+        f = replace(f, drop_family=tuple(map(_Table, _family_tables(f, space))))
     gaps = _drop_gap_arrays(f, space)
     cert_alpha = _drop_certificate(gaps, scenario.alpha, space)
     cert_unit = _drop_certificate(gaps, AlphaWeights((1.0,) * space.n), space)
     del gaps
-    notes.append(
+    notes = [
         f"drop certificate vs alpha: holds={cert_alpha.holds} "
-        f"(worst slack {fmt_float(cert_alpha.worst_slack)})"
-    )
-    notes.append(
+        f"(worst slack {fmt_float(cert_alpha.worst_slack)})",
         f"drop certificate vs unit increments: holds={cert_unit.holds} "
-        f"(worst slack {fmt_float(cert_unit.worst_slack)})"
-    )
+        f"(worst slack {fmt_float(cert_unit.worst_slack)})",
+    ]
     if not cert_alpha.holds and not cert_unit.holds:
         w = cert_alpha.witness
         raise ValueError(
@@ -885,7 +889,7 @@ def random_scenario(
         elif kind == "gap":
             target = GapTarget(f)
         else:
-            target = MeanTarget(drop_infimum_family(f, space))
+            target = MeanTarget(f)
     return Scenario(space=space, dist=dist, alpha=alpha, target=target, seed=seed)
 
 

@@ -1,10 +1,12 @@
 """Scenario file parsing: schema acceptance and key-named rejections."""
 
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
+from hamconc import functionals, verify
 from hamconc.scenario_io import ScenarioFileError, load_scenario, scenario_from_dict
 from hamconc.space import FiniteSpace, SetSpec
 from hamconc.verify import (
@@ -35,7 +37,11 @@ def test_load_bundled_scenarios():
     corr = load_scenario(SCENARIOS / "correlated_pair.json")
     assert isinstance(corr.target, MeanTarget)
     assert corr.dist.kind == "joint"
-    assert corr.target.functional.drop_label == "infimum"
+    # the drop flow, not the loader, attaches the infimum family
+    assert corr.target.functional.drop_family is None
+    report = verify_scenario(corr)
+    assert report.scenario["target"]["functional"]["drop"] == "infimum"
+    assert report.summary["derived"]["drop_family"] == "infimum"
 
 
 def test_round_trip_through_verify():
@@ -79,12 +85,69 @@ def test_functional_types():
         "kind": "mean",
         "functional": {"type": "distance_to_set", "set": {"members": [[1, 1]]}},
     }
-    tgt = scenario_from_dict(d).target
-    assert isinstance(tgt, MeanTarget)
-    assert tgt.functional.drop_label == "infimum"
+    sc = scenario_from_dict(d)
+    assert isinstance(sc.target, MeanTarget)
+    report = verify_scenario(sc)
+    assert report.scenario["target"]["functional"]["drop"] == "infimum"
+    assert report.summary["derived"]["drop_family"] == "infimum"
 
     d["target"] = {"kind": "median", "functional": {"type": "spline"}}
     with pytest.raises(ScenarioFileError, match="target.functional.type"):
+        scenario_from_dict(d)
+
+
+def _over_the_cap(functional: dict) -> dict:
+    """A mean file on (2,)*12 whose caps.enumeration of 10 it exceeds."""
+    return {
+        "space": {"alphabet_sizes": [2] * 12},
+        "distribution": {"kind": "product", "pmfs": [[0.5, 0.5]] * 12},
+        "alpha": {"weights": [1.0] * 12, "normalize": True},
+        "target": {"kind": "mean", "functional": functional},
+        "caps": {"enumeration": 10},
+    }
+
+
+def test_a_mean_file_over_its_cap_does_no_whole_space_work(monkeypatch):
+    calls = []
+
+    def spy(owner, name):
+        real = getattr(owner, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    spy(functionals, "drop_infimum_family")
+    spy(verify, "drop_infimum_family")
+    spy(functionals._WeightedSum, "values")
+    sc = scenario_from_dict(_over_the_cap({"type": "weighted_sum", "coefficients": [1.0] * 12}))
+    assert calls == []
+    with pytest.raises(ValueError, match="outcome count 4096 exceeds enumeration cap 10"):
+        verify_scenario(sc)
+    assert calls == []
+    # within the cap, the drop flow evaluates f once and attaches the family once
+    report = verify_scenario(dataclasses.replace(sc, cap=None))
+    assert calls == ["values", "drop_infimum_family"]
+    assert report.summary["derived"]["drop_family"] == "infimum"
+
+
+def test_a_distance_over_the_cap_is_refused_before_it_is_tabulated(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the distance to the set was tabulated")
+
+    monkeypatch.setattr(functionals, "distance_field", refuse)
+    d = _over_the_cap({"type": "distance_to_set", "set": {"members": [[0] * 12]}})
+    with pytest.raises(
+        ScenarioFileError,
+        match="^target.functional: outcome count 4096 exceeds enumeration cap 10$",
+    ):
+        scenario_from_dict(d)
+    # without caps.enumeration the loader checks the default cap
+    del d["caps"]
+    monkeypatch.setenv("HAMCONC_ENUM_CAP", "100")
+    with pytest.raises(ScenarioFileError, match="exceeds enumeration cap 100$"):
         scenario_from_dict(d)
 
 

@@ -314,7 +314,9 @@ def test_drop_flow_row_inventory_and_frozen_values():
     # 1 t x (drop both tails + scaled both tails) + 6 lambda rows
     assert len(report.rows) == 10
     assert report.all_pass
-    assert report.notes[0] == "no drop family supplied; using the coordinate-infimum family"
+    # the report's scenario and derived quantities name the family; no note does
+    assert not any("drop family" in note for note in report.notes)
+    assert report.scenario["target"]["functional"]["drop"] == "infimum"
     d = report.summary["derived"]
     assert d["mu"] == 0.8660254037844388
     assert d["n"] == 3
@@ -477,6 +479,19 @@ def test_an_infimum_family_target_is_not_evaluated_again():
     assert report.all_pass
 
 
+def test_a_supplied_family_is_tabulated_once():
+    # entry i, a plain callable, is called once per point of the space
+    # without coordinate i, though both drop certificates and the
+    # self-bounding certificate read it
+    family = [_Counting() for _ in range(COUNT_SPACE.n)]
+    f = Functional(_Counting(), drop_family=family, self_bounding_params=(1.0, 1.0))
+    report = verify_drop_functional(_counting_scenario(MeanTarget(f)))
+    assert sum(fi.calls for fi in family) == COUNT_SPACE.n * COUNT_SPACE.size // 2 == 192
+    assert report.scenario["target"]["functional"]["drop"] == "custom"
+    assert report.summary["derived"]["certificates"]["self_bounding"] is True
+    assert report.all_pass
+
+
 @pytest.mark.parametrize("target_cls", [MedianTarget, GapTarget, MeanTarget])
 def test_the_cap_is_checked_before_the_functional_is_evaluated(target_cls):
     fn = _Counting()
@@ -598,12 +613,20 @@ def test_random_scenario_structure():
         assert 0 < len(members) < sc.space.size
     drop_kinds = {random_scenario(s, "drop").dist.kind for s in range(10)}
     assert drop_kinds == {"product", "joint"}
-    sc = random_scenario(0, "drop")
-    assert sc.target.functional.drop_label == "infimum"
+    report = verify_scenario(random_scenario(0, "drop"))
+    assert report.scenario["target"]["functional"]["drop"] == "infimum"
+    assert report.summary["derived"]["drop_family"] == "infimum"
     with pytest.raises(ValueError, match="kind must be one of"):
         random_scenario(0, "mean")
     with pytest.raises(ValueError, match="4096"):
         random_scenario(0, "set", max_n=8, max_alphabet=4)
+
+
+def test_a_mean_target_is_fingerprinted_with_the_family_its_verify_uses():
+    for sc in (random_scenario(0, "drop"), _functional_scenario(MeanTarget)):
+        assert sc.target.functional.drop_family is None
+        assert scenario_to_dict(sc)["target"]["functional"]["drop"] == "infimum"
+        assert verify_scenario(sc).fingerprint == scenario_fingerprint(sc)
 
 
 def test_sweep_reduces_deterministically():
