@@ -323,6 +323,28 @@ def test_grids_are_kept():
     sc = scenario_from_dict(d)
     assert sc.t_grid == (0.25, 0.5)
     assert sc.lambda_grid == (0.0, 2.0)
+    d["grids"] = {"lambda": [-0.0]}
+    assert scenario_from_dict(d).lambda_grid == (0.0,)
+
+
+@pytest.mark.parametrize(
+    "grids, message",
+    [
+        ({"t": []}, "grids.t must be nonempty when given"),
+        ({"lambda": []}, "grids.lambda must be nonempty when given"),
+        ({"t": [1.0, 0.0]}, r"grids.t\[1\] must be positive, got 0.0"),
+        ({"t": [-0.0]}, r"grids.t\[0\] must be positive, got -0.0"),
+        ({"t": [float("inf")]}, r"grids.t\[0\] must be positive, got inf"),
+        ({"lambda": [0.0, -1.0]}, r"grids.lambda\[1\] must be nonnegative, got -1.0"),
+        ({"lambda": [float("nan")]}, r"grids.lambda\[0\] must be nonnegative, got nan"),
+        (None, "grids must be an object"),
+    ],
+)
+def test_grid_values_are_checked(grids, message):
+    d = _base()
+    d["grids"] = grids
+    with pytest.raises(ScenarioFileError, match=f"^{message}$"):
+        scenario_from_dict(d)
 
 
 def test_invalid_json_file(tmp_path):
