@@ -9,12 +9,11 @@ over the whole space (a table functional is read in place) or over a
 sample matrix.  The Monte Carlo path reports a two-sided
 confidence half-width from Hoeffding's inequality, which makes the
 cross-check against exact values a testable contract rather than a
-matter of eyeballing.  It never tabulates the space, save to list the
-members of a predicate set (``SetSpec.sublevel``, ``from_predicate``),
-which tests all S points one at a time.  Distances to a set are summed
-per coordinate against the member list in blocks of bounded size, so
-its memory does not grow with the sample count, and each sampled
-distance is bit-identical to the exact one.
+matter of eyeballing.  It never tabulates the space: a set is its
+member array, and distances to it are summed per coordinate against
+that array in blocks of bounded size, so its memory does not grow with
+the sample count, and each sampled distance is bit-identical to the
+exact one.
 """
 
 from __future__ import annotations
@@ -358,8 +357,7 @@ def mc_tail(
     per-coordinate contributions against the member list in blocks of
     about 1 MB, bit-identical to the exact distance.  The space is not
     tabulated, so this path also serves spaces past the enumeration
-    cap; the exception is a predicate set, whose members are found by
-    testing all S points.  Bit-reproducible for a given seed.
+    cap.  Bit-reproducible for a given seed.
     """
     half = hoeffding_half_width(n_samples, delta)
     symbols = _sample_symbols(space, dist, seed, n_samples)

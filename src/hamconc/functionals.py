@@ -279,7 +279,9 @@ def check_lipschitz(f: Functional, alpha: AlphaWeights, space: FiniteSpace) -> C
             continue
         slack = values.max(axis=i) - values.min(axis=i) - w
         k = np.unravel_index(int(np.argmax(slack)), slack.shape)
-        if slack[k] > worst:
+        # A NaN value puts a NaN slack on every axis, which argmax finds
+        # first and which must fail the check, so NaN counts as the worst.
+        if not slack[k] <= worst:
             worst = float(slack[k])
             edge = (i, k)
     holds = worst <= CERT_TOL
@@ -287,7 +289,10 @@ def check_lipschitz(f: Functional, alpha: AlphaWeights, space: FiniteSpace) -> C
     if not holds:
         i, k = edge
         line = values[k[:i] + (slice(None),) + k[i:]]
-        lo, hi = sorted((int(np.argmin(line)), int(np.argmax(line))))
+        lo, hi = int(np.argmin(line)), int(np.argmax(line))
+        if lo == hi:  # both found the NaN; pair it with a neighbour
+            lo = int(hi == 0)
+        lo, hi = sorted((lo, hi))
         witness = (Point(k).insert(i, lo), Point(k).insert(i, hi))
     return Certificate("lipschitz", holds, witness, worst)
 
@@ -328,12 +333,14 @@ def check_drop_condition(
 def _drop_certificate(
     gaps: list[np.ndarray], alpha: AlphaWeights, space: FiniteSpace
 ) -> Certificate:
-    """:func:`check_drop_condition` on gap arrays already built."""
-    worst = -math.inf
-    for g, w in zip(gaps, alpha.weights):
-        viol = np.maximum(-g, g - w)
-        worst = max(worst, float(viol[np.argmax(viol)]))
-    bad = ((g < 0.0) | (g > w + CERT_TOL) for g, w in zip(gaps, alpha.weights))
+    """:func:`check_drop_condition` on gap arrays already built.
+
+    A NaN gap fails both comparisons, so it is flagged, and it makes
+    ``worst_slack`` NaN.
+    """
+    pairs = list(zip(gaps, alpha.weights))
+    worst = float(np.max([np.max(np.maximum(-g, g - w)) for g, w in pairs]))
+    bad = (~((g >= 0.0) & (g <= w + CERT_TOL)) for g, w in pairs)
     return Certificate("drop", *_first_violation(bad, space), worst)
 
 
@@ -368,14 +375,26 @@ def check_self_bounding(f: Functional, space: FiniteSpace) -> Certificate:
     [0, 1 + CERT_TOL], and the gap sum is at most a*f(x) + b + CERT_TOL.
     ``worst_slack`` reports the sum condition's margin, max over points
     of (sum of gaps - a*f(x) - b), as that is the binding one in use.
+    A NaN gap or value fails the check.
     """
     if f.self_bounding_params is None:
         raise ValueError("functional has no self-bounding parameters")
-    a, b = f.self_bounding_params
-    gaps = _drop_gap_arrays(f, space)
     values = _tabulate(f.evaluator, space.alphabet_sizes).ravel()
+    return _self_bounding_certificate(
+        _drop_gap_arrays(f, space), values, f.self_bounding_params, space
+    )
+
+
+def _self_bounding_certificate(
+    gaps: list[np.ndarray],
+    values: np.ndarray,
+    params: tuple[float, float],
+    space: FiniteSpace,
+) -> Certificate:
+    """:func:`check_self_bounding` on gap arrays and f's values already built."""
+    a, b = params
     sum_slack = sum(gaps) - a * values - b
-    bad = [(g < 0.0) | (g > 1.0 + CERT_TOL) for g in gaps] + [sum_slack > CERT_TOL]
+    bad = [~((g >= 0.0) & (g <= 1.0 + CERT_TOL)) for g in gaps] + [~(sum_slack <= CERT_TOL)]
     holds, witness = _first_violation(bad, space)
     return Certificate("self_bounding", holds, witness, float(np.max(sum_slack)))
 

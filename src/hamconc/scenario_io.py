@@ -101,6 +101,16 @@ def _number_list(v: Any, where: str) -> list[float]:
     return [_as_number(x, f"{where}[{i}]") for i, x in enumerate(raw)]
 
 
+def _finite_list(v: Any, where: str) -> list[float]:
+    """:func:`_number_list` with every entry finite; JSON readers accept NaN and Infinity."""
+    vals = _number_list(v, where)
+    finite = np.isfinite(vals)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ScenarioFileError(f"{where}[{i}] must be finite, got {vals[i]}")
+    return vals
+
+
 def _space_from(data: dict) -> FiniteSpace:
     d = _as_dict(_require(data, "space", ""), "space")
     raw = _as_list(_require(d, "alphabet_sizes", "space"), "space.alphabet_sizes")
@@ -198,7 +208,7 @@ def _set_from(v: Any, where: str, space: FiniteSpace) -> SetSpec:
     raw = _as_list(_require(sd, "members", where), f"{where}.members")
     if not raw:
         raise ScenarioFileError(f"{where}.members must be nonempty")
-    return SetSpec.from_points(_checked_members(raw, where, space))
+    return SetSpec(_checked_members(raw, where, space))
 
 
 def _functional_from(
@@ -213,15 +223,13 @@ def _functional_from(
     ftype = _require(fd, "type", where)
     kw: dict = {} if params is None else {"self_bounding_params": params}
     if ftype == "table":
-        values = _number_list(_require(fd, "values", where), f"{where}.values")
+        values = _finite_list(_require(fd, "values", where), f"{where}.values")
         try:
             return Functional.from_table(space, values, **kw)
         except ValueError as e:
             raise ScenarioFileError(f"{where}.values: {e}") from None
     if ftype == "weighted_sum":
-        coeffs = _number_list(
-            _require(fd, "coefficients", where), f"{where}.coefficients"
-        )
+        coeffs = _finite_list(_require(fd, "coefficients", where), f"{where}.coefficients")
         if len(coeffs) != space.n:
             raise ScenarioFileError(
                 f"{where}.coefficients has {len(coeffs)} entries, "

@@ -16,7 +16,7 @@ import itertools
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -216,100 +216,62 @@ class Distribution:
         return self.joint_table[space.rank(point)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SetSpec:
-    """A subset A of a finite product space.
+    """An explicit subset A of a finite product space.
 
-    Either an explicit list of member points or a predicate (including
-    sublevel sets of a functional, see :meth:`sublevel`).  Membership of
-    predicate sets is decided pointwise; their member list is produced
-    by scanning the space.  An explicit set is checked against a space
-    once, the first time it is used with it.
+    A is held once, as ``symbols``: its members as a read-only (|A|, n)
+    array, deduplicated and in canonical order, lexicographic in the
+    symbols, which is rank order in every space that holds them.  Each
+    use with a space checks the members against it in one pass over the
+    array.  Sets with the same members are equal.
     """
 
-    explicit: tuple[Point, ...] | None = None
-    predicate: Callable[[Point], bool] | None = None
-    _member_keys: frozenset[tuple[int, ...]] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
-    # Explicit members as a read-only (|A|, n) array in canonical order,
-    # and the alphabet sizes of the last space they were checked against.
-    _symbols: np.ndarray | None = field(init=False, repr=False, compare=False, default=None)
-    _checked: tuple[int, ...] | None = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    symbols: np.ndarray
 
     def __post_init__(self) -> None:
-        if (self.explicit is None) == (self.predicate is None):
-            raise ValueError("SetSpec takes exactly one of explicit points or a predicate")
-        if self.explicit is not None:
-            # Canonical member order: deduped, sorted by symbols.
-            unique = {p.symbols: p for p in self.explicit}
-            keys = sorted(unique)
-            if len(set(map(len, keys))) > 1:
-                raise ValueError("explicit set members must share one dimension")
-            try:
-                symbols = np.array(keys, dtype=np.int64)
-            except OverflowError:  # such symbols lie outside every space
-                symbols = np.array(keys, dtype=object)
-            symbols.setflags(write=False)
-            object.__setattr__(self, "explicit", tuple(unique[k] for k in keys))
-            object.__setattr__(self, "_member_keys", frozenset(unique))
-            object.__setattr__(self, "_symbols", symbols)
+        keys = sorted(set(map(tuple, self.symbols)))
+        if len(set(map(len, keys))) > 1:
+            raise ValueError("explicit set members must share one dimension")
+        shape = (len(keys), len(keys[0]) if keys else 0)
+        try:
+            symbols = np.array(keys, dtype=np.int64).reshape(shape)
+        except OverflowError:  # such symbols lie outside every space
+            symbols = np.array(keys, dtype=object).reshape(shape)
+        if (symbols < 0).any():
+            raise ValueError(f"symbols are nonnegative indices, got {symbols[symbols < 0][0]}")
+        symbols.setflags(write=False)
+        object.__setattr__(self, "symbols", symbols)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, SetSpec) and np.array_equal(self.symbols, other.symbols)
+
+    def __hash__(self) -> int:
+        return hash(tuple(map(tuple, self.symbols.tolist())))
 
     @classmethod
     def from_points(cls, points: Iterable[Point | Iterable[int]]) -> "SetSpec":
-        pts = tuple(
-            p if isinstance(p, Point) else Point(tuple(p)) for p in points
-        )
-        return cls(explicit=pts)
+        return cls([p.symbols if isinstance(p, Point) else p for p in points])
 
-    @classmethod
-    def from_predicate(cls, predicate: Callable[[Point], bool]) -> "SetSpec":
-        return cls(predicate=predicate)
-
-    @classmethod
-    def sublevel(cls, value_fn: Callable[[Point], float], threshold: float) -> "SetSpec":
-        """The set {y : value_fn(y) <= threshold}."""
-        thr = float(threshold)
-        return cls(predicate=lambda p: value_fn(p) <= thr)
-
-    def contains(self, point: Point) -> bool:
-        if self.explicit is not None:
-            assert self._member_keys is not None
-            return point.symbols in self._member_keys
-        assert self.predicate is not None
-        return bool(self.predicate(point))
+    @property
+    def explicit(self) -> tuple[Point, ...]:
+        """The members as Points, built on each read (``bench/workloads.py`` reads it)."""
+        return tuple(map(Point, map(tuple, self.symbols.tolist())))
 
     def member_symbols(self, space: FiniteSpace) -> np.ndarray:
-        """Members as an (|A|, n) int64 array, one row per member in rank order."""
-        if self.explicit is None:
-            rows = [p.symbols for p in space.points() if self.contains(p)]
-            return np.array(rows, dtype=np.int64).reshape(len(rows), space.n)
-        symbols = self._symbols
-        assert symbols is not None
+        """Members as an (|A|, n) int array, one row per member in rank order."""
+        symbols = self.symbols
         if not len(symbols):
             return np.empty((0, space.n), dtype=np.int64)
-        if self._checked != space.alphabet_sizes:
-            if symbols.shape[1] != space.n:
-                bad = 0
-            else:
-                outside = (symbols >= np.asarray(space.alphabet_sizes)).any(axis=1)
-                bad = int(np.argmax(outside)) if outside.any() else None
-            if bad is not None:
-                raise ValueError(f"point {self.explicit[bad].symbols} is not in this space")
-            object.__setattr__(self, "_checked", space.alphabet_sizes)
+        fits = symbols.shape[1] == space.n and (symbols < space.alphabet_sizes).all(axis=1)
+        if not np.all(fits):
+            bad = symbols[int(np.argmin(fits))]
+            raise ValueError(f"point {tuple(bad.tolist())} is not in this space")
         return symbols
 
     def members(self, space: FiniteSpace) -> Iterator[Point]:
         """Member points in rank order."""
-        if self.explicit is not None:
-            self.member_symbols(space)
-            yield from self.explicit
-        else:
-            for p in space.points():
-                if self.contains(p):
-                    yield p
+        return map(Point, map(tuple, self.member_symbols(space).tolist()))
 
     def _rank_array(self, space: FiniteSpace) -> np.ndarray:
         symbols = self.member_symbols(space)
@@ -323,9 +285,6 @@ class SetSpec:
         in_set = np.zeros(space.size, dtype=bool)
         in_set[self._rank_array(space)] = True
         return in_set.reshape(space.alphabet_sizes)
-
-    def is_empty(self, space: FiniteSpace) -> bool:
-        return next(iter(self.members(space)), None) is None
 
 
 def _check_cap(space: FiniteSpace, cap: int | None) -> None:

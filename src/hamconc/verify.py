@@ -32,13 +32,15 @@ from .functionals import (
     _drop_certificate,
     _drop_gap_arrays,
     _family_tables,
+    _self_bounding_certificate,
     _Table,
     _tabulate,
-    # Not called here since the drop flow checks both weight vectors on one
-    # set of gap arrays; the name stays because bench/tracer.py patches it.
+    # Not called here since the drop flow runs all three drop certificates
+    # on one set of gap arrays; the names stay because bench/tracer.py
+    # patches them here.
     check_drop_condition,  # noqa: F401
     check_lipschitz,
-    check_self_bounding,
+    check_self_bounding,  # noqa: F401
     drop_infimum_family,
 )
 from .hamming import AlphaWeights, distance_field
@@ -717,7 +719,6 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
     gaps = _drop_gap_arrays(f, space)
     cert_alpha = _drop_certificate(gaps, scenario.alpha, space)
     cert_unit = _drop_certificate(gaps, AlphaWeights((1.0,) * space.n), space)
-    del gaps
     notes = [
         f"drop certificate vs alpha: holds={cert_alpha.holds} "
         f"(worst slack {fmt_float(cert_alpha.worst_slack)})",
@@ -735,7 +736,7 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
     cert_sb = None
     if params is not None:
         _require_product(scenario.dist, "the self-bounding bounds")
-        cert_sb = check_self_bounding(f, space)
+        cert_sb = _self_bounding_certificate(gaps, law.values, params, space)
         if not cert_sb.holds:
             w = cert_sb.witness
             raise ValueError(
@@ -746,6 +747,7 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
         notes.append(
             f"self-bounding certificate holds (worst sum slack {fmt_float(cert_sb.worst_slack)})"
         )
+    del gaps
     mu = law.stats.mean
     ts = scenario.t_grid or default_t_grid(scenario.alpha)
     lams = scenario.lambda_grid or DEFAULT_LAMBDA_GRID
@@ -878,10 +880,9 @@ def random_scenario(
     alpha = AlphaWeights(tuple(float(x) for x in w))
     if kind == "set":
         count = int(rng.integers(1, space.size))
-        ranks = sorted(int(r) for r in rng.choice(space.size, size=count, replace=False))
-        target: Target = SetTarget(
-            SetSpec.from_points(space.unrank(r) for r in ranks)
-        )
+        ranks = rng.choice(space.size, size=count, replace=False)
+        members = np.stack(np.unravel_index(ranks, sizes), axis=1).tolist()
+        target: Target = SetTarget(SetSpec(members))
     else:
         f = Functional.from_table(space, _random_lipschitz_table(rng, space, alpha))
         if kind == "median":

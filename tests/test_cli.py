@@ -112,6 +112,22 @@ def test_verify_rejects_empty_t_grid(tmp_path, capsys):
     assert "grids.t" in capsys.readouterr().err
 
 
+def test_verify_rejects_a_nan_table(tmp_path, capsys):
+    bad = {
+        "space": {"alphabet_sizes": [2, 2]},
+        "distribution": {"kind": "product", "pmfs": [[0.5, 0.5], [0.5, 0.5]]},
+        "alpha": {"weights": [1.0, 1.0], "normalize": True},
+        "target": {
+            "kind": "median",
+            "functional": {"type": "table", "values": [0.0, 0.1, float("nan"), 0.2]},
+        },
+    }
+    path = tmp_path / "nan_table.json"
+    path.write_text(json.dumps(bad))  # written with a NaN token
+    assert main(["verify", str(path)]) == 2
+    assert "target.functional.values[2] must be finite, got nan" in capsys.readouterr().err
+
+
 def test_verify_negative_seed_is_an_input_error(capsys):
     assert main(["verify", S1, "--seed", "-1"]) == 2
     assert capsys.readouterr().err == (

@@ -148,6 +148,20 @@ def test_mc_tail_functional_quantity():
     assert est.half_width == hoeffding_half_width(10_000, MC_DEFAULT_DELTA)
 
 
+def test_mc_tail_serves_a_set_past_the_enumeration_cap():
+    # d(X, {0^40}) with unit weights counts the ones: Binomial(40, 1/2)
+    space = FiniteSpace((2,) * 40)
+    dist = Distribution.uniform(space)
+    alpha = AlphaWeights((1.0,) * 40)
+    origin = SetSpec.from_points([(0,) * 40])
+    with pytest.raises(ValueError, match="exceeds enumeration cap"):
+        exact_set_stats(space, dist, alpha, origin)
+    exact = math.fsum(math.comb(40, k) for k in range(24, 41)) / 2.0**40
+    est = mc_tail(space, dist, DistanceToSet(alpha, origin), 24.0, n_samples=20_000, seed=5)
+    assert abs(est.estimate - exact) <= est.half_width
+    assert 0.0 < est.estimate < 0.5
+
+
 def test_mc_tail_seed_changes_draw():
     q = DistanceToSet(ALPHA_UNIT_2, ORIGIN)
     a = mc_tail(SPACE_2, UNIFORM_2, q, SQRT_HALF, n_samples=5_000, seed=0)

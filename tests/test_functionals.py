@@ -58,9 +58,8 @@ def test_weighted_sum_dimension_check():
 
 
 def test_distance_to_empty_set():
-    never = SetSpec.from_predicate(lambda p: False)
     with pytest.raises(ValueError, match="empty set"):
-        Functional.distance_to(ALPHA_2, never, SPACE_2)
+        Functional.distance_to(ALPHA_2, SetSpec.from_points(()), SPACE_2)
 
 
 def test_self_bounding_params_validated():
@@ -293,6 +292,27 @@ def test_self_bounding_requires_params_and_family():
     g = Functional.weighted_sum((1.0, 1.0), self_bounding_params=(1.0, 0.0))
     with pytest.raises(ValueError, match="no drop family"):
         check_self_bounding(g, SPACE_2)
+
+
+# -- NaN -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("table", [[0.0, 0.1, math.nan, 0.2], [math.nan, 0.0, 0.0, 5.0]])
+def test_certificates_fail_on_nan(table):
+    # NaN compares false, so a check that flags only failed comparisons
+    # would certify it
+    alpha = normalize((1.0, 1.0))
+    f = Functional.from_table(SPACE_2, table, self_bounding_params=(1.0, 0.0))
+    lip = check_lipschitz(f, alpha, SPACE_2)
+    assert not lip.holds and math.isnan(lip.worst_slack)
+    x, y = lip.witness
+    assert x != y
+    assert not abs(f.value(x) - f.value(y)) <= hamming_distance(alpha, x, y)
+    g = drop_infimum_family(f, SPACE_2)
+    for cert in (check_drop_condition(g, alpha, SPACE_2), check_self_bounding(g, SPACE_2)):
+        assert not cert.holds and math.isnan(cert.worst_slack)
+        x = cert.witness
+        assert any(math.isnan(g.value(x) - g.drop_value(i, x.drop(i))) for i in range(2))
 
 
 # -- stats -------------------------------------------------------------------

@@ -131,6 +131,6 @@ def test_distance_to_set_takes_the_minimum():
 def test_distance_to_empty_set_is_an_error():
     space = FiniteSpace((2, 2))
     a = AlphaWeights((0.6, 0.8))
-    empty = SetSpec.from_predicate(lambda p: False)
+    empty = SetSpec.from_points(())
     with pytest.raises(ValueError, match="empty set"):
         distance_to_set(a, Point((0, 0)), empty, space)

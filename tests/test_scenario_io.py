@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from hamconc import functionals, verify
+from hamconc.hamming import Point
 from hamconc.scenario_io import ScenarioFileError, load_scenario, scenario_from_dict
 from hamconc.space import FiniteSpace, SetSpec
 from hamconc.verify import (
@@ -309,12 +310,60 @@ def test_number_lists_in_functionals_and_joint_tables():
     ]
 
 
+@pytest.mark.parametrize(
+    "functional, message",
+    [
+        (
+            '{"type": "table", "values": [0, 0.1, NaN, 0.2]}',
+            "target.functional.values[2] must be finite, got nan",
+        ),
+        (
+            '{"type": "table", "values": [0, -Infinity, 0.5, 0.2]}',
+            "target.functional.values[1] must be finite, got -inf",
+        ),
+        (
+            '{"type": "weighted_sum", "coefficients": [1, Infinity]}',
+            "target.functional.coefficients[1] must be finite, got inf",
+        ),
+    ],
+)
+def test_non_finite_functional_numbers_are_refused(functional, message):
+    # json.loads reads the NaN and Infinity tokens as floats
+    d = _base()
+    d["target"] = {"kind": "median", "functional": json.loads(functional)}
+    with pytest.raises(ScenarioFileError) as info:
+        scenario_from_dict(d)
+    assert str(info.value) == message
+
+
 def test_members_parse_to_the_canonical_set():
     d = _base()
     d["target"]["set"]["members"] = [[1, 1], [0, 1], [1, 1]]
     spec = scenario_from_dict(d).target.set_spec
     assert spec == SetSpec.from_points([(0, 1), (1, 1)])
     assert spec.member_ranks(FiniteSpace((2, 2))) == (1, 3)
+
+
+def test_a_set_scenario_is_loaded_verified_and_written_without_a_point(
+    tmp_path, monkeypatch
+):
+    built = []
+    init = Point.__post_init__
+    monkeypatch.setattr(Point, "__post_init__", lambda p: built.append(p) or init(p))
+    d = _base()
+    d["space"]["alphabet_sizes"] = [3, 2, 2]
+    d["distribution"]["pmfs"] = [[0.2, 0.3, 0.5], [0.5, 0.5], [0.5, 0.5]]
+    d["alpha"]["weights"] = [1.0, 1.0, 1.0]
+    d["target"]["set"]["members"] = [[2, 1, 0], [0, 0, 1], [2, 1, 0]]
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(d))
+    sc = load_scenario(path)
+    text = verify_scenario(sc).to_json()
+    assert built == []
+    assert '"members":[[0,0,1],[2,1,0]]' in text
+    # the spy sees the Points that are built on request
+    assert [p.symbols for p in sc.target.set_spec.explicit] == [(0, 0, 1), (2, 1, 0)]
+    assert len(built) == 2
 
 
 def test_grids_are_kept():

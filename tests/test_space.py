@@ -102,35 +102,34 @@ def test_distribution_validation():
 
 def test_set_spec_explicit_members_dedupe_and_order():
     space = FiniteSpace((2, 2))
-    spec = SetSpec.from_points([(1, 0), (0, 0), (1, 0)])
+    spec = SetSpec.from_points([(1, 0), Point((0, 0)), (1, 0)])
+    assert spec.symbols.tolist() == [[0, 0], [1, 0]]
+    assert not spec.symbols.flags.writeable
     assert [p.symbols for p in spec.members(space)] == [(0, 0), (1, 0)]
+    assert [p.symbols for p in spec.explicit] == [(0, 0), (1, 0)]
     assert spec.member_ranks(space) == (0, 2)
-    assert spec.contains(Point((1, 0)))
-    assert not spec.contains(Point((1, 1)))
-    assert not spec.is_empty(space)
-
-
-def test_set_spec_predicate_and_sublevel():
-    space = FiniteSpace((2, 2))
-    odd = SetSpec.from_predicate(lambda p: (p.symbols[0] + p.symbols[1]) % 2 == 1)
-    assert odd.member_ranks(space) == (1, 2)
-    sub = SetSpec.sublevel(lambda p: float(sum(p.symbols)), 1.0)
-    assert sub.member_ranks(space) == (0, 1, 2)
-    empty = SetSpec.from_predicate(lambda p: False)
-    assert empty.is_empty(space)
 
 
 def test_set_spec_member_array_in_rank_order():
     space = FiniteSpace((2, 3))
     spec = SetSpec.from_points(np.array([[1, 2], [0, 1], [1, 2]]))
     assert spec == SetSpec.from_points([(0, 1), (1, 2)])
+    assert hash(spec) == hash(SetSpec.from_points([(0, 1), (1, 2)]))
+    assert spec != SetSpec.from_points([(0, 1)])
     assert spec.member_symbols(space).tolist() == [[0, 1], [1, 2]]
     assert spec.member_ranks(space) == (1, 5)
     assert spec.mask(space).ravel().tolist() == [r in (1, 5) for r in range(6)]
-    odd = SetSpec.from_predicate(lambda p: sum(p.symbols) % 2 == 1)
-    assert odd.member_symbols(space).tolist() == [[0, 1], [1, 0], [1, 2]]
-    assert SetSpec.from_predicate(lambda p: False).member_symbols(space).shape == (0, 2)
-    assert SetSpec(explicit=()).member_ranks(space) == ()
+    empty = SetSpec.from_points(())
+    assert empty.member_symbols(space).shape == (0, 2)
+    assert empty.member_ranks(space) == ()
+    assert list(empty.members(space)) == []
+
+
+def test_set_spec_rejects_negative_and_ragged_members():
+    with pytest.raises(ValueError, match=r"^symbols are nonnegative indices, got -1$"):
+        SetSpec.from_points([(0, 0), (1, -1)])
+    with pytest.raises(ValueError, match="share one dimension"):
+        SetSpec.from_points([(0, 0), (1,)])
 
 
 def test_set_spec_outside_the_space_names_its_first_bad_member():
@@ -153,13 +152,6 @@ def test_set_spec_outside_the_space_names_its_first_bad_member():
     huge = SetSpec.from_points([(2**70, 0), (0, 0)])
     with pytest.raises(ValueError, match=r"^point \(1180591620717411303424, 0\) is not"):
         huge.mask(small)
-
-
-def test_set_spec_takes_exactly_one_form():
-    with pytest.raises(ValueError, match="exactly one"):
-        SetSpec(explicit=None, predicate=None)
-    with pytest.raises(ValueError, match="exactly one"):
-        SetSpec(explicit=(Point((0,)),), predicate=lambda p: True)
 
 
 def test_law_arrays_masses():

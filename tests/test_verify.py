@@ -5,7 +5,8 @@ import math
 
 import pytest
 
-from hamconc import bounds
+from hamconc import bounds, functionals
+from hamconc import verify as verify_module
 from hamconc._util import fmt_float
 from hamconc.functionals import Functional, drop_infimum_family
 from hamconc.hamming import AlphaWeights, normalize
@@ -488,6 +489,21 @@ def test_a_supplied_family_is_tabulated_once():
     report = verify_drop_functional(_counting_scenario(MeanTarget(f)))
     assert sum(fi.calls for fi in family) == COUNT_SPACE.n * COUNT_SPACE.size // 2 == 192
     assert report.scenario["target"]["functional"]["drop"] == "custom"
+    assert report.summary["derived"]["certificates"]["self_bounding"] is True
+    assert report.all_pass
+
+
+def test_the_drop_gap_arrays_are_built_once(monkeypatch):
+    # both drop certificates and the self-bounding one read one set of gaps
+    calls = []
+    for module in (verify_module, functionals):
+        build = module._drop_gap_arrays
+        monkeypatch.setattr(
+            module, "_drop_gap_arrays", lambda *a, build=build: calls.append(a) or build(*a)
+        )
+    f = Functional(_Counting(), self_bounding_params=(1.0, 0.0))
+    report = verify_drop_functional(_counting_scenario(MeanTarget(f)))
+    assert len(calls) == 1
     assert report.summary["derived"]["certificates"]["self_bounding"] is True
     assert report.all_pass
 
