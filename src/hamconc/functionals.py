@@ -141,9 +141,10 @@ class Functional:
     ``value(point)`` evaluates one point.  ``values(coords)`` evaluates
     many at once: ``coords`` is a tuple of n integer arrays, one per
     coordinate, that broadcast to a common shape, and the result has
-    that shape.  Pass the columns of an (N, n) sample matrix for N
-    points, or the ``np.ix_`` open mesh of ``arange(s_i)`` for the
-    whole space in the shape ``alphabet_sizes``.  Functionals made by
+    that shape.  Pass n arrays of length N for N points (what
+    ``np.unravel_index`` returns for N ranks), or the ``np.ix_`` open
+    mesh of ``arange(s_i)`` for the whole space in the shape
+    ``alphabet_sizes``.  Functionals made by
     :meth:`from_table` and :meth:`distance_to` look the points up in
     their stored table, and :meth:`weighted_sum` adds ``c_i * coords[i]``
     in coordinate order; each result is bit-identical to calling

@@ -502,6 +502,11 @@ def _require_product(dist: Distribution, what: str) -> None:
         )
 
 
+def _fmt_slack(slack: float) -> str:
+    """A certificate's worst slack for a message; NaN (a NaN value) as ``nan``."""
+    return fmt_float(slack) if math.isfinite(slack) else str(slack)
+
+
 def _certify_lipschitz(
     f: Functional, alpha: AlphaWeights, space: FiniteSpace
 ) -> list[str]:
@@ -511,10 +516,10 @@ def _certify_lipschitz(
         a, b = cert.witness
         raise ValueError(
             "functional is not Lipschitz for the weighted Hamming distance: "
-            f"|f(x) - f(x')| exceeds d_alpha(x, x') by {fmt_float(cert.worst_slack)} "
+            f"|f(x) - f(x')| exceeds d_alpha(x, x') by {_fmt_slack(cert.worst_slack)} "
             f"at x={a.symbols}, x'={b.symbols}"
         )
-    return [f"lipschitz certified directly (worst slack {fmt_float(cert.worst_slack)})"]
+    return [f"lipschitz certified directly (worst slack {_fmt_slack(cert.worst_slack)})"]
 
 
 def _tabulated(scenario: Scenario) -> tuple[Scenario, FunctionalLaw]:
@@ -721,16 +726,16 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
     cert_unit = _drop_certificate(gaps, AlphaWeights((1.0,) * space.n), space)
     notes = [
         f"drop certificate vs alpha: holds={cert_alpha.holds} "
-        f"(worst slack {fmt_float(cert_alpha.worst_slack)})",
+        f"(worst slack {_fmt_slack(cert_alpha.worst_slack)})",
         f"drop certificate vs unit increments: holds={cert_unit.holds} "
-        f"(worst slack {fmt_float(cert_unit.worst_slack)})",
+        f"(worst slack {_fmt_slack(cert_unit.worst_slack)})",
     ]
     if not cert_alpha.holds and not cert_unit.holds:
         w = cert_alpha.witness
         raise ValueError(
             "drop condition fails for both the weight vector and unit increments "
-            f"(worst slacks {fmt_float(cert_alpha.worst_slack)} and "
-            f"{fmt_float(cert_unit.worst_slack)}; witness x={w.symbols if w else None})"
+            f"(worst slacks {_fmt_slack(cert_alpha.worst_slack)} and "
+            f"{_fmt_slack(cert_unit.worst_slack)}; witness x={w.symbols if w else None})"
         )
     params = f.self_bounding_params
     cert_sb = None
@@ -742,10 +747,10 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
             raise ValueError(
                 f"self-bounding conditions fail for params (a={fmt_float(params[0])}, "
                 f"b={fmt_float(params[1])}): worst sum slack "
-                f"{fmt_float(cert_sb.worst_slack)}, witness x={w.symbols if w else None}"
+                f"{_fmt_slack(cert_sb.worst_slack)}, witness x={w.symbols if w else None}"
             )
         notes.append(
-            f"self-bounding certificate holds (worst sum slack {fmt_float(cert_sb.worst_slack)})"
+            f"self-bounding certificate holds (worst sum slack {_fmt_slack(cert_sb.worst_slack)})"
         )
     del gaps
     mu = law.stats.mean

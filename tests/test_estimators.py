@@ -20,8 +20,8 @@ from hamconc.estimators import (
     mgf_from_law,
 )
 from hamconc.functionals import Functional
-from hamconc.hamming import AlphaWeights, distance_field, normalize
-from hamconc.space import Distribution, FiniteSpace, SetSpec, _sample_symbols
+from hamconc.hamming import AlphaWeights, distance_field, distance_to_set, normalize
+from hamconc.space import Distribution, FiniteSpace, SetSpec, _sample_ranks, sample
 
 SQRT_HALF = 0.7071067811865475
 C3 = 0.5773502691896258
@@ -181,13 +181,56 @@ def test_sampled_distances_equal_the_distance_field(sizes, members):
     target = SetSpec.from_points(space.unrank(int(r)) for r in ranks)
     q = DistanceToSet(alpha, target)
     n_samples, seed = 5_000, 11
-    symbols = _sample_symbols(space, dist, seed, n_samples)
-    exact = distance_field(alpha, target.mask(space))[tuple(symbols.T)]
-    # 5000 rows span several blocks when |A| = 64
-    assert _sampled_values(space, q, symbols).tobytes() == exact.tobytes()
+    coords = np.unravel_index(_sample_ranks(space, dist, seed, n_samples), sizes)
+    exact = distance_field(alpha, target.mask(space))[coords]
+    # 5000 points span several blocks when |A| = 64
+    assert _sampled_values(space, q, coords).tobytes() == exact.tobytes()
     t = float(np.median(exact))
     est = mc_tail(space, dist, q, t, n_samples=n_samples, seed=seed)
     assert est.estimate == np.count_nonzero(exact >= t) / n_samples
+
+
+_MC_SPACE = FiniteSpace((3, 2, 4, 2))
+
+
+def _quadratic(point):
+    return float(sum((i + 1) * s * s for i, s in enumerate(point.symbols)))
+
+
+@pytest.mark.parametrize(
+    "quantity",
+    [
+        Functional.from_table(_MC_SPACE, np.random.default_rng(8).normal(size=_MC_SPACE.size)),
+        Functional.weighted_sum((0.5, -1.0, 0.25, 2.0)),
+        Functional(evaluator=_quadratic),
+        DistanceToSet(
+            normalize((1.0, 2.0, 0.5, 1.0)), SetSpec.from_points([(0, 0, 0, 0), (2, 1, 3, 0)])
+        ),
+    ],
+    ids=["table", "weighted_sum", "callable", "distance"],
+)
+def test_mc_tail_equals_the_per_sample_count(quantity):
+    rng = np.random.default_rng(9)
+    dist = Distribution.product([rng.dirichlet(np.ones(m)) for m in _MC_SPACE.alphabet_sizes])
+    n_samples, seed = 3_000, 4
+    points = sample(_MC_SPACE, dist, seed, n_samples)
+    if isinstance(quantity, DistanceToSet):
+        vals = [distance_to_set(quantity.alpha, p, quantity.target, _MC_SPACE) for p in points]
+    else:
+        vals = [quantity.value(p) for p in points]
+    for t in sorted(set(vals))[::3]:
+        est = mc_tail(_MC_SPACE, dist, quantity, t, n_samples=n_samples, seed=seed)
+        assert est.estimate == sum(v >= t for v in vals) / n_samples
+
+
+def test_mc_tail_calls_a_plain_callable_once_per_distinct_outcome():
+    calls = []
+    f = Functional(evaluator=lambda p: calls.append(p.symbols) or _quadratic(p))
+    dist = Distribution.uniform(_MC_SPACE)
+    mc_tail(_MC_SPACE, dist, f, 3.0, n_samples=2_000, seed=9)
+    distinct = {p.symbols for p in sample(_MC_SPACE, dist, 9, 2_000)}
+    assert len(calls) == len(distinct) < 2_000
+    assert set(calls) == distinct
 
 
 def test_mc_tail_distance_memory_is_bounded():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hamconc.functionals import Functional
 from hamconc.hamming import Point
 from hamconc.space import (
+    _COUNT_MAX_SYMBOLS,
     DEFAULT_ENUM_CAP,
     ENUM_CAP_ENV,
     RNG_NAME,
@@ -18,6 +19,8 @@ from hamconc.space import (
     FiniteSpace,
     SetSpec,
     enumeration_cap,
+    _sample_ranks,
+    _symbol_index,
     law_arrays,
     sample,
 )
@@ -261,3 +264,67 @@ def test_joint_sampling_hits_only_supported_outcomes():
     # law of large numbers sanity at a generous tolerance
     frac = np.mean([p.symbols == (1, 1) for p in pts])
     assert 0.35 < frac < 0.65
+
+
+def _reference_ranks(space, dist, seed, count):
+    """Ranks drawn as the sampler once did: searchsorted and a clamp per coordinate."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    if dist.kind == "product":
+        cols = []
+        for pmf in dist.pmfs:
+            cum = np.cumsum(np.asarray(pmf, dtype=np.float64))
+            idx = np.searchsorted(cum, rng.random(count), side="right")
+            cols.append(np.minimum(idx, len(pmf) - 1))
+        return np.ravel_multi_index(cols, space.alphabet_sizes)
+    cum = np.cumsum(np.asarray(dist.joint_table, dtype=np.float64))
+    idx = np.searchsorted(cum, rng.random(count), side="right")
+    return np.minimum(idx, space.size - 1)
+
+
+_BIG = _COUNT_MAX_SYMBOLS + 1
+
+
+@pytest.mark.parametrize(
+    "sizes, dist",
+    [
+        ((3, 2), Distribution.product(((0.5, 0.0, 0.5), (0.0, 1.0)))),
+        ((10, 10), Distribution.product([(0.1,) * 10] * 2)),
+        ((1, 2, 1), Distribution.product(((1.0,), (0.3, 0.7), (1.0,)))),
+        (
+            (_COUNT_MAX_SYMBOLS, _BIG),
+            Distribution.product(
+                [(1.0 / _COUNT_MAX_SYMBOLS,) * _COUNT_MAX_SYMBOLS, (1.0 / _BIG,) * _BIG]
+            ),
+        ),
+        ((2, 3), Distribution.joint((0.1, 0.0, 0.2, 0.3, 0.0, 0.4))),
+    ],
+)
+def test_sampled_ranks_equal_searchsorted_on_the_same_stream(sizes, dist):
+    space = FiniteSpace(sizes)
+    ranks = _sample_ranks(space, dist, 5, 20_000)
+    assert ranks.dtype == np.int64
+    assert np.array_equal(ranks, _reference_ranks(space, dist, 5, 20_000))
+    points = sample(space, dist, 6, 300)
+    assert [space.rank(p) for p in points] == _reference_ranks(space, dist, 6, 300).tolist()
+
+
+@pytest.mark.parametrize(
+    "pmf",
+    [
+        (0.5, 0.0, 0.5),
+        (0.1,) * 10,  # its cumsum ends at 0.9999999999999999
+        (1.0,),
+        (0.0, 0.25, 0.0, 0.0, 0.75, 0.0),
+        (1.0 / _COUNT_MAX_SYMBOLS,) * _COUNT_MAX_SYMBOLS,
+        (1.0 / _BIG,) * _BIG,
+    ],
+)
+def test_symbol_index_is_the_clamped_searchsorted_at_every_cut(pmf):
+    cum = np.cumsum(np.asarray(pmf, dtype=np.float64))
+    # each cut point, its float neighbours, and both ends of [0, 1)
+    u = np.concatenate(
+        [cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), [0.0, np.nextafter(1.0, 0.0)]]
+    )
+    u = u[(0.0 <= u) & (u < 1.0)]
+    want = np.minimum(np.searchsorted(cum, u, side="right"), len(pmf) - 1)
+    assert np.array_equal(_symbol_index(cum, u), want)

@@ -384,6 +384,35 @@ def test_drop_flow_certificate_failures():
         verify_drop_functional(sc)
 
 
+@pytest.mark.parametrize(
+    "target_cls, message",
+    [
+        (
+            MedianTarget,
+            "functional is not Lipschitz for the weighted Hamming distance: "
+            "|f(x) - f(x')| exceeds d_alpha(x, x') by nan at x=(1, 0), x'=(1, 1)",
+        ),
+        (
+            MeanTarget,
+            "drop condition fails for both the weight vector and unit increments "
+            "(worst slacks nan and nan; witness x=(0, 0))",
+        ),
+    ],
+)
+def test_nan_functional_fails_with_its_certificate_message(target_cls, message):
+    space = FiniteSpace((2, 2))
+    f = Functional.from_table(space, [0.0, 0.1, math.nan, 0.2])
+    sc = Scenario(
+        space=space,
+        dist=Distribution.uniform(space),
+        alpha=normalize((1.0, 1.0)),
+        target=target_cls(f),
+    )
+    with pytest.raises(ValueError) as excinfo:
+        verify_scenario(sc)
+    assert str(excinfo.value) == message
+
+
 def test_drop_flow_self_bounding_requires_product_and_certificate():
     space = FiniteSpace((2, 2))
     alpha = normalize((1.0, 1.0))
