@@ -346,9 +346,10 @@ _COUNT_MAX_SYMBOLS = 64
 
 
 def _symbol_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF symbol of each draw in ``u``: ``min(searchsorted(cum, u, "right"), m - 1)``.
+    """The inverse-CDF symbol of each draw in ``u``.
 
-    ``cum`` is the cumulative pmf, non-decreasing, so the number of
+    This is ``min(searchsorted(cum, u, "right"), m - 1)``: ``cum`` is
+    the cumulative pmf, non-decreasing, so the number of
     inner cut points ``cum[:m - 1]`` that ``u`` reaches is that clamped
     index exactly, also when ``cum`` ends below 1 or repeats a value.
     """

@@ -503,7 +503,7 @@ def _require_product(dist: Distribution, what: str) -> None:
 
 
 def _fmt_slack(slack: float) -> str:
-    """A certificate's worst slack for a message; NaN (a NaN value) as ``nan``."""
+    """A certificate's worst slack in a message; a NaN one (f has a NaN value) as ``nan``."""
     return fmt_float(slack) if math.isfinite(slack) else str(slack)
 
 
@@ -519,7 +519,7 @@ def _certify_lipschitz(
             f"|f(x) - f(x')| exceeds d_alpha(x, x') by {_fmt_slack(cert.worst_slack)} "
             f"at x={a.symbols}, x'={b.symbols}"
         )
-    return [f"lipschitz certified directly (worst slack {_fmt_slack(cert.worst_slack)})"]
+    return [f"lipschitz certified directly (worst slack {fmt_float(cert.worst_slack)})"]
 
 
 def _tabulated(scenario: Scenario) -> tuple[Scenario, FunctionalLaw]:
@@ -750,7 +750,7 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
                 f"{_fmt_slack(cert_sb.worst_slack)}, witness x={w.symbols if w else None}"
             )
         notes.append(
-            f"self-bounding certificate holds (worst sum slack {_fmt_slack(cert_sb.worst_slack)})"
+            f"self-bounding certificate holds (worst sum slack {fmt_float(cert_sb.worst_slack)})"
         )
     del gaps
     mu = law.stats.mean
