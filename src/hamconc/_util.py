@@ -7,7 +7,7 @@ from json.encoder import encode_basestring_ascii as quote
 
 import numpy as np
 
-__all__ = ["exact_sum", "exact_layers", "frozen", "fmt_float", "dumps", "quote", "Raw"]
+__all__ = ["exact_sum", "exact_layers", "frozen", "fmt_float", "dumps", "quote"]
 
 # Below this many terms math.fsum of a list is faster than the layered split.
 _FSUM_BELOW = 512
@@ -86,10 +86,6 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g") if x else "0"
 
 
-class Raw(str):
-    """JSON text that :func:`dumps` writes as it is, already encoded."""
-
-
 def _encode(obj, sort_keys: bool) -> str:
     t = type(obj)
     if t is float:
@@ -108,9 +104,7 @@ def _encode(obj, sort_keys: bool) -> str:
         return _encode_dict(obj, sort_keys)
     if t is int:
         return str(obj)
-    # Raw text, bool, None, and subclasses or numpy scalars of the types above.
-    if t is Raw:
-        return obj
+    # bool, None, and subclasses or numpy scalars of the types above.
     if obj is None:
         return "null"
     if obj is True:

@@ -87,10 +87,17 @@ class _Evaluator:
 
 
 class _Table(_Evaluator):
-    """f(x) = table[x], for a table of shape alphabet_sizes, kept read-only."""
+    """f(x) = table[x], for a table of shape alphabet_sizes, kept read-only.
 
-    def __init__(self, table: np.ndarray) -> None:
+    ``source`` is the ``(alpha, set)`` a table of distances was computed
+    from, so a report can write it as the set; None for other tables.
+    """
+
+    def __init__(
+        self, table: np.ndarray, source: tuple[AlphaWeights, SetSpec] | None = None
+    ) -> None:
         self.table = frozen(np.asarray(table))
+        self.source = source
 
     def __call__(self, point: Point) -> float:
         shape = self.table.shape
@@ -220,8 +227,11 @@ class Functional:
 
         The distances are tabulated once over the space by
         :func:`~hamconc.hamming.distance_field`; evaluation looks them up.
+        The table keeps ``(alpha, a)``, so a report under the same weights
+        writes the functional as the set rather than as its table.
         """
-        return cls(evaluator=_Table(distance_field(alpha, a.mask(space))), **kw)
+        table = distance_field(alpha, a.mask(space))
+        return cls(evaluator=_Table(table, source=(alpha, a)), **kw)
 
 
 @dataclass(frozen=True)

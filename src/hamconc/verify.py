@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import ClassVar, Iterable, Union
 
 import numpy as np
 
 from . import bounds
-from ._util import Raw, dumps, exact_sum, fmt_float, quote
+from ._util import dumps, exact_sum, fmt_float, quote
 from .bounds import BoundId
 from .estimators import FunctionalLaw, exact_functional_stats, exact_set_stats, mgf_from_law
 from .functionals import (
@@ -35,6 +34,7 @@ from .functionals import (
     _self_bounding_certificate,
     _Table,
     _tabulate,
+    _WeightedSum,
     # Not called here since the drop flow runs all three drop certificates
     # on one set of gap arrays; the names stay because bench/tracer.py
     # patches them here.
@@ -270,41 +270,6 @@ _REPORT_JSON = (
 _FLAGS = ("false", "true")
 
 
-class _TableText:
-    """A scenario dict's functional table, with its JSON text formatted once.
-
-    The text stands in for the table only while the dict still holds
-    that very list with the very same float objects, so a report whose
-    ``scenario`` a caller has changed is written from the dict as it is.
-    """
-
-    def __init__(self, values: list) -> None:
-        self.values = values
-        self.snapshot = tuple(values)
-        self.text = Raw(dumps(values))
-
-    @classmethod
-    def of(cls, sd: dict) -> "_TableText | None":
-        fd = sd["target"].get("functional")
-        return None if fd is None else cls(fd["values"])
-
-    def substitute(self, sd: dict) -> dict:
-        """``sd`` with the table replaced by its text, or ``sd`` if the table changed."""
-        try:
-            tgt = sd["target"]
-            fd = tgt["functional"]
-            cur = fd["values"]
-        except (KeyError, TypeError):
-            return sd
-        if (
-            cur is not self.values
-            or len(cur) != len(self.snapshot)
-            or not all(map(operator.is_, cur, self.snapshot))
-        ):
-            return sd
-        return {**sd, "target": {**tgt, "functional": {**fd, "values": self.text}}}
-
-
 class _FloatText(dict):
     """fmt_float with a memo, kept for one report.
 
@@ -355,6 +320,8 @@ class BoundReport:
     the derived quantities (membership probability, mean distances,
     mean, medians, gaps) the rows were built from.  Serializations are
     deterministic; JSON and CSV carry identical numeric strings.
+    ``scenario`` is the :func:`scenario_to_dict` form, its functional
+    written as declared, and is written to JSON as it is.
     """
 
     fingerprint: str
@@ -363,8 +330,6 @@ class BoundReport:
     rows: tuple[BoundRow, ...]
     summary: dict
     notes: tuple[str, ...] = ()
-    # Set by the verify flows: the functional table's text, reused by to_json.
-    _table: ClassVar[_TableText | None] = None
 
     @property
     def all_pass(self) -> bool:
@@ -376,11 +341,10 @@ class BoundReport:
     def to_json(self) -> str:
         num = _FloatText().__getitem__
         rows = ",".join([_ROW_JSON % r._cells(num, quote, "null") for r in self.rows])
-        sd = self.scenario if self._table is None else self._table.substitute(self.scenario)
         return _REPORT_JSON % (
             dumps(self.fingerprint),
             dumps(self.rng),
-            dumps(sd),
+            dumps(self.scenario),
             rows,
             dumps(self.summary),
             dumps(list(self.notes)),
@@ -409,13 +373,29 @@ def _summary(rows: list[BoundRow], derived: dict) -> dict:
     }
 
 
-def _functional_to_dict(f: Functional, space: FiniteSpace, kind: str) -> dict:
-    d: dict = {
-        "type": "table",
-        "values": _tabulate(f.evaluator, space.alphabet_sizes).ravel().tolist(),
-    }
+def _functional_to_dict(f: Functional, scenario: Scenario, table: np.ndarray | None) -> dict:
+    """f in the form it was declared in, and ``table_sha256``.
+
+    A weighted sum is written as its coefficients and a distance to a
+    set under the scenario's weights as the set; any other functional
+    as its table.  ``table_sha256`` is the sha256 of f's float64 table
+    in rank order, little-endian, -0.0 hashed as 0.0.  ``table`` is f
+    over the space, when the caller has it.
+    """
+    ev = f.evaluator
+    if table is None:
+        table = _tabulate(ev, scenario.space.alphabet_sizes)
+    if isinstance(ev, _WeightedSum):
+        d: dict = {"type": "weighted_sum", "coefficients": list(ev.coeffs)}
+    elif isinstance(ev, _Table) and ev.source is not None and ev.source[0] == scenario.alpha:
+        members = ev.source[1].member_symbols(scenario.space).tolist()
+        d = {"type": "distance_to_set", "set": {"members": members}}
+    else:
+        d = {"type": "table", "values": table.ravel().tolist()}
+    data = (table.ravel() + 0.0).astype("<f8", copy=False)
+    d["table_sha256"] = hashlib.sha256(data.tobytes()).hexdigest()
     # the drop flow verifies a mean target that has no family with the infimum one
-    drop = f.drop_label or ("infimum" if kind == "mean" else None)
+    drop = f.drop_label or ("infimum" if scenario.target.kind == "mean" else None)
     if drop is not None:
         d["drop"] = drop
     if f.self_bounding_params is not None:
@@ -423,9 +403,12 @@ def _functional_to_dict(f: Functional, space: FiniteSpace, kind: str) -> dict:
     return d
 
 
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Canonical plain-data form: functionals flattened to value tables,
-    weights stored already normalized.  Fingerprints hash this form."""
+def scenario_to_dict(scenario: Scenario, table: np.ndarray | None = None) -> dict:
+    """Canonical plain-data form: functionals in their declared form with
+    the digest of their values (:func:`_functional_to_dict`), weights
+    stored already normalized.  ``table`` is the functional's values,
+    the law's, when the caller already has them.  Fingerprints hash this
+    form."""
     if scenario.dist.kind == "product":
         dd: dict = {
             "kind": "product",
@@ -442,7 +425,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     else:
         td = {
             "kind": tgt.kind,
-            "functional": _functional_to_dict(tgt.functional, scenario.space, tgt.kind),
+            "functional": _functional_to_dict(tgt.functional, scenario, table),
         }
     return {
         "space": {"alphabet_sizes": list(scenario.space.alphabet_sizes)},
@@ -459,31 +442,41 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def _fingerprint(scenario_dict: dict) -> str:
+    """sha256 of the canonical dict with its keys sorted and its functional
+    reduced to ``table_sha256``, ``drop`` and ``params``, so that one
+    function declared in different forms has one fingerprint."""
+    tgt = scenario_dict["target"]
+    fd = tgt.get("functional")
+    if fd is not None:
+        fd = {k: fd[k] for k in ("table_sha256", "drop", "params") if k in fd}
+        scenario_dict = {**scenario_dict, "target": {**tgt, "functional": fd}}
     return hashlib.sha256(
         dumps(scenario_dict, sort_keys=True).encode("utf-8")
     ).hexdigest()
 
 
 def scenario_fingerprint(scenario: Scenario) -> str:
-    """Hash of the canonical serialization; stable across runs and machines."""
+    """Hash of the canonical serialization, each functional by the digest
+    of its values; stable across runs and machines."""
     return _fingerprint(scenario_to_dict(scenario))
 
 
 def _make_report(
-    scenario: Scenario, rows: list[BoundRow], derived: dict, notes: Iterable[str]
+    scenario: Scenario,
+    rows: list[BoundRow],
+    derived: dict,
+    notes: Iterable[str],
+    table: np.ndarray | None = None,
 ) -> BoundReport:
-    sd = scenario_to_dict(scenario)
-    table = _TableText.of(sd)
-    report = BoundReport(
-        fingerprint=_fingerprint(sd if table is None else table.substitute(sd)),
+    sd = scenario_to_dict(scenario, table)
+    return BoundReport(
+        fingerprint=_fingerprint(sd),
         rng=RNG_NAME,
         scenario=sd,
         rows=tuple(rows),
         summary=_summary(rows, derived),
         notes=tuple(notes),
     )
-    object.__setattr__(report, "_table", table)
-    return report
 
 
 def _require_unit_alpha(alpha: AlphaWeights) -> None:
@@ -522,18 +515,17 @@ def _certify_lipschitz(
     return [f"lipschitz certified directly (worst slack {fmt_float(cert.worst_slack)})"]
 
 
-def _tabulated(scenario: Scenario) -> tuple[Scenario, FunctionalLaw]:
-    """The exact law of the scenario's functional, and the scenario with
-    that functional evaluated by the law's values as its table.
+def _tabulated(scenario: Scenario) -> tuple[Functional, FunctionalLaw]:
+    """The scenario's functional evaluated by its exact law's values as
+    its table, and that law.
 
     The cap is checked before the functional is evaluated, and it is
     evaluated once: the certificates and the report read that table.
     """
-    tgt = scenario.target
-    law = exact_functional_stats(scenario.space, scenario.dist, tgt.functional, scenario.cap)
+    f = scenario.target.functional
+    law = exact_functional_stats(scenario.space, scenario.dist, f, scenario.cap)
     table = _Table(law.values.reshape(scenario.space.alphabet_sizes))
-    f = replace(tgt.functional, evaluator=table)
-    return replace(scenario, target=replace(tgt, functional=f)), law
+    return replace(f, evaluator=table), law
 
 
 def verify_set(scenario: Scenario) -> BoundReport:
@@ -601,22 +593,21 @@ def _median_infos(scenario: Scenario, law: FunctionalLaw) -> list[dict]:
 
 def _median_law(
     scenario: Scenario, target_type: type
-) -> tuple[Scenario, FunctionalLaw, list[dict], dict, list[str]]:
+) -> tuple[FunctionalLaw, list[dict], dict, list[str]]:
     """The start shared by the median and gap flows.
 
     Checks the target and the hypotheses (unit weights, independent
     coordinates), enumerates the exact law, certifies the functional
-    Lipschitz and computes the per-median quantities.  Returns the
-    scenario from :func:`_tabulated`, the law, the per-median infos, the
-    report's ``derived`` dict and the notes.
+    Lipschitz and computes the per-median quantities.  Returns the law,
+    the per-median infos, the report's ``derived`` dict and the notes.
     """
     kind = target_type.kind
     if not isinstance(scenario.target, target_type):
         raise ValueError(f"verify_{kind} needs a scenario with a {kind} target")
     _require_unit_alpha(scenario.alpha)
     _require_product(scenario.dist, f"the {kind} bounds")
-    scenario, law = _tabulated(scenario)
-    notes = _certify_lipschitz(scenario.target.functional, scenario.alpha, scenario.space)
+    f, law = _tabulated(scenario)
+    notes = _certify_lipschitz(f, scenario.alpha, scenario.space)
     infos = _median_infos(scenario, law)
     derived = {
         "mu": law.stats.mean,
@@ -624,7 +615,7 @@ def _median_law(
         "median_hi": law.stats.median_hi,
         "medians": infos,
     }
-    return scenario, law, infos, derived, notes
+    return law, infos, derived, notes
 
 
 def verify_median(scenario: Scenario) -> BoundReport:
@@ -640,7 +631,7 @@ def verify_median(scenario: Scenario) -> BoundReport:
     Lower rows take rho from the superlevel set {f >= m}, for the same
     reason with {f <= m - t}.
     """
-    scenario, law, infos, derived, notes = _median_law(scenario, MedianTarget)
+    law, infos, derived, notes = _median_law(scenario, MedianTarget)
     extras = [info[k] for info in infos for k in ("rho_sublevel", "rho_superlevel", "gap")]
     ts = scenario.t_grid or default_t_grid(scenario.alpha, extras=extras)
     rows: list[BoundRow] = []
@@ -666,7 +657,7 @@ def verify_median(scenario: Scenario) -> BoundReport:
         "upper tail rows use rho from the sublevel set {f <= m}, "
         "lower tail rows rho from the superlevel set {f >= m}"
     )
-    return _make_report(scenario, rows, derived, notes)
+    return _make_report(scenario, rows, derived, notes, law.values)
 
 
 def verify_gap(scenario: Scenario) -> BoundReport:
@@ -678,7 +669,7 @@ def verify_gap(scenario: Scenario) -> BoundReport:
     sublevel set {f <= m}; m - mu the lower tail, with rho from the
     superlevel set {f >= m}.
     """
-    scenario, law, infos, derived, notes = _median_law(scenario, GapTarget)
+    law, infos, derived, notes = _median_law(scenario, GapTarget)
     rows: list[BoundRow] = []
     for info in infos:
         m = info["median"]
@@ -692,7 +683,7 @@ def verify_gap(scenario: Scenario) -> BoundReport:
             _row("gap", bid, lhs, b, probability=False, median_used=m)
             for bid, b in pairs
         ]
-    return _make_report(scenario, rows, derived, notes)
+    return _make_report(scenario, rows, derived, notes, law.values)
 
 
 def verify_drop_functional(scenario: Scenario) -> BoundReport:
@@ -715,8 +706,7 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
         raise ValueError("verify_drop_functional needs a scenario with a mean target")
     _require_unit_alpha(scenario.alpha)
     space = scenario.space
-    scenario, law = _tabulated(scenario)
-    f = scenario.target.functional
+    f, law = _tabulated(scenario)
     if f.drop_family is None:
         f = drop_infimum_family(f, space)
     else:
@@ -803,7 +793,7 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
             "self_bounding": None if cert_sb is None else cert_sb.holds,
         },
     }
-    return _make_report(scenario, rows, derived, notes)
+    return _make_report(scenario, rows, derived, notes, law.values)
 
 
 def verify_scenario(scenario: Scenario) -> BoundReport:

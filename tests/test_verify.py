@@ -1,7 +1,9 @@
 """Scenario verification flows: row inventories, frozen values, reports."""
 
+import hashlib
 import json
 import math
+import struct
 
 import pytest
 
@@ -10,6 +12,7 @@ from hamconc import verify as verify_module
 from hamconc._util import fmt_float
 from hamconc.functionals import Functional, drop_infimum_family
 from hamconc.hamming import AlphaWeights, normalize
+from hamconc.scenario_io import scenario_from_dict
 from hamconc.space import Distribution, FiniteSpace, SetSpec
 from hamconc.verify import (
     CSV_COLUMNS,
@@ -637,6 +640,121 @@ def test_fingerprint_tracks_scenario_content():
     assert d["alpha"]["normalize"] is False
     assert d["target"]["set"]["members"] == [[0, 0]]
     assert d["space"]["alphabet_sizes"] == [2, 2]
+
+
+# -- functionals in their declared form --------------------------------------------
+
+FORM_SPACE = FiniteSpace((2, 3, 2))
+FORM_ALPHA = normalize((1.0, 2.0, 2.0))
+
+
+def _form_scenario(f: Functional, target_cls=MedianTarget) -> Scenario:
+    return Scenario(
+        space=FORM_SPACE,
+        dist=Distribution.uniform(FORM_SPACE),
+        alpha=FORM_ALPHA,
+        target=target_cls(f),
+    )
+
+
+def _declared_forms() -> dict:
+    """A functional declared in each compact form, by the report type it writes."""
+    members = SetSpec.from_points([(0, 0, 0), (1, 2, 1)])
+    return {
+        "weighted_sum": Functional.weighted_sum((0.2, 0.25, 0.5)),
+        "distance_to_set": Functional.distance_to(FORM_ALPHA, members, FORM_SPACE),
+    }
+
+
+def _values(f: Functional) -> list:
+    return functionals._tabulate(f.evaluator, FORM_SPACE.alphabet_sizes).ravel().tolist()
+
+
+def _as_table(f: Functional) -> Functional:
+    return Functional.from_table(FORM_SPACE, _values(f))
+
+
+@pytest.mark.parametrize("kind", ["weighted_sum", "distance_to_set"])
+def test_a_declared_form_and_its_table_share_digest_and_fingerprint(kind):
+    f = _declared_forms()[kind]
+    for target_cls in (MedianTarget, GapTarget, MeanTarget):
+        declared = verify_scenario(_form_scenario(f, target_cls))
+        table = verify_scenario(_form_scenario(_as_table(f), target_cls))
+        fd = declared.scenario["target"]["functional"]
+        td = table.scenario["target"]["functional"]
+        assert (fd["type"], td["type"]) == (kind, "table")
+        assert "values" not in fd
+        assert fd["table_sha256"] == td["table_sha256"]
+        assert declared.fingerprint == table.fingerprint
+        assert declared.fingerprint == scenario_fingerprint(_form_scenario(f, target_cls))
+        assert declared.to_csv() == table.to_csv()
+
+
+def test_a_distance_under_other_weights_is_written_as_its_table():
+    other = normalize((1.0, 1.0, 1.0))
+    f = Functional.distance_to(other, SetSpec.from_points([(0, 0, 0)]), FORM_SPACE)
+    fd = scenario_to_dict(_form_scenario(f))["target"]["functional"]
+    assert fd["type"] == "table"
+    assert fd["values"] == _values(f)
+
+
+def test_the_table_digest_is_the_sha256_of_the_little_endian_values():
+    values = [0.5, -0.0, 1e-300, -2.25, 0.1, 3.0, 0.0, 7.5, -1.0, 2.0, 0.0, 1.25]
+    sc = _form_scenario(Functional.from_table(FORM_SPACE, values))
+    text = struct.pack("<12d", *[v + 0.0 for v in values])
+    digest = scenario_to_dict(sc)["target"]["functional"]["table_sha256"]
+    assert digest == hashlib.sha256(text).hexdigest()
+    # -0.0 and 0.0 are one value to the digest, as to the report's text
+    zeros = [0.0 if v == 0.0 else v for v in values]
+    plain = scenario_to_dict(_form_scenario(Functional.from_table(FORM_SPACE, zeros)))
+    assert plain["target"]["functional"]["table_sha256"] == digest
+    assert scenario_fingerprint(sc) == verify_module._fingerprint(plain)
+
+
+@pytest.mark.parametrize("kind", ["weighted_sum", "distance_to_set", "table"])
+def test_a_reported_functional_loads_back_to_the_same_report(kind):
+    forms = _declared_forms()
+    f = forms.get(kind) or _as_table(forms["weighted_sum"])
+    report = verify_scenario(_form_scenario(f))
+    sd = report.scenario
+    assert sd["target"]["functional"]["type"] == kind
+    data = {
+        "space": sd["space"],
+        "distribution": sd["distribution"],
+        "alpha": sd["alpha"],
+        "target": {"kind": "median", "functional": sd["target"]["functional"]},
+    }
+    loaded = scenario_from_dict(json.loads(json.dumps(data)))
+    again = verify_scenario(loaded)
+    assert scenario_fingerprint(loaded) == report.fingerprint == again.fingerprint
+    assert again.to_csv() == report.to_csv()
+    assert again.to_json() == report.to_json()
+
+
+@pytest.mark.parametrize("kind", ["weighted_sum", "distance_to_set", "table"])
+def test_each_form_gives_the_same_bytes_on_a_fresh_verify(kind):
+    def build() -> Functional:
+        forms = _declared_forms()
+        return forms.get(kind) or _as_table(forms["weighted_sum"])
+
+    assert verify_scenario(_form_scenario(build())).to_json() == verify_scenario(
+        _form_scenario(build())
+    ).to_json()
+
+
+def test_a_weighted_sum_report_stays_small_at_large_s():
+    space = FiniteSpace((2,) * 16)
+    alpha = normalize((1.0,) * 16)
+    sc = Scenario(
+        space=space,
+        dist=Distribution.uniform(space),
+        alpha=alpha,
+        target=MedianTarget(Functional.weighted_sum(alpha.weights)),
+    )
+    text = verify_scenario(sc).to_json()
+    assert len(text) < 64 * 1024
+    assert '"values"' not in text
+    assert json.loads(text)["scenario"]["target"]["functional"]["type"] == "weighted_sum"
 
 
 # -- generators and sweeps --------------------------------------------------------

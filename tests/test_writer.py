@@ -110,7 +110,13 @@ def _check_report(report: BoundReport) -> None:
     assert lines[1:-1] == [
         ",".join(ref.csv_cell(row[c]) for c in CSV_COLUMNS) for row in payload["rows"]
     ]
-    canonical = ref.dumps(report.scenario, sort_keys=True).encode("utf-8")
+    # The fingerprint reads a functional through its table digest alone.
+    scenario = report.scenario
+    fd = scenario["target"].get("functional")
+    if fd is not None:
+        fd = {k: fd[k] for k in ("table_sha256", "drop", "params") if k in fd}
+        scenario = {**scenario, "target": {**scenario["target"], "functional": fd}}
+    canonical = ref.dumps(scenario, sort_keys=True).encode("utf-8")
     assert report.fingerprint == hashlib.sha256(canonical).hexdigest()
 
 
@@ -131,8 +137,8 @@ def test_bundled_reports_match_the_reference_writer(name):
 
 
 def test_json_follows_changes_to_the_scenario_table():
-    # The table's text is formatted once; a report whose table a caller
-    # changes must be written from the table as it is now.
+    # to_json writes the report's scenario dict as it is at the call, so
+    # a table a caller changes after the verify is written as changed.
     report = verify_scenario(random_scenario(3, "median"))
     fd = report.scenario["target"]["functional"]
     _check_report(report)
