@@ -57,7 +57,6 @@ from .functionals import (
     check_drop_condition,
     check_lipschitz,
     check_self_bounding,
-    drop_infimum_family,
 )
 from .hamming import AlphaWeights, Point, distance_to_set, hamming_distance, normalize
 from .scenario_io import ScenarioFileError, load_scenario, scenario_from_dict
@@ -112,7 +111,6 @@ __all__ = [
     "check_lipschitz",
     "check_drop_condition",
     "check_self_bounding",
-    "drop_infimum_family",
     # exact and Monte Carlo estimation
     "TailCurve",
     "SetStats",

@@ -13,6 +13,12 @@ Three conditions are certified exactly over the space:
 * Self-bounding with parameters (a, b): the drop gaps lie in [0, 1] and
   their sum is at most a * f(x) + b.
 
+Both are certified for the infimum family f_i = min over s of f(x with
+x_i = s), read off f's table.  It is the greatest admissible family (the
+lower condition forces f_i <= f at every symbol) and the upper
+conditions only get easier as f_i grows, so it certifies whenever any
+family does.
+
 The drop condition implies the Lipschitz property: changing coordinate i
 moves f by at most alpha_i because both values sit in the interval
 [f_i, f_i + alpha_i] over the same dropped point, and a chain of single
@@ -24,7 +30,7 @@ as evidence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -42,7 +48,6 @@ __all__ = [
     "Stats",
     "check_lipschitz",
     "check_drop_condition",
-    "drop_infimum_family",
     "check_self_bounding",
     "stats_from_law",
 ]
@@ -162,20 +167,12 @@ class Functional:
     ----------
     evaluator:
         Maps a Point to a real number.
-    drop_family:
-        Optional tuple of n callables; entry i maps a Point of dimension
-        n-1 (coordinate i removed) to a real number.
     self_bounding_params:
         Optional (a, b) with a > 0, b >= 0 for the self-bounding checks.
-    drop_label:
-        How the drop family arose ("infimum" for the canonical one,
-        "custom" for user-supplied); serialization uses it.
     """
 
     evaluator: Callable[[Point], float]
-    drop_family: tuple[Callable[[Point], float], ...] | None = None
     self_bounding_params: tuple[float, float] | None = None
-    drop_label: str | None = None
 
     def __post_init__(self) -> None:
         if self.self_bounding_params is not None:
@@ -185,10 +182,6 @@ class Functional:
                     f"self-bounding parameters need a > 0 and b >= 0, got {a}, {b}"
                 )
             object.__setattr__(self, "self_bounding_params", (float(a), float(b)))
-        if self.drop_family is not None:
-            object.__setattr__(self, "drop_family", tuple(self.drop_family))
-            if self.drop_label is None:
-                object.__setattr__(self, "drop_label", "custom")
 
     def value(self, point: Point) -> float:
         return float(self.evaluator(point))
@@ -199,10 +192,11 @@ class Functional:
             return self.evaluator.values(coords)
         return _pointwise(self.value, coords)
 
-    def drop_value(self, i: int, reduced: Point) -> float:
-        if self.drop_family is None:
-            raise ValueError("functional has no drop family")
-        return float(self.drop_family[i](reduced))
+    def drop_value(self, i: int, reduced: Point, space: FiniteSpace) -> float:
+        """f_i(reduced) of the infimum family, point by point: the least f
+        over the symbols of coordinate i, NaN if any of those values is."""
+        line = [self.value(reduced.insert(i, s)) for s in range(space.alphabet_sizes[i])]
+        return float(np.min(line))
 
     @classmethod
     def from_table(cls, space: FiniteSpace, values: Iterable[float], **kw) -> "Functional":
@@ -260,6 +254,11 @@ class Stats:
     median_hi: float
 
 
+def _spread(values: np.ndarray, i: int) -> np.ndarray:
+    """max f - min f on each line of ``values`` along axis i: its largest gap."""
+    return values.max(axis=i) - values.min(axis=i)
+
+
 def check_lipschitz(f: Functional, alpha: AlphaWeights, space: FiniteSpace) -> Certificate:
     """Certify |f(x) - f(x')| <= d_alpha(x, x') over pairs of points.
 
@@ -288,7 +287,7 @@ def check_lipschitz(f: Functional, alpha: AlphaWeights, space: FiniteSpace) -> C
     for i, w in enumerate(alpha.weights):
         if space.alphabet_sizes[i] == 1:
             continue
-        slack = values.max(axis=i) - values.min(axis=i) - w
+        slack = _spread(values, i) - w
         k = np.unravel_index(int(np.argmax(slack)), slack.shape)
         # A NaN value puts a NaN slack on every axis, which argmax finds
         # first and which must fail the check, so NaN counts as the worst.
@@ -308,106 +307,68 @@ def check_lipschitz(f: Functional, alpha: AlphaWeights, space: FiniteSpace) -> C
     return Certificate("lipschitz", holds, witness, worst)
 
 
-def _family_tables(f: Functional, space: FiniteSpace) -> list[np.ndarray]:
-    """Each f_i of f's drop family over the space without coordinate i."""
-    if f.drop_family is None:
-        raise ValueError("functional has no drop family")
-    if len(f.drop_family) != space.n:
-        raise ValueError(
-            f"drop family has {len(f.drop_family)} entries, space has {space.n} coordinates"
-        )
-    sizes = space.alphabet_sizes
-    return [_tabulate(fi, sizes[:i] + sizes[i + 1 :]) for i, fi in enumerate(f.drop_family)]
-
-
-def _drop_gap_arrays(f: Functional, space: FiniteSpace) -> list[np.ndarray]:
-    """For each coordinate i, the gap f(x) - f_i(x without i), per rank."""
-    tables = _family_tables(f, space)
-    values = _tabulate(f.evaluator, space.alphabet_sizes)
-    return [(values - np.expand_dims(t, i)).ravel() for i, t in enumerate(tables)]
-
-
 def check_drop_condition(
     f: Functional, alpha: AlphaWeights, space: FiniteSpace
 ) -> Certificate:
-    """Certify 0 <= f(x) - f_i(x without i) <= alpha_i everywhere.
+    """Certify 0 <= f(x) - f_i(x without i) <= alpha_i everywhere, f_i the infimum.
 
-    The lower comparison is exact; the upper one allows CERT_TOL of
-    float slack.  ``worst_slack`` is the largest of -gap and
-    gap - alpha_i over all points and coordinates.
+    The lower comparison holds by construction, so each line along each
+    axis i needs max f - min f <= alpha_i + CERT_TOL.  ``worst_slack`` is
+    max(-0.0, max f - min f - alpha_i) over the axes and lines; a NaN
+    value makes it NaN and fails the check.  The witness is the first
+    flagged point, in rank order, of the first failing axis.
     """
     if alpha.n != space.n:
         raise ValueError(f"alpha has {alpha.n} weights, space has {space.n} coordinates")
-    return _drop_certificate(_drop_gap_arrays(f, space), alpha, space)
+    values = _tabulate(f.evaluator, space.alphabet_sizes)
+    slacks = []
+    witness = None
+    for i, w in enumerate(alpha.weights):
+        spread = _spread(values, i)
+        slacks.append(np.max(spread - w))
+        if witness is None and not (spread <= w + CERT_TOL).all():
+            # the gaps f(x) - f_i of the first failing axis
+            gap = values - values.min(axis=i, keepdims=True)
+            witness = _first_flagged(~(gap <= w + CERT_TOL), space)
+    worst = float(np.max(slacks))
+    return Certificate("drop", witness is None, witness, worst if not worst <= 0.0 else -0.0)
 
 
-def _drop_certificate(
-    gaps: list[np.ndarray], alpha: AlphaWeights, space: FiniteSpace
-) -> Certificate:
-    """:func:`check_drop_condition` on gap arrays already built.
-
-    A NaN gap fails both comparisons, so it is flagged, and it makes
-    ``worst_slack`` NaN.
-    """
-    pairs = list(zip(gaps, alpha.weights))
-    worst = float(np.max([np.max(np.maximum(-g, g - w)) for g, w in pairs]))
-    bad = (~((g >= 0.0) & (g <= w + CERT_TOL)) for g, w in pairs)
-    return Certificate("drop", *_first_violation(bad, space), worst)
-
-
-def _first_violation(
-    masks: Iterable[np.ndarray], space: FiniteSpace
-) -> tuple[bool, Point | None]:
-    """(no mask flags a rank, the first flagged point of the first mask that flags one)."""
-    for bad in masks:
-        if bad.any():
-            return False, space.unrank(int(np.argmax(bad)))
-    return True, None
-
-
-def drop_infimum_family(f: Functional, space: FiniteSpace) -> Functional:
-    """Attach the canonical drop family f_i = min over symbols at i.
-
-    For every x this family satisfies f(x) - f_i >= 0 exactly, because
-    the minimum ranges over f(x) itself; the upper drop comparison then
-    measures the oscillation of f along coordinate i.  f is tabulated
-    over the space once, here, unless it already is a table.  The result
-    evaluates f by that table, and each f_i by its minimum along axis i.
-    """
-    table = _tabulate(f.evaluator, space.alphabet_sizes)
-    family = tuple(_Table(table.min(axis=i)) for i in range(space.n))
-    return replace(f, evaluator=_Table(table), drop_family=family, drop_label="infimum")
+def _first_flagged(bad: np.ndarray, space: FiniteSpace) -> Point | None:
+    """The first point, in rank order, that the mask ``bad`` flags, or None."""
+    k = int(np.argmax(bad))
+    return space.unrank(k) if bad.flat[k] else None
 
 
 def check_self_bounding(f: Functional, space: FiniteSpace) -> Certificate:
-    """Certify the (a, b)-self-bounding conditions for f's drop family.
+    """Certify the (a, b)-self-bounding conditions for f's infimum family.
 
-    Both conditions are checked at every point: each gap lies in
-    [0, 1 + CERT_TOL], and the gap sum is at most a*f(x) + b + CERT_TOL.
-    ``worst_slack`` reports the sum condition's margin, max over points
-    of (sum of gaps - a*f(x) - b), as that is the binding one in use.
-    A NaN gap or value fails the check.
+    Both conditions are checked at every point: each gap f(x) - f_i
+    lies in [0, 1 + CERT_TOL], and the gap sum, added one axis at a
+    time, is at most a*f(x) + b + CERT_TOL.  ``worst_slack`` reports the
+    sum condition's margin, max over points of (sum of gaps - a*f(x) -
+    b), as that is the binding one in use.  A NaN gap or value fails the
+    check.  The witness is the first flagged point of the first failing
+    condition, gap axes first.
     """
     if f.self_bounding_params is None:
         raise ValueError("functional has no self-bounding parameters")
-    values = _tabulate(f.evaluator, space.alphabet_sizes).ravel()
-    return _self_bounding_certificate(
-        _drop_gap_arrays(f, space), values, f.self_bounding_params, space
-    )
-
-
-def _self_bounding_certificate(
-    gaps: list[np.ndarray],
-    values: np.ndarray,
-    params: tuple[float, float],
-    space: FiniteSpace,
-) -> Certificate:
-    """:func:`check_self_bounding` on gap arrays and f's values already built."""
-    a, b = params
-    sum_slack = sum(gaps) - a * values - b
-    bad = [~((g >= 0.0) & (g <= 1.0 + CERT_TOL)) for g in gaps] + [~(sum_slack <= CERT_TOL)]
-    holds, witness = _first_violation(bad, space)
-    return Certificate("self_bounding", holds, witness, float(np.max(sum_slack)))
+    a, b = f.self_bounding_params
+    values = _tabulate(f.evaluator, space.alphabet_sizes)
+    total = np.zeros(values.shape)
+    witness = None
+    for i in range(space.n):
+        gap = values - values.min(axis=i, keepdims=True)
+        total += gap
+        if witness is None:
+            # a gap is never below -0.0, and a NaN one fails this comparison
+            witness = _first_flagged(~(gap <= 1.0 + CERT_TOL), space)
+        del gap  # before the next axis's gap is built: one gap table at a time
+    total -= a * values
+    total -= b
+    if witness is None:
+        witness = _first_flagged(~(total <= CERT_TOL), space)
+    return Certificate("self_bounding", witness is None, witness, float(np.max(total)))
 
 
 def _law_atoms(

@@ -21,10 +21,10 @@ Schema (one object per file)::
 
 "grids", "seed", "caps", and "params" are optional; "params" is only
 meaningful for mean targets and switches on the self-bounding rows.
-Weights must satisfy ||alpha|| = 1 unless "normalize" is true.  No
-drop family is attached (the drop flow does that after its cap check),
-and only a "distance_to_set" functional is tabulated, once the space is
-within the cap.  Malformed files raise ScenarioFileError naming the
+Weights must satisfy ||alpha|| = 1 unless "normalize" is true.  A
+mean target needs no drop family: the drop flow certifies the infimum
+family from f's table after its cap check.  Only a "distance_to_set"
+functional is tabulated here, once the space is within the cap.  Malformed files raise ScenarioFileError naming the
 offending key; the command-line driver maps that to exit code 2.
 """
 

@@ -28,23 +28,15 @@ from .bounds import BoundId
 from .estimators import FunctionalLaw, exact_functional_stats, exact_set_stats, mgf_from_law
 from .functionals import (
     Functional,
-    _drop_certificate,
-    _drop_gap_arrays,
-    _family_tables,
-    _self_bounding_certificate,
     _Table,
     _tabulate,
     _WeightedSum,
-    # Not called here since the drop flow runs all three drop certificates
-    # on one set of gap arrays; the names stay because bench/tracer.py
-    # patches them here.
-    check_drop_condition,  # noqa: F401
+    check_drop_condition,
     check_lipschitz,
-    check_self_bounding,  # noqa: F401
-    drop_infimum_family,
+    check_self_bounding,
 )
 from .hamming import AlphaWeights, distance_field
-from .space import RNG_NAME, Distribution, FiniteSpace, SetSpec, _rng
+from .space import RNG_NAME, Distribution, FiniteSpace, SetSpec, _check_cap, _rng
 
 __all__ = [
     "PASS_TOL",
@@ -380,10 +372,12 @@ def _functional_to_dict(f: Functional, scenario: Scenario, table: np.ndarray | N
     set under the scenario's weights as the set; any other functional
     as its table.  ``table_sha256`` is the sha256 of f's float64 table
     in rank order, little-endian, -0.0 hashed as 0.0.  ``table`` is f
-    over the space, when the caller has it.
+    over the space, when the caller has it; without it, f is tabulated
+    here, once the space is within the scenario's cap.
     """
     ev = f.evaluator
     if table is None:
+        _check_cap(scenario.space, scenario.cap)
         table = _tabulate(ev, scenario.space.alphabet_sizes)
     if isinstance(ev, _WeightedSum):
         d: dict = {"type": "weighted_sum", "coefficients": list(ev.coeffs)}
@@ -394,10 +388,8 @@ def _functional_to_dict(f: Functional, scenario: Scenario, table: np.ndarray | N
         d = {"type": "table", "values": table.ravel().tolist()}
     data = (table.ravel() + 0.0).astype("<f8", copy=False)
     d["table_sha256"] = hashlib.sha256(data.tobytes()).hexdigest()
-    # the drop flow verifies a mean target that has no family with the infimum one
-    drop = f.drop_label or ("infimum" if scenario.target.kind == "mean" else None)
-    if drop is not None:
-        d["drop"] = drop
+    if scenario.target.kind == "mean":
+        d["drop"] = "infimum"
     if f.self_bounding_params is not None:
         d["params"] = list(f.self_bounding_params)
     return d
@@ -699,21 +691,18 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
     product and the (a, b) conditions must certify; that adds the
     sb-upper/sb-lower rows.
 
-    After the cap check, a target without a drop family gets the
-    infimum family of the law's table; a supplied one is tabulated once.
+    The certificates hold for the infimum family f_i = min of f over
+    coordinate i, the greatest admissible family, so they hold whenever
+    any family would.  After the cap check they read the law's table of
+    f, one axis at a time.
     """
     if not isinstance(scenario.target, MeanTarget):
         raise ValueError("verify_drop_functional needs a scenario with a mean target")
     _require_unit_alpha(scenario.alpha)
     space = scenario.space
     f, law = _tabulated(scenario)
-    if f.drop_family is None:
-        f = drop_infimum_family(f, space)
-    else:
-        f = replace(f, drop_family=tuple(map(_Table, _family_tables(f, space))))
-    gaps = _drop_gap_arrays(f, space)
-    cert_alpha = _drop_certificate(gaps, scenario.alpha, space)
-    cert_unit = _drop_certificate(gaps, AlphaWeights((1.0,) * space.n), space)
+    cert_alpha = check_drop_condition(f, scenario.alpha, space)
+    cert_unit = check_drop_condition(f, AlphaWeights((1.0,) * space.n), space)
     notes = [
         f"drop certificate vs alpha: holds={cert_alpha.holds} "
         f"(worst slack {_fmt_slack(cert_alpha.worst_slack)})",
@@ -731,7 +720,7 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
     cert_sb = None
     if params is not None:
         _require_product(scenario.dist, "the self-bounding bounds")
-        cert_sb = _self_bounding_certificate(gaps, law.values, params, space)
+        cert_sb = check_self_bounding(f, space)
         if not cert_sb.holds:
             w = cert_sb.witness
             raise ValueError(
@@ -742,7 +731,6 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
         notes.append(
             f"self-bounding certificate holds (worst sum slack {fmt_float(cert_sb.worst_slack)})"
         )
-    del gaps
     mu = law.stats.mean
     ts = scenario.t_grid or default_t_grid(scenario.alpha)
     lams = scenario.lambda_grid or DEFAULT_LAMBDA_GRID
@@ -786,7 +774,7 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
     derived = {
         "mu": mu,
         "n": space.n,
-        "drop_family": f.drop_label,
+        "drop_family": "infimum",
         "certificates": {
             "drop_alpha": cert_alpha.holds,
             "drop_unit": cert_unit.holds,

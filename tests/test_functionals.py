@@ -1,6 +1,8 @@
 """Functional constructors, the exact condition certificates, and distance fields."""
 
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,11 +12,11 @@ from hypothesis import strategies as st
 from hamconc.estimators import exact_functional_stats
 from hamconc.functionals import (
     CERT_TOL,
+    Certificate,
     Functional,
     check_drop_condition,
     check_lipschitz,
     check_self_bounding,
-    drop_infimum_family,
     stats_from_law,
 )
 from hamconc.hamming import (
@@ -69,17 +71,6 @@ def test_self_bounding_params_validated():
         Functional.weighted_sum((1.0,), self_bounding_params=(1.0, -1.0))
 
 
-def test_drop_label_defaults_to_custom():
-    f = Functional.weighted_sum((1.0, 1.0), drop_family=(lambda p: 0.0, lambda p: 0.0))
-    assert f.drop_label == "custom"
-
-
-def test_drop_value_without_family():
-    f = Functional.weighted_sum((1.0, 1.0))
-    with pytest.raises(ValueError, match="no drop family"):
-        f.drop_value(0, SPACE_2.unrank(0))
-
-
 # -- bulk evaluation ----------------------------------------------------------
 
 
@@ -126,12 +117,11 @@ def test_infimum_family_is_the_coordinate_minimum(data):
     sizes = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
     space = FiniteSpace(sizes)
     for name, f in _one_of_each(space, data).items():
-        g = drop_infimum_family(f, space)
         for p in space.points():
             for i in range(space.n):
                 reduced = p.drop(i)
                 want = min(f.value(reduced.insert(i, s)) for s in range(sizes[i]))
-                assert g.drop_value(i, reduced) == want, name
+                assert f.drop_value(i, reduced, space) == want, name
 
 
 # -- Lipschitz certificates ---------------------------------------------------
@@ -209,10 +199,7 @@ def test_distance_field_matches_pointwise_definition(data):
 
 
 def test_distance_functional_satisfies_drop_condition():
-    f = drop_infimum_family(
-        Functional.distance_to(ALPHA_2, ORIGIN, SPACE_2), SPACE_2
-    )
-    assert f.drop_label == "infimum"
+    f = Functional.distance_to(ALPHA_2, ORIGIN, SPACE_2)
     cert = check_drop_condition(f, ALPHA_2, SPACE_2)
     assert cert.condition == "drop"
     assert cert.holds
@@ -220,13 +207,13 @@ def test_distance_functional_satisfies_drop_condition():
 
 
 def test_matched_weighted_sum_satisfies_drop_condition():
-    f = drop_infimum_family(Functional.weighted_sum((0.6, 0.8)), SPACE_2)
+    f = Functional.weighted_sum((0.6, 0.8))
     cert = check_drop_condition(f, ALPHA_2, SPACE_2)
     assert cert.holds
 
 
 def test_oversized_oscillation_fails_drop_condition():
-    f = drop_infimum_family(Functional.weighted_sum((1.2, 0.8)), SPACE_2)
+    f = Functional.weighted_sum((1.2, 0.8))
     cert = check_drop_condition(f, ALPHA_2, SPACE_2)
     assert not cert.holds
     assert cert.witness is not None
@@ -234,16 +221,10 @@ def test_oversized_oscillation_fails_drop_condition():
     assert cert.worst_slack == pytest.approx(0.6)
 
 
-def test_drop_family_length_check():
-    f = Functional.weighted_sum((1.0, 1.0), drop_family=(lambda p: 0.0,))
-    with pytest.raises(ValueError, match="drop family has 1"):
-        check_drop_condition(f, ALPHA_2, SPACE_2)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4))
 def test_drop_condition_implies_lipschitz(table):
-    f = drop_infimum_family(Functional.from_table(SPACE_2, table), SPACE_2)
+    f = Functional.from_table(SPACE_2, table)
     drop = check_drop_condition(f, ALPHA_2, SPACE_2)
     if drop.holds:
         lip = check_lipschitz(f, ALPHA_2, SPACE_2)
@@ -256,10 +237,7 @@ def test_drop_condition_implies_lipschitz(table):
 
 def test_bit_count_is_one_zero_self_bounding():
     space = FiniteSpace((2, 2, 2))
-    f = drop_infimum_family(
-        Functional.weighted_sum((1.0, 1.0, 1.0), self_bounding_params=(1.0, 0.0)),
-        space,
-    )
+    f = Functional.weighted_sum((1.0, 1.0, 1.0), self_bounding_params=(1.0, 0.0))
     cert = check_self_bounding(f, space)
     assert cert.condition == "self_bounding"
     assert cert.holds
@@ -267,18 +245,14 @@ def test_bit_count_is_one_zero_self_bounding():
 
 
 def test_doubled_bits_violate_unit_gap_range():
-    f = drop_infimum_family(
-        Functional.weighted_sum((2.0, 2.0), self_bounding_params=(1.0, 0.0)), SPACE_2
-    )
+    f = Functional.weighted_sum((2.0, 2.0), self_bounding_params=(1.0, 0.0))
     cert = check_self_bounding(f, SPACE_2)
     assert not cert.holds
     assert cert.witness is not None
 
 
 def test_sum_condition_violation_is_reported_in_slack():
-    f = drop_infimum_family(
-        Functional.weighted_sum((1.0, 1.0), self_bounding_params=(0.5, 0.0)), SPACE_2
-    )
+    f = Functional.weighted_sum((1.0, 1.0), self_bounding_params=(0.5, 0.0))
     cert = check_self_bounding(f, SPACE_2)
     assert not cert.holds
     # at (1, 1): gap sum 2, a*f + b = 1
@@ -286,12 +260,134 @@ def test_sum_condition_violation_is_reported_in_slack():
 
 
 def test_self_bounding_requires_params_and_family():
-    f = drop_infimum_family(Functional.weighted_sum((1.0, 1.0)), SPACE_2)
+    f = Functional.weighted_sum((1.0, 1.0))
     with pytest.raises(ValueError, match="no self-bounding parameters"):
         check_self_bounding(f, SPACE_2)
-    g = Functional.weighted_sum((1.0, 1.0), self_bounding_params=(1.0, 0.0))
-    with pytest.raises(ValueError, match="no drop family"):
-        check_self_bounding(g, SPACE_2)
+
+
+# -- the infimum family against per-point references --------------------------
+
+
+def _family_gaps(f, family, space):
+    """gaps[i][r] = f(x) - f_i(x without i) at the point x of rank r."""
+    return [
+        [f.value(x) - family(i, x.drop(i)) for x in space.points()] for i in range(space.n)
+    ]
+
+
+def _reference_drop(gaps, weights, space):
+    """(holds, witness, worst_slack) of the drop condition, point by point."""
+    margins, witness = [], None
+    for g, w in zip(gaps, weights):
+        for r, gr in enumerate(g):
+            margins.append(max(-gr, gr - w))
+            if witness is None and not 0.0 <= gr <= w + CERT_TOL:
+                witness = space.unrank(r)
+    worst = float(np.max(margins))
+    return witness is None, witness, -0.0 if worst <= 0.0 else worst
+
+
+def _reference_self_bounding(gaps, values, params, space):
+    """(holds, witness, worst_slack) of the (a, b) conditions, point by point."""
+    a, b = params
+    witness = None
+    for g in gaps:
+        for r, gr in enumerate(g):
+            if witness is None and not 0.0 <= gr <= 1.0 + CERT_TOL:
+                witness = space.unrank(r)
+    slacks = []
+    for r, v in enumerate(values):
+        total = 0.0
+        for g in gaps:
+            total += g[r]
+        slacks.append(total - a * v - b)
+        if witness is None and not slacks[-1] <= CERT_TOL:
+            witness = space.unrank(r)
+    return witness is None, witness, float(np.max(slacks))
+
+
+def _certificate_tuple(cert):
+    """The certificate with its slack as bits; a NaN's sign and payload do not count."""
+    slack = cert.worst_slack
+    return cert.holds, "nan" if math.isnan(slack) else struct.pack("<d", slack), cert.witness
+
+
+def _drawn_space_and_table(data):
+    sizes = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    space = FiniteSpace(sizes)
+    cell = st.one_of(
+        st.sampled_from([math.nan, -0.0, 0.0, 0.5, 1.0, 2.0]), st.floats(-2.0, 2.0)
+    )
+    table = data.draw(st.lists(cell, min_size=space.size, max_size=space.size))
+    return space, table
+
+
+def _drawn_weights(data, n):
+    weight = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 2.0))
+    return AlphaWeights(tuple(data.draw(st.lists(weight, min_size=n, max_size=n))))
+
+
+_PARAMS = st.tuples(
+    st.one_of(st.sampled_from([0.5, 1.0, 2.0]), st.floats(0.01, 3.0)),
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 2.0)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_certificates_match_the_pointwise_infimum_family(data):
+    space, table = _drawn_space_and_table(data)
+    alpha = _drawn_weights(data, space.n)
+    params = data.draw(_PARAMS)
+    f = Functional.from_table(space, table, self_bounding_params=params)
+    gaps = _family_gaps(f, lambda i, y: f.drop_value(i, y, space), space)
+    for weights in (alpha, AlphaWeights((1.0,) * space.n)):
+        cert = check_drop_condition(f, weights, space)
+        want = _reference_drop(gaps, weights.weights, space)
+        assert _certificate_tuple(cert) == _certificate_tuple(Certificate("drop", *want))
+    cert = check_self_bounding(f, space)
+    want = _reference_self_bounding(gaps, table, params, space)
+    assert _certificate_tuple(cert) == _certificate_tuple(Certificate("sb", *want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_any_family_that_passes_leaves_the_infimum_family_passing(data):
+    # any admissible f_i lies below the infimum, and lower f_i only widen
+    # the gaps, so a certificate of the infimum family loses no family
+    space, table = _drawn_space_and_table(data)
+    alpha = _drawn_weights(data, space.n)
+    params = data.draw(_PARAMS)
+    f = Functional.from_table(space, table, self_bounding_params=params)
+    sizes = space.alphabet_sizes
+    below = st.one_of(st.just(0.0), st.sampled_from([0.25, 1.0]), st.floats(0.0, 2.0))
+    tables = []
+    for i in range(space.n):
+        k = math.prod(sizes) // sizes[i]
+        offsets = np.asarray(data.draw(st.lists(below, min_size=k, max_size=k)))
+        infimum = np.asarray(table).reshape(sizes).min(axis=i)
+        tables.append(infimum - offsets.reshape(infimum.shape))
+    gaps = _family_gaps(f, lambda i, y: float(tables[i][y.symbols]), space)
+    for weights in (alpha, AlphaWeights((1.0,) * space.n)):
+        if _reference_drop(gaps, weights.weights, space)[0]:
+            assert check_drop_condition(f, weights, space).holds
+    if _reference_self_bounding(gaps, table, params, space)[0]:
+        assert check_self_bounding(f, space).holds
+
+
+def test_the_drop_certificates_peak_at_a_few_tables():
+    # one axis at a time: the gaps of every axis at once were n tables
+    n = 18
+    space = FiniteSpace((2,) * n)
+    f = Functional.weighted_sum((1.0,) * n, self_bounding_params=(1.0, 0.0))
+    tracemalloc.start()
+    try:
+        assert check_self_bounding(f, space).holds
+        assert check_drop_condition(f, AlphaWeights((1.0,) * n), space).holds
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * space.size * 8
 
 
 # -- NaN -----------------------------------------------------------------------
@@ -308,11 +404,12 @@ def test_certificates_fail_on_nan(table):
     x, y = lip.witness
     assert x != y
     assert not abs(f.value(x) - f.value(y)) <= hamming_distance(alpha, x, y)
-    g = drop_infimum_family(f, SPACE_2)
-    for cert in (check_drop_condition(g, alpha, SPACE_2), check_self_bounding(g, SPACE_2)):
+    for cert in (check_drop_condition(f, alpha, SPACE_2), check_self_bounding(f, SPACE_2)):
         assert not cert.holds and math.isnan(cert.worst_slack)
         x = cert.witness
-        assert any(math.isnan(g.value(x) - g.drop_value(i, x.drop(i))) for i in range(2))
+        assert any(
+            math.isnan(f.value(x) - f.drop_value(i, x.drop(i), SPACE_2)) for i in range(2)
+        )
 
 
 # -- stats -------------------------------------------------------------------

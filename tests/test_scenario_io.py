@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from hamconc import functionals, verify
+from hamconc import functionals
 from hamconc.hamming import Point
 from hamconc.scenario_io import ScenarioFileError, load_scenario, scenario_from_dict
 from hamconc.space import FiniteSpace, SetSpec
@@ -38,8 +38,6 @@ def test_load_bundled_scenarios():
     corr = load_scenario(SCENARIOS / "correlated_pair.json")
     assert isinstance(corr.target, MeanTarget)
     assert corr.dist.kind == "joint"
-    # the drop flow, not the loader, attaches the infimum family
-    assert corr.target.functional.drop_family is None
     report = verify_scenario(corr)
     assert report.scenario["target"]["functional"]["drop"] == "infimum"
     assert report.summary["derived"]["drop_family"] == "infimum"
@@ -120,17 +118,15 @@ def test_a_mean_file_over_its_cap_does_no_whole_space_work(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    spy(functionals, "drop_infimum_family")
-    spy(verify, "drop_infimum_family")
     spy(functionals._WeightedSum, "values")
     sc = scenario_from_dict(_over_the_cap({"type": "weighted_sum", "coefficients": [1.0] * 12}))
     assert calls == []
     with pytest.raises(ValueError, match="outcome count 4096 exceeds enumeration cap 10"):
         verify_scenario(sc)
     assert calls == []
-    # within the cap, the drop flow evaluates f once and attaches the family once
+    # within the cap, the drop flow evaluates f once
     report = verify_scenario(dataclasses.replace(sc, cap=None))
-    assert calls == ["values", "drop_infimum_family"]
+    assert calls == ["values"]
     assert report.summary["derived"]["drop_family"] == "infimum"
 
 

@@ -10,7 +10,7 @@ import pytest
 from hamconc import bounds, functionals
 from hamconc import verify as verify_module
 from hamconc._util import fmt_float
-from hamconc.functionals import Functional, drop_infimum_family
+from hamconc.functionals import Functional
 from hamconc.hamming import AlphaWeights, normalize
 from hamconc.scenario_io import scenario_from_dict
 from hamconc.space import Distribution, FiniteSpace, SetSpec
@@ -504,39 +504,11 @@ def test_functional_flows_evaluate_each_point_once(target_cls, flow):
 
 def test_an_infimum_family_target_is_not_evaluated_again():
     fn = _Counting()
-    f = drop_infimum_family(Functional(fn), COUNT_SPACE)
-    assert fn.calls == COUNT_SPACE.size
+    f = Functional(fn)
+    assert fn.calls == 0
     report = verify_drop_functional(_counting_scenario(MeanTarget(f)))
     assert fn.calls == COUNT_SPACE.size
     assert report.summary["derived"]["drop_family"] == "infimum"
-    assert report.all_pass
-
-
-def test_a_supplied_family_is_tabulated_once():
-    # entry i, a plain callable, is called once per point of the space
-    # without coordinate i, though both drop certificates and the
-    # self-bounding certificate read it
-    family = [_Counting() for _ in range(COUNT_SPACE.n)]
-    f = Functional(_Counting(), drop_family=family, self_bounding_params=(1.0, 1.0))
-    report = verify_drop_functional(_counting_scenario(MeanTarget(f)))
-    assert sum(fi.calls for fi in family) == COUNT_SPACE.n * COUNT_SPACE.size // 2 == 192
-    assert report.scenario["target"]["functional"]["drop"] == "custom"
-    assert report.summary["derived"]["certificates"]["self_bounding"] is True
-    assert report.all_pass
-
-
-def test_the_drop_gap_arrays_are_built_once(monkeypatch):
-    # both drop certificates and the self-bounding one read one set of gaps
-    calls = []
-    for module in (verify_module, functionals):
-        build = module._drop_gap_arrays
-        monkeypatch.setattr(
-            module, "_drop_gap_arrays", lambda *a, build=build: calls.append(a) or build(*a)
-        )
-    f = Functional(_Counting(), self_bounding_params=(1.0, 0.0))
-    report = verify_drop_functional(_counting_scenario(MeanTarget(f)))
-    assert len(calls) == 1
-    assert report.summary["derived"]["certificates"]["self_bounding"] is True
     assert report.all_pass
 
 
@@ -787,9 +759,27 @@ def test_random_scenario_structure():
 
 def test_a_mean_target_is_fingerprinted_with_the_family_its_verify_uses():
     for sc in (random_scenario(0, "drop"), _functional_scenario(MeanTarget)):
-        assert sc.target.functional.drop_family is None
         assert scenario_to_dict(sc)["target"]["functional"]["drop"] == "infimum"
         assert verify_scenario(sc).fingerprint == scenario_fingerprint(sc)
+
+
+def test_the_canonical_form_checks_the_cap_before_it_tabulates(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the functional was tabulated")
+
+    monkeypatch.setattr(functionals._WeightedSum, "values", refuse)
+    n = 22
+    space = FiniteSpace((2,) * n)
+    sc = Scenario(
+        space=space,
+        dist=Distribution.uniform(space),
+        alpha=normalize((1.0,) * n),
+        target=MeanTarget(Functional.weighted_sum((n**-0.5,) * n)),
+        cap=1000,
+    )
+    for form in (scenario_fingerprint, scenario_to_dict):
+        with pytest.raises(ValueError, match="outcome count 4194304 exceeds enumeration cap 1000"):
+            form(sc)
 
 
 def test_sweep_reduces_deterministically():
