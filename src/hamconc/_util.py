@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from itertools import chain
 from json.encoder import encode_basestring_ascii as quote
 
 import numpy as np
 
-__all__ = ["exact_sum", "exact_layers", "frozen", "fmt_float", "dumps", "quote"]
+__all__ = ["exact_sum", "exact_layers", "frozen", "fmt_float", "fmt_floats", "dumps", "quote"]
 
 # Below this many terms math.fsum of a list is faster than the layered split.
 _FSUM_BELOW = 512
@@ -86,6 +87,16 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g") if x else "0"
 
 
+def fmt_floats(xs) -> str:
+    """``",".join(map(fmt_float, xs))`` in one %-fill, ``xs`` a list or dict of numbers.
+
+    "+ 0.0" writes -0.0 as 0.  Only "inf" and "nan" hold an "n": with a
+    non-finite entry, the join raises for the first one.
+    """
+    text = ",".join(["%.17g"] * len(xs)) % tuple([x + 0.0 for x in xs])
+    return ",".join(map(fmt_float, xs)) if "n" in text else text
+
+
 def _encode(obj, sort_keys: bool) -> str:
     t = type(obj)
     if t is float:
@@ -96,9 +107,12 @@ def _encode(obj, sort_keys: bool) -> str:
         # Tables, pmfs, grids and member lists hold one scalar type.
         kinds = set(map(type, obj))
         if kinds <= {float}:
-            return "[" + ",".join(map(fmt_float, obj)) + "]"
+            return "[" + fmt_floats(obj) + "]"
         if kinds == {int}:
             return "[" + ",".join(map(str, obj)) + "]"
+        if t is list and kinds == {list} and set(map(type, chain.from_iterable(obj))) <= {int}:
+            # Set members: the repr of lists of exact ints, less its spaces.
+            return repr(obj).replace(" ", "")
         return "[" + ",".join([_encode(item, sort_keys) for item in obj]) + "]"
     if t is dict:
         return _encode_dict(obj, sort_keys)

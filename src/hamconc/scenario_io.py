@@ -169,14 +169,14 @@ def _alpha_from(data: dict) -> AlphaWeights:
     return a
 
 
-def _checked_members(raw: list, where: str, space: FiniteSpace) -> list:
-    """The member symbol lists, checked in bulk as one (|A|, n) int array.
+def _checked_members(raw: list, where: str, space: FiniteSpace) -> np.ndarray:
+    """The members as one (|A|, n) int64 array, checked in bulk.
 
     Only when the bulk check fails are the members walked one by one, to
     name the first offending entry.
     """
     sizes, n = space.alphabet_sizes, space.n
-    if all(type(m) is list and len(m) == n for m in raw) and set(
+    if set(map(type, raw)) == {list} and set(map(len, raw)) == {n} and set(
         map(type, itertools.chain.from_iterable(raw))
     ) == {int}:
         try:
@@ -185,7 +185,7 @@ def _checked_members(raw: list, where: str, space: FiniteSpace) -> list:
             pass
         else:
             if ((symbols >= 0) & (symbols < sizes)).all():
-                return raw
+                return symbols
     for i, m in enumerate(raw):
         row = _as_list(m, f"{where}.members[{i}]")
         syms = [_as_int(s, f"{where}.members[{i}][{j}]") for j, s in enumerate(row)]
@@ -200,7 +200,7 @@ def _checked_members(raw: list, where: str, space: FiniteSpace) -> list:
                     f"{where}.members[{i}][{j}] must be in "
                     f"[0, {sizes[j] - 1}], got {s}"
                 )
-    return raw
+    return np.array(raw, dtype=np.int64)  # subclasses of list or int pass the walk
 
 
 def _set_from(v: Any, where: str, space: FiniteSpace) -> SetSpec:

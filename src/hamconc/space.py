@@ -147,8 +147,11 @@ class Distribution:
     kind: str
     pmfs: tuple[tuple[float, ...], ...] | None = None
     joint_table: tuple[float, ...] | None = None
+    # joint_table as a read-only float64 array, for law_arrays and the sampler
+    _joint: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        joint = None
         if self.kind == "product":
             if self.pmfs is None or self.joint_table is not None:
                 raise ValueError("product distribution takes pmfs only")
@@ -168,8 +171,11 @@ class Distribution:
                 raise ValueError("joint table is empty")
             _check_pmf(table, "joint table")
             object.__setattr__(self, "joint_table", table)
+            joint = np.array(table, dtype=np.float64)
+            joint.setflags(write=False)
         else:
             raise ValueError(f"distribution kind must be product or joint, got {self.kind!r}")
+        object.__setattr__(self, "_joint", joint)
 
     @classmethod
     def product(cls, pmfs: Iterable[Iterable[float]]) -> "Distribution":
@@ -216,6 +222,17 @@ class Distribution:
         return self.joint_table[space.rank(point)]
 
 
+def _unique_rows(a: np.ndarray) -> np.ndarray:
+    """The distinct rows of an int64 member array, sorted; no rows give (0, 0)."""
+    if not len(a):
+        return np.empty((0, 0), dtype=np.int64)
+    if a.shape[1]:
+        a = a[np.lexsort(a.T[::-1])]
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = (a[1:] != a[:-1]).any(axis=1)
+    return a[keep]
+
+
 @dataclass(frozen=True, eq=False)
 class SetSpec:
     """An explicit subset A of a finite product space.
@@ -230,14 +247,18 @@ class SetSpec:
     symbols: np.ndarray
 
     def __post_init__(self) -> None:
-        keys = sorted(set(map(tuple, self.symbols)))
-        if len(set(map(len, keys))) > 1:
-            raise ValueError("explicit set members must share one dimension")
-        shape = (len(keys), len(keys[0]) if keys else 0)
-        try:
-            symbols = np.array(keys, dtype=np.int64).reshape(shape)
-        except OverflowError:  # such symbols lie outside every space
-            symbols = np.array(keys, dtype=object).reshape(shape)
+        symbols = self.symbols
+        if not isinstance(symbols, np.ndarray) or symbols.dtype != np.int64 or symbols.ndim != 2:
+            rows = symbols.tolist() if isinstance(symbols, np.ndarray) else list(symbols)
+            if len(set(map(len, rows))) > 1:
+                raise ValueError("explicit set members must share one dimension")
+            try:
+                symbols = np.array(rows, dtype=np.int64)
+            except OverflowError:  # such symbols lie outside every space
+                keys = sorted(set(map(tuple, rows)))
+                symbols = np.array(keys, dtype=object).reshape(len(keys), len(keys[0]))
+        if symbols.dtype == np.int64:
+            symbols = _unique_rows(symbols)
         if (symbols < 0).any():
             raise ValueError(f"symbols are nonnegative indices, got {symbols[symbols < 0][0]}")
         symbols.setflags(write=False)
@@ -311,7 +332,8 @@ def law_arrays(
 
     ``coords`` is the ``np.ix_`` open mesh of ``arange(s_i)``, the form
     :meth:`~hamconc.functionals.Functional.values` takes for the whole
-    space; the probabilities are in rank order.  A product law is the
+    space; the probabilities are in rank order, and a joint law's are its
+    read-only table.  A product law is the
     product ``pmf_0[c_0] * pmf_1[c_1] * ...`` over the mesh, built as
     flat outer products that multiply in coordinate order, so each
     probability is bit-identical to :meth:`Distribution.probability`.
@@ -332,8 +354,8 @@ def law_arrays(
         for pmf in dist.pmfs:
             probs = np.multiply.outer(probs, pmf).ravel()
         return coords, probs
-    assert dist.joint_table is not None
-    return coords, np.asarray(dist.joint_table, dtype=np.float64)
+    assert dist._joint is not None
+    return coords, dist._joint
 
 
 # Alphabets up to this size map a uniform draw to its symbol by counting
@@ -384,8 +406,8 @@ def _sample_ranks(
             ranks *= cum.size
             ranks += _symbol_index(cum, rng.random(count))
         return ranks
-    assert dist.joint_table is not None
-    cum = np.cumsum(np.asarray(dist.joint_table, dtype=np.float64))
+    assert dist._joint is not None
+    cum = np.cumsum(dist._joint)
     ranks = np.searchsorted(cum, rng.random(count), side="right")
     return np.minimum(ranks, space.size - 1).astype(np.int64, copy=False)
 

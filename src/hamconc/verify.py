@@ -18,12 +18,13 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from typing import ClassVar, Iterable, Union
+from itertools import chain
+from typing import ClassVar, Iterable, Iterator, NamedTuple, Union
 
 import numpy as np
 
 from . import bounds
-from ._util import dumps, exact_sum, fmt_float, quote
+from ._util import dumps, exact_sum, fmt_float, fmt_floats, quote
 from .bounds import BoundId
 from .estimators import FunctionalLaw, exact_functional_stats, exact_set_stats, mgf_from_law
 from .functionals import (
@@ -185,9 +186,8 @@ def default_t_grid(alpha: AlphaWeights, extras: Iterable[float] = ()) -> tuple:
     return tuple(sorted(vals))
 
 
-@dataclass(frozen=True)
-class BoundRow:
-    """One evaluated inequality: exact lhs against one bound at one point."""
+class BoundRow(NamedTuple):
+    """One evaluated inequality, a named tuple: exact lhs against one bound at one point."""
 
     target_kind: str
     bound_id: str
@@ -216,29 +216,6 @@ class BoundRow:
             "vacuous": self.vacuous,
         }
 
-    def _cells(self, num, text, null: str) -> tuple[str, ...]:
-        """The values of :meth:`to_dict` as text, in CSV_COLUMNS order.
-
-        Floats go through ``num`` (a :class:`_FloatText` lookup), strings
-        through ``text``, absent values become ``null`` and flags are
-        written as in JSON: ``(num, quote, "null")`` gives the JSON values,
-        ``(num, str, "")`` the CSV cells.
-        """
-        m, tail, t, lam = self.median_used, self.tail, self.t, self.lam
-        return (
-            text(self.target_kind),
-            null if m is None else num(m),
-            null if tail is None else text(tail),
-            null if t is None else num(t),
-            null if lam is None else num(lam),
-            num(self.lhs),
-            text(self.bound_id),
-            num(self.bound),
-            num(self.slack),
-            _FLAGS[self.passed],
-            _FLAGS[self.vacuous],
-        )
-
 
 CSV_COLUMNS = (
     "target_kind",
@@ -254,24 +231,42 @@ CSV_COLUMNS = (
     "vacuous",
 )
 
+# The BoundRow field behind each of CSV_COLUMNS, and the fields of each kind.
+_COLUMN_FIELDS = tuple({"lambda": "lam", "pass": "passed"}.get(c, c) for c in CSV_COLUMNS)
+_NUM_FIELDS = ("median_used", "t", "lam", "lhs", "bound", "slack")
+_TEXT_FIELDS = ("target_kind", "tail", "bound_id")
 # One row as a JSON object: the keys of BoundRow.to_dict, in CSV_COLUMNS order.
 _ROW_JSON = "{" + ",".join(quote(c) + ":%s" for c in CSV_COLUMNS) + "}"
 _REPORT_JSON = (
     '{"fingerprint":%s,"rng":%s,"scenario":%s,"rows":[%s],"summary":%s,"notes":%s}'
 )
 _FLAGS = ("false", "true")
+_BOUND_TEXT = {b: b.value for b in BoundId}
 
 
-class _FloatText(dict):
-    """fmt_float with a memo, kept for one report.
-
-    A report's rows repeat their t values, medians, lhs values and many
-    bounds: about one float in three is distinct.
-    """
-
-    def __missing__(self, x: float) -> str:
-        text = self[x] = fmt_float(x)
-        return text
+def _row_cells(rows: tuple[BoundRow, ...], text, null: str) -> Iterator[tuple[str, ...]]:
+    """Each row's cells as text, in CSV_COLUMNS order, read column by column
+    through one memo of the distinct values (about one float in three).
+    Strings go through ``text``, None is ``null`` and flags are as in JSON:
+    ``(quote, "null")`` gives the JSON cells, ``(str, "")`` the CSV cells."""
+    fields = dict(zip(BoundRow._fields, zip(*rows))) or dict.fromkeys(BoundRow._fields, ())
+    nums = dict.fromkeys(chain.from_iterable(map(fields.get, _NUM_FIELDS)))
+    texts = dict.fromkeys(chain.from_iterable(map(fields.get, _TEXT_FIELDS)))
+    nums.pop(None, None)
+    texts.pop(None, None)
+    try:
+        memo = dict(zip(nums, fmt_floats(nums).split(",")))
+        memo.update(zip(texts, map(text, texts)))
+    except (TypeError, ValueError):
+        # A non-finite number or one of another type: name the first in row order.
+        for r in rows:
+            for x in map(r._asdict().get, _NUM_FIELDS):
+                if x is not None:
+                    fmt_float(x)
+        raise
+    memo[None] = null
+    lookups = [_FLAGS if f in ("passed", "vacuous") else memo for f in _COLUMN_FIELDS]
+    return zip(*[map(d.__getitem__, fields[f]) for d, f in zip(lookups, _COLUMN_FIELDS)])
 
 
 def _row(
@@ -290,17 +285,8 @@ def _row(
     bound = float(bound)
     slack = bound - lhs
     return BoundRow(
-        target_kind=target_kind,
-        bound_id=bound_id.value,
-        lhs=lhs,
-        bound=bound,
-        slack=slack,
-        passed=slack >= -PASS_TOL,
-        vacuous=bool(probability and bound > 1.0),
-        median_used=median_used,
-        tail=tail,
-        t=t,
-        lam=lam,
+        target_kind, _BOUND_TEXT[bound_id], lhs, bound, slack, slack >= -PASS_TOL,
+        bool(probability and bound > 1.0), median_used, tail, t, lam,
     )
 
 
@@ -331,8 +317,7 @@ class BoundReport:
         return tuple(r for r in self.rows if not r.passed)
 
     def to_json(self) -> str:
-        num = _FloatText().__getitem__
-        rows = ",".join([_ROW_JSON % r._cells(num, quote, "null") for r in self.rows])
+        rows = ",".join(map(_ROW_JSON.__mod__, _row_cells(self.rows, quote, "null")))
         return _REPORT_JSON % (
             dumps(self.fingerprint),
             dumps(self.rng),
@@ -343,9 +328,7 @@ class BoundReport:
         )
 
     def to_csv(self) -> str:
-        num = _FloatText().__getitem__
-        lines = [",".join(CSV_COLUMNS)]
-        lines += [",".join(r._cells(num, str, "")) for r in self.rows]
+        lines = [",".join(CSV_COLUMNS), *map(",".join, _row_cells(self.rows, str, ""))]
         return "\r\n".join(lines) + "\r\n"
 
 
@@ -355,11 +338,12 @@ def _summary(rows: list[BoundRow], derived: dict) -> dict:
         cur = worst.get(r.bound_id)
         if cur is None or r.slack < cur:
             worst[r.bound_id] = r.slack
+    failures = [r.passed for r in rows].count(False)
     return {
         "rows": len(rows),
-        "failures": sum(1 for r in rows if not r.passed),
-        "vacuous_rows": sum(1 for r in rows if r.vacuous),
-        "all_pass": all(r.passed for r in rows),
+        "failures": failures,
+        "vacuous_rows": [r.vacuous for r in rows].count(True),
+        "all_pass": not failures,
         "worst_slack": dict(sorted(worst.items())),
         "derived": derived,
     }
@@ -864,7 +848,7 @@ def random_scenario(
     if kind == "set":
         count = int(rng.integers(1, space.size))
         ranks = rng.choice(space.size, size=count, replace=False)
-        members = np.stack(np.unravel_index(ranks, sizes), axis=1).tolist()
+        members = np.stack(np.unravel_index(ranks, sizes), axis=1).astype(np.int64, copy=False)
         target: Target = SetTarget(SetSpec(members))
     else:
         f = Functional.from_table(space, _random_lipschitz_table(rng, space, alpha))

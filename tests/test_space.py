@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hamconc.estimators import mc_tail
 from hamconc.functionals import Functional
 from hamconc.hamming import Point
 from hamconc.space import (
@@ -135,6 +136,34 @@ def test_set_spec_rejects_negative_and_ragged_members():
         SetSpec.from_points([(0, 0), (1,)])
 
 
+def test_set_spec_array_and_list_inputs_give_identical_symbols():
+    rng = np.random.default_rng(5)
+    rows = rng.integers(0, 3, (200, 6))
+    rows = np.concatenate([rows, rows[::7], rows[:1]])[rng.permutation(230)]
+    from_array = SetSpec(rows)
+    from_list = SetSpec(rows.tolist())
+    from_points = SetSpec.from_points(Point(tuple(r)) for r in rows.tolist())
+    expected = sorted(set(map(tuple, rows.tolist())))
+    for spec in (from_array, from_list, from_points):
+        assert spec.symbols.dtype == np.int64
+        assert spec.symbols.tobytes() == np.array(expected, dtype=np.int64).tobytes()
+        assert spec.symbols.shape == (len(expected), 6)
+        assert not spec.symbols.flags.writeable
+        assert spec == from_array
+        assert hash(spec) == hash(from_array)
+    # The caller's array is neither reordered nor frozen.
+    assert rows.flags.writeable
+    assert from_array.symbols is not rows
+    with pytest.raises(ValueError, match=r"^symbols are nonnegative indices, got -2$"):
+        SetSpec(np.array([[3, 1], [0, -2], [1, -5]]))
+    with pytest.raises(ValueError, match="share one dimension"):
+        SetSpec([np.array([0, 0]), np.array([1, 0, 1])])
+    huge = SetSpec([[2**70, 0], [0, 0], [2**70, 0]])
+    assert huge.symbols.tolist() == [[0, 0], [2**70, 0]]
+    with pytest.raises(ValueError, match=r"^point \(1180591620717411303424, 0\) is not"):
+        huge.member_symbols(FiniteSpace((2, 2)))
+
+
 def test_set_spec_outside_the_space_names_its_first_bad_member():
     spec = SetSpec.from_points([(0, 0), (0, 3), (1, 4)])
     small, large = FiniteSpace((2, 3)), FiniteSpace((2, 5))
@@ -217,6 +246,25 @@ def test_law_arrays_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+def test_a_joint_law_converts_its_table_once():
+    space = FiniteSpace((2,) * 10 + (3,))
+    table = np.random.default_rng(20).uniform(0.1, 1.0, space.size)
+    dist = Distribution.joint((table / table.sum()).tolist())
+    probs = law_arrays(space, dist)[1]
+    assert probs.tobytes() == np.array(dist.joint_table, dtype=np.float64).tobytes()
+    assert not probs.flags.writeable
+    assert law_arrays(space, dist)[1] is probs
+    same = Distribution.joint(dist.joint_table)
+    assert same == dist and hash(same) == hash(dist)
+    assert repr(Distribution.joint((0.25, 0.75))) == (
+        "Distribution(kind='joint', pmfs=None, joint_table=(0.25, 0.75))"
+    )
+    # The estimate the sampler gave before the table was kept as an array.
+    f = Functional.weighted_sum([0.3] * 10 + [0.5])
+    est = mc_tail(space, dist, f, 2.0, n_samples=50_000, seed=9)
+    assert est.estimate == float.fromhex("0x1.15ef1fddebd90p-1")
 
 
 def test_enumeration_cap_guards_sweeps():

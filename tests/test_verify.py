@@ -4,18 +4,21 @@ import hashlib
 import json
 import math
 import struct
+from pathlib import Path
 
 import pytest
 
 from hamconc import bounds, functionals
 from hamconc import verify as verify_module
 from hamconc._util import fmt_float
+from hamconc.cli import _describe_row
 from hamconc.functionals import Functional
 from hamconc.hamming import AlphaWeights, normalize
-from hamconc.scenario_io import scenario_from_dict
+from hamconc.scenario_io import load_scenario, scenario_from_dict
 from hamconc.space import Distribution, FiniteSpace, SetSpec
 from hamconc.verify import (
     CSV_COLUMNS,
+    BoundRow,
     DEFAULT_LAMBDA_GRID,
     GENERATOR_KINDS,
     GapTarget,
@@ -36,6 +39,7 @@ from hamconc.verify import (
 )
 
 SQRT_HALF = 0.7071067811865475
+CORRELATED = Path(__file__).resolve().parent.parent / "scenarios" / "correlated_pair.json"
 
 ALPHA_3 = normalize((1.0, 1.0, 1.0))
 C3 = ALPHA_3.weights[0]
@@ -585,6 +589,68 @@ def test_report_csv_layout():
     assert first[9] == "true"
     membership = lines[-2].split(",")
     assert membership[3] == "" and membership[4] == ""  # no t, no lambda
+
+
+def test_bound_row_is_an_immutable_named_tuple():
+    positional = BoundRow(
+        "median", "median-improved", 0.5, 0.25, -0.25, False, False, 0.5, "upper", 0.1
+    )
+    keyword = BoundRow(
+        target_kind="median",
+        bound_id="median-improved",
+        lhs=0.5,
+        bound=0.25,
+        slack=-0.25,
+        passed=False,
+        vacuous=False,
+        median_used=0.5,
+        tail="upper",
+        t=0.1,
+    )
+    assert positional == keyword
+    assert isinstance(positional, tuple) and len(positional) == 11
+    assert BoundRow._fields == (
+        "target_kind",
+        "bound_id",
+        "lhs",
+        "bound",
+        "slack",
+        "passed",
+        "vacuous",
+        "median_used",
+        "tail",
+        "t",
+        "lam",
+    )
+    bare = BoundRow("set", "mcd-set", 0.125, 0.5, 0.375, True, False)
+    assert (bare.median_used, bare.tail, bare.t, bare.lam) == (None, None, None, None)
+    assert list(bare.to_dict()) == list(CSV_COLUMNS)
+    assert positional.to_dict() == {
+        "target_kind": "median",
+        "median_used": 0.5,
+        "tail": "upper",
+        "t": 0.1,
+        "lambda": None,
+        "lhs": 0.5,
+        "bound_id": "median-improved",
+        "bound": 0.25,
+        "slack": -0.25,
+        "pass": False,
+        "vacuous": False,
+    }
+    with pytest.raises(AttributeError):
+        positional.lhs = 1.0
+    assert _describe_row(positional) == (
+        "median-improved [m=0.5, upper, t=0.10000000000000001]: "
+        "lhs 0.5 > bound 0.25 (slack -0.25)"
+    )
+    mgf = BoundRow("mean", "mgf", 1.25, 1.0, -0.25, False, False, lam=0.5)
+    assert _describe_row(mgf) == "mgf [lambda=0.5]: lhs 1.25 > bound 1 (slack -0.25)"
+    failing = verify_scenario(load_scenario(CORRELATED)).failing_rows()[0]
+    assert _describe_row(failing) == (
+        "drop-mean-tail [upper, t=0.67666911614748526]: lhs 0.5 > "
+        "bound 0.40021147443350674 (slack -0.099788525566493258)"
+    )
 
 
 def test_report_json_and_csv_carry_identical_numbers():

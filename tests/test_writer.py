@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 
 import reference_writer as ref
 from hamconc._util import dumps, fmt_float
+from hamconc.hamming import normalize
 from hamconc.scenario_io import load_scenario
+from hamconc.space import Distribution, FiniteSpace, SetSpec
 from hamconc.verify import (
     CSV_COLUMNS,
     GENERATOR_KINDS,
     BoundReport,
     BoundRow,
+    Scenario,
+    SetTarget,
     random_scenario,
     verify_scenario,
 )
@@ -165,3 +169,96 @@ def test_rows_with_every_optional_field_match_the_reference_writer():
     assert report.to_csv().split("\r\n")[1:-1] == [
         ",".join(ref.csv_cell(row[c]) for c in CSV_COLUMNS) for row in payload["rows"]
     ]
+
+
+# Benchmark scale: a set report writes up to 2048 members of 12 symbols,
+# and a functional table thousands of floats.  The whole-list paths must
+# give the walk's bytes there, and the walk's error where an entry is bad.
+_BIG_EDGES = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308]
+
+
+def _outcome(writer, obj):
+    try:
+        return writer(obj)
+    except (TypeError, ValueError) as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("size", [64, 512, 4096])
+def test_large_float_lists_match_the_reference_writer(size):
+    rng = np.random.default_rng(size)
+    base = (rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300, size)).tolist()
+    for x in _BIG_EDGES:
+        base[int(rng.integers(size))] = x
+    cases = [base, tuple(base)]
+    mixed = list(base)
+    mixed[int(rng.integers(size))] = np.float64(0.25)
+    cases.append(mixed)
+    for bad in (math.nan, math.inf, -math.inf):
+        for _ in range(3):
+            spoiled = list(base)
+            for pos in rng.choice(size, size=int(rng.integers(1, 4)), replace=False):
+                spoiled[int(pos)] = bad if rng.random() < 0.7 else -bad
+            cases.append(spoiled)
+    both = list(base)
+    both[int(rng.integers(size // 2, size))] = math.nan
+    both[int(rng.integers(size // 2))] = math.inf
+    cases.append(both)
+    for obj in cases:
+        for sort_keys in (False, True):
+            got = _outcome(lambda o: dumps({"v": o}, sort_keys=sort_keys), obj)
+            want = _outcome(lambda o: ref.dumps({"v": o}, sort_keys=sort_keys), obj)
+            assert got == want
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (64, 3), (2048, 12)])
+def test_member_lists_match_the_reference_writer(shape):
+    rng = np.random.default_rng(shape[0])
+    members = rng.integers(0, 4, shape).tolist()
+    assert dumps(members) == ref.dumps(members)
+    for planted in (True, False, 1.0, np.int64(1), 2**70, -3, None, "1"):
+        i, j = int(rng.integers(shape[0])), int(rng.integers(shape[1]))
+        spoiled = [list(m) for m in members]
+        spoiled[i][j] = planted
+        assert _outcome(dumps, spoiled) == _outcome(ref.dumps, spoiled)
+    ragged = [list(m) for m in members] + [[], [0] * (shape[1] + 1)]
+    assert dumps(ragged) == ref.dumps(ragged)
+    as_tuples = [tuple(m) for m in members]
+    assert dumps(as_tuples) == ref.dumps(as_tuples)
+    assert dumps(tuple(members)) == ref.dumps(tuple(members))
+    assert dumps([members, members]) == ref.dumps([members, members])
+
+
+def test_a_report_with_2048_members_matches_the_reference_writer():
+    sizes = (2,) * 12
+    space = FiniteSpace(sizes)
+    rng = np.random.default_rng(12)
+    ranks = rng.choice(space.size, size=2048, replace=False)
+    members = np.stack(np.unravel_index(ranks, sizes), axis=1)
+    pmfs = [(p, 1.0 - p) for p in rng.uniform(0.2, 0.8, len(sizes)).tolist()]
+    scenario = Scenario(
+        space=space,
+        dist=Distribution.product(pmfs),
+        alpha=normalize(rng.uniform(0.1, 1.0, len(sizes)).tolist()),
+        target=SetTarget(SetSpec(members)),
+    )
+    report = verify_scenario(scenario)
+    assert len(report.scenario["target"]["set"]["members"]) == 2048
+    _check_report(report)
+
+
+def test_a_non_finite_row_value_is_named_in_row_order():
+    # The first bad value in row order is an inf bound; a later row's lhs,
+    # in an earlier column, is nan.
+    rows = (
+        BoundRow("mean", "mgf", 0.5, 1.0, 0.5, True, False, lam=0.0),
+        BoundRow("mean", "mgf", 0.5, math.inf, math.inf, True, False, lam=80.0),
+        BoundRow("mean", "mgf", math.nan, math.inf, math.nan, False, False, lam=2000.0),
+    )
+    report = BoundReport("ab", "rng", {"seed": 0}, rows, {"rows": 3}, ())
+    payload = ref.report_payload(report)
+    expected = _outcome(ref.dumps, payload)
+    assert expected == (ValueError, "cannot serialize non-finite value inf")
+    assert _outcome(lambda _: report.to_json(), None) == expected
+    csv_rows = lambda _: [ref.csv_cell(row[c]) for row in payload["rows"] for c in CSV_COLUMNS]
+    assert _outcome(lambda _: report.to_csv(), None) == _outcome(csv_rows, None) == expected
