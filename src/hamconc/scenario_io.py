@@ -13,19 +13,23 @@ Schema (one object per file)::
                               {"type": "table", "values": [...]}
                               | {"type": "weighted_sum", "coefficients": [...]}
                               | {"type": "distance_to_set", "set": {"members": [...]}},
+                              each with an optional "table_sha256": "<hex>",
                           "params": [a, b]},
       "grids":        {"t": [...], "lambda": [...]},
       "seed":         0,
       "caps":         {"enumeration": 1000000}
     }
 
-"grids", "seed", "caps", and "params" are optional; "params" is only
-meaningful for mean targets and switches on the self-bounding rows.
-Weights must satisfy ||alpha|| = 1 unless "normalize" is true.  A
-mean target needs no drop family: the drop flow certifies the infimum
-family from f's table after its cap check.  Only a "distance_to_set"
-functional is tabulated here, once the space is within the cap.  Malformed files raise ScenarioFileError naming the
-offending key; the command-line driver maps that to exit code 2.
+A report's "scenario" block is such a file.  "grids", "seed", "caps",
+"params" and "table_sha256" are optional; "params" is only valid for
+mean targets and switches on the self-bounding rows.  Weights must
+satisfy ||alpha|| = 1 unless "normalize" is true.  Only a functional
+that is a "distance_to_set" or gives "table_sha256" is tabulated here,
+once the space is within the cap; the digest must then match f's table
+(:func:`hamconc.verify._sha256`).  Each object may hold only the keys
+its place allows (``_KEYS``), so an unknown key at any level is
+refused.  Malformed files raise ScenarioFileError naming the offending
+key; the command-line driver maps that to exit code 2.
 """
 
 from __future__ import annotations
@@ -37,10 +41,10 @@ from typing import Any
 
 import numpy as np
 
-from .functionals import Functional
+from .functionals import Functional, _tabulate
 from .hamming import AlphaWeights, normalize
 from .space import Distribution, FiniteSpace, SetSpec, _check_cap
-from .verify import GapTarget, MeanTarget, MedianTarget, Scenario, SetTarget, Target
+from .verify import GapTarget, MeanTarget, MedianTarget, Scenario, SetTarget, Target, _sha256
 
 __all__ = ["ScenarioFileError", "scenario_from_dict", "load_scenario"]
 
@@ -49,7 +53,19 @@ class ScenarioFileError(ValueError):
     """Malformed scenario file; the message names the offending key."""
 
 
-_TOP_KEYS = {"space", "distribution", "alpha", "target", "grids", "seed", "caps"}
+# The keys each object may hold, by where it sits in the file.
+_KEYS = {
+    "": {"space", "distribution", "alpha", "target", "grids", "seed", "caps"},
+    "space": {"alphabet_sizes"},
+    "distribution": {"kind", "pmfs", "joint_table"},
+    "alpha": {"weights", "normalize"},
+    "target": {"kind", "set", "functional", "params"},
+    "target.set": {"members"},
+    "target.functional": {"type", "values", "coefficients", "set", "table_sha256"},
+    "target.functional.set": {"members"},
+    "grids": {"t", "lambda"},
+    "caps": {"enumeration"},
+}
 
 
 def _require(data: dict, key: str, where: str) -> Any:
@@ -60,8 +76,14 @@ def _require(data: dict, key: str, where: str) -> Any:
 
 
 def _as_dict(v: Any, where: str) -> dict:
+    """v as the object at ``where``, holding only the keys ``_KEYS`` allows there."""
     if not isinstance(v, dict):
-        raise ScenarioFileError(f"{where} must be an object")
+        raise ScenarioFileError(
+            f"{where} must be an object" if where else "scenario file must hold a JSON object"
+        )
+    unknown = set(v) - _KEYS[where]
+    if unknown:
+        raise ScenarioFileError(f"unknown key {f'{where}.{min(unknown)}'.removeprefix('.')!r}")
     return v
 
 
@@ -125,34 +147,24 @@ def _distribution_from(data: dict, space: FiniteSpace) -> Distribution:
     d = _as_dict(_require(data, "distribution", ""), "distribution")
     kind = _require(d, "kind", "distribution")
     if kind == "product":
-        raw = _as_list(_require(d, "pmfs", "distribution"), "distribution.pmfs")
-        pmfs = [_number_list(p, f"distribution.pmfs[{i}]") for i, p in enumerate(raw)]
-        try:
-            dist = Distribution.product(tuple(tuple(p) for p in pmfs))
-            dist.require_matches(space)
-        except ValueError as e:
-            raise ScenarioFileError(f"distribution.pmfs: {e}") from None
-        return dist
-    if kind == "joint":
-        table = _number_list(
-            _require(d, "joint_table", "distribution"), "distribution.joint_table"
-        )
-        try:
-            dist = Distribution.joint(tuple(table))
-            dist.require_matches(space)
-        except ValueError as e:
-            raise ScenarioFileError(f"distribution.joint_table: {e}") from None
-        return dist
-    raise ScenarioFileError(
-        f'distribution.kind must be "product" or "joint", got {kind!r}'
-    )
+        key, make = "pmfs", Distribution.product
+        raw = _as_list(_require(d, key, "distribution"), "distribution.pmfs")
+        arg = tuple(tuple(_number_list(p, f"distribution.pmfs[{i}]")) for i, p in enumerate(raw))
+    elif kind == "joint":
+        key, make = "joint_table", Distribution.joint
+        arg = tuple(_number_list(_require(d, key, "distribution"), "distribution.joint_table"))
+    else:
+        raise ScenarioFileError(f'distribution.kind must be "product" or "joint", got {kind!r}')
+    try:
+        dist = make(arg)
+        dist.require_matches(space)
+    except ValueError as e:
+        raise ScenarioFileError(f"distribution.{key}: {e}") from None
+    return dist
 
 
 def _alpha_from(data: dict) -> AlphaWeights:
     d = _as_dict(_require(data, "alpha", ""), "alpha")
-    extra = set(d) - {"weights", "normalize"}
-    if extra:
-        raise ScenarioFileError(f"unknown key alpha.{sorted(extra)[0]}")
     weights = _number_list(_require(d, "weights", "alpha"), "alpha.weights")
     do_norm = _as_bool(d.get("normalize", False), "alpha.normalize")
     try:
@@ -222,31 +234,38 @@ def _functional_from(
     fd = _as_dict(v, where)
     ftype = _require(fd, "type", where)
     kw: dict = {} if params is None else {"self_bounding_params": params}
+    if ftype == "distance_to_set" or "table_sha256" in fd:
+        try:
+            _check_cap(space, cap)
+        except ValueError as e:
+            raise ScenarioFileError(f"{where}: {e}") from None
     if ftype == "table":
         values = _finite_list(_require(fd, "values", where), f"{where}.values")
         try:
-            return Functional.from_table(space, values, **kw)
+            f = Functional.from_table(space, values, **kw)
         except ValueError as e:
             raise ScenarioFileError(f"{where}.values: {e}") from None
-    if ftype == "weighted_sum":
+    elif ftype == "weighted_sum":
         coeffs = _finite_list(_require(fd, "coefficients", where), f"{where}.coefficients")
         if len(coeffs) != space.n:
             raise ScenarioFileError(
                 f"{where}.coefficients has {len(coeffs)} entries, "
                 f"space has {space.n} coordinates"
             )
-        return Functional.weighted_sum(coeffs, **kw)
-    if ftype == "distance_to_set":
+        f = Functional.weighted_sum(coeffs, **kw)
+    elif ftype == "distance_to_set":
         spec = _set_from(_require(fd, "set", where), f"{where}.set", space)
-        try:
-            _check_cap(space, cap)
-        except ValueError as e:
-            raise ScenarioFileError(f"{where}: {e}") from None
-        return Functional.distance_to(alpha, spec, space, **kw)
-    raise ScenarioFileError(
-        f'{where}.type must be "table", "weighted_sum", or "distance_to_set", '
-        f"got {ftype!r}"
-    )
+        f = Functional.distance_to(alpha, spec, space, **kw)
+    else:
+        raise ScenarioFileError(
+            f'{where}.type must be "table", "weighted_sum", or "distance_to_set", '
+            f"got {ftype!r}"
+        )
+    if "table_sha256" in fd:
+        digest = _sha256(_tabulate(f.evaluator, space.alphabet_sizes))
+        if fd["table_sha256"] != digest:
+            raise ScenarioFileError(f"{where}.table_sha256 is not {digest}, the sha256 of f's table")
+    return f
 
 
 def _target_from(data: dict, space: FiniteSpace, alpha: AlphaWeights, cap: int | None) -> Target:
@@ -259,18 +278,13 @@ def _target_from(data: dict, space: FiniteSpace, alpha: AlphaWeights, cap: int |
         if "params" in d:
             if kind != "mean":
                 raise ScenarioFileError('target.params is only valid for "mean" targets')
-            raw = _as_list(d["params"], "target.params")
-            if len(raw) != 2:
+            params = tuple(_finite_list(d["params"], "target.params"))
+            if len(params) != 2:
                 raise ScenarioFileError("target.params must be [a, b]")
-            a = _as_number(raw[0], "target.params[0]")
-            b = _as_number(raw[1], "target.params[1]")
-            if not math.isfinite(a) or a <= 0.0:
-                raise ScenarioFileError(f"target.params[0] (a) must be positive, got {a}")
-            if not math.isfinite(b) or b < 0.0:
-                raise ScenarioFileError(
-                    f"target.params[1] (b) must be nonnegative, got {b}"
-                )
-            params = (a, b)
+            if params[0] <= 0.0:
+                raise ScenarioFileError(f"target.params[0] (a) must be positive, got {params[0]}")
+            if params[1] < 0.0:
+                raise ScenarioFileError(f"target.params[1] (b) must be nonnegative, got {params[1]}")
         fd = _require(d, "functional", "target")
         f = _functional_from(fd, "target.functional", space, alpha, params, cap)
         return {"median": MedianTarget, "gap": GapTarget, "mean": MeanTarget}[kind](f)
@@ -296,11 +310,7 @@ def _grid_from(gd: dict, key: str, positive: bool) -> tuple | None:
 
 def scenario_from_dict(data: Any) -> Scenario:
     """Build a Scenario from already-parsed JSON data."""
-    if not isinstance(data, dict):
-        raise ScenarioFileError("scenario file must hold a JSON object")
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        raise ScenarioFileError(f"unknown key {sorted(unknown)[0]!r}")
+    _as_dict(data, "")
     space = _space_from(data)
     dist = _distribution_from(data, space)
     alpha = _alpha_from(data)
@@ -309,20 +319,13 @@ def scenario_from_dict(data: Any) -> Scenario:
             f"alpha.weights has {alpha.n} entries, space has {space.n} coordinates"
         )
     cap = None
-    if "caps" in data:
-        cd = _as_dict(data["caps"], "caps")
-        extra = set(cd) - {"enumeration"}
-        if extra:
-            raise ScenarioFileError(f"unknown key caps.{sorted(extra)[0]}")
-        if "enumeration" in cd:
-            cap = _as_int(cd["enumeration"], "caps.enumeration")
-            if cap < 1:
-                raise ScenarioFileError(f"caps.enumeration must be positive, got {cap}")
+    cd = _as_dict(data.get("caps", {}), "caps")
+    if "enumeration" in cd:
+        cap = _as_int(cd["enumeration"], "caps.enumeration")
+        if cap < 1:
+            raise ScenarioFileError(f"caps.enumeration must be positive, got {cap}")
     target = _target_from(data, space, alpha, cap)
     gd = _as_dict(data.get("grids", {}), "grids")
-    extra = set(gd) - {"t", "lambda"}
-    if extra:
-        raise ScenarioFileError(f"unknown key grids.{sorted(extra)[0]}")
     t_grid = _grid_from(gd, "t", positive=True)
     lam_grid = _grid_from(gd, "lambda", positive=False)
     seed = 0
@@ -331,16 +334,7 @@ def scenario_from_dict(data: Any) -> Scenario:
         if seed < 0:
             raise ScenarioFileError(f"seed must be nonnegative, got {seed}")
     try:
-        return Scenario(
-            space=space,
-            dist=dist,
-            alpha=alpha,
-            target=target,
-            t_grid=t_grid,
-            lambda_grid=lam_grid,
-            seed=seed,
-            cap=cap,
-        )
+        return Scenario(space, dist, alpha, target, t_grid, lam_grid, seed, cap)
     except ValueError as e:
         raise ScenarioFileError(str(e)) from None
 

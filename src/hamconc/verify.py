@@ -349,15 +349,22 @@ def _summary(rows: list[BoundRow], derived: dict) -> dict:
     }
 
 
+def _sha256(a: np.ndarray) -> str:
+    """sha256 of ``a + 0`` (so -0.0 hashes as 0.0) in C order, as
+    little-endian int64 if ``a`` holds integers, else float64."""
+    le = "<i8" if a.dtype.kind == "i" else "<f8"
+    return hashlib.sha256((a + 0).astype(le, copy=False).tobytes()).hexdigest()
+
+
 def _functional_to_dict(f: Functional, scenario: Scenario, table: np.ndarray | None) -> dict:
     """f in the form it was declared in, and ``table_sha256``.
 
     A weighted sum is written as its coefficients and a distance to a
     set under the scenario's weights as the set; any other functional
-    as its table.  ``table_sha256`` is the sha256 of f's float64 table
-    in rank order, little-endian, -0.0 hashed as 0.0.  ``table`` is f
-    over the space, when the caller has it; without it, f is tabulated
-    here, once the space is within the scenario's cap.
+    as its table.  ``table_sha256`` is :func:`_sha256` of f's table in
+    rank order.  ``table`` is f over the space, when the caller has it;
+    without it, f is tabulated here, once the space is within the
+    scenario's cap.
     """
     ev = f.evaluator
     if table is None:
@@ -370,26 +377,18 @@ def _functional_to_dict(f: Functional, scenario: Scenario, table: np.ndarray | N
         d = {"type": "distance_to_set", "set": {"members": members}}
     else:
         d = {"type": "table", "values": table.ravel().tolist()}
-    data = (table.ravel() + 0.0).astype("<f8", copy=False)
-    d["table_sha256"] = hashlib.sha256(data.tobytes()).hexdigest()
-    if scenario.target.kind == "mean":
-        d["drop"] = "infimum"
-    if f.self_bounding_params is not None:
-        d["params"] = list(f.self_bounding_params)
+    d["table_sha256"] = _sha256(table)
     return d
 
 
 def scenario_to_dict(scenario: Scenario, table: np.ndarray | None = None) -> dict:
-    """Canonical plain-data form: functionals in their declared form with
-    the digest of their values (:func:`_functional_to_dict`), weights
-    stored already normalized.  ``table`` is the functional's values,
-    the law's, when the caller already has them.  Fingerprints hash this
-    form."""
+    """Canonical plain-data form, a scenario file the loader reads back:
+    the functional declared as in :func:`_functional_to_dict`, weights
+    already normalized, ``params`` on mean targets only, ``grids`` and
+    ``caps`` only when set.  ``table`` is the functional's values, the
+    law's, when the caller already has them."""
     if scenario.dist.kind == "product":
-        dd: dict = {
-            "kind": "product",
-            "pmfs": [list(pmf) for pmf in scenario.dist.pmfs],
-        }
+        dd: dict = {"kind": "product", "pmfs": [list(pmf) for pmf in scenario.dist.pmfs]}
     else:
         dd = {"kind": "joint", "joint_table": list(scenario.dist.joint_table)}
     tgt = scenario.target
@@ -403,38 +402,43 @@ def scenario_to_dict(scenario: Scenario, table: np.ndarray | None = None) -> dic
             "kind": tgt.kind,
             "functional": _functional_to_dict(tgt.functional, scenario, table),
         }
-    return {
+        if tgt.kind == "mean" and tgt.functional.self_bounding_params is not None:
+            td["params"] = list(tgt.functional.self_bounding_params)
+    sd = {
         "space": {"alphabet_sizes": list(scenario.space.alphabet_sizes)},
         "distribution": dd,
         "alpha": {"weights": list(scenario.alpha.weights), "normalize": False},
         "target": td,
-        "t_grid": list(scenario.t_grid) if scenario.t_grid is not None else None,
-        "lambda_grid": (
-            list(scenario.lambda_grid) if scenario.lambda_grid is not None else None
-        ),
-        "seed": scenario.seed,
-        "cap": scenario.cap,
     }
+    given = {"t": scenario.t_grid, "lambda": scenario.lambda_grid}
+    if grids := {k: list(v) for k, v in given.items() if v is not None}:
+        sd["grids"] = grids
+    sd["seed"] = scenario.seed
+    if scenario.cap is not None:
+        sd["caps"] = {"enumeration": scenario.cap}
+    return sd
 
 
-def _fingerprint(scenario_dict: dict) -> str:
-    """sha256 of the canonical dict with its keys sorted and its functional
-    reduced to ``table_sha256``, ``drop`` and ``params``, so that one
-    function declared in different forms has one fingerprint."""
-    tgt = scenario_dict["target"]
-    fd = tgt.get("functional")
-    if fd is not None:
-        fd = {k: fd[k] for k in ("table_sha256", "drop", "params") if k in fd}
-        scenario_dict = {**scenario_dict, "target": {**tgt, "functional": fd}}
+def _fingerprint(scenario: Scenario, sd: dict) -> str:
+    """sha256 of ``sd``, the canonical form of ``scenario``, keys sorted,
+    with the functional reduced to its ``table_sha256`` (one function
+    declared in different forms has one fingerprint) and a set's members
+    to ``members_sha256``, the :func:`_sha256` of their array."""
+    tgt = sd["target"]
+    if "functional" in tgt:
+        tgt = {**tgt, "functional": {"table_sha256": tgt["functional"]["table_sha256"]}}
+    else:
+        members = scenario.target.set_spec.member_symbols(scenario.space)
+        tgt = {**tgt, "set": {"members_sha256": _sha256(members)}}
     return hashlib.sha256(
-        dumps(scenario_dict, sort_keys=True).encode("utf-8")
+        dumps({**sd, "target": tgt}, sort_keys=True).encode("utf-8")
     ).hexdigest()
 
 
 def scenario_fingerprint(scenario: Scenario) -> str:
-    """Hash of the canonical serialization, each functional by the digest
-    of its values; stable across runs and machines."""
-    return _fingerprint(scenario_to_dict(scenario))
+    """Hash of the canonical serialization, each table by its digest;
+    stable across runs and machines."""
+    return _fingerprint(scenario, scenario_to_dict(scenario))
 
 
 def _make_report(
@@ -446,7 +450,7 @@ def _make_report(
 ) -> BoundReport:
     sd = scenario_to_dict(scenario, table)
     return BoundReport(
-        fingerprint=_fingerprint(sd),
+        fingerprint=_fingerprint(scenario, sd),
         rng=RNG_NAME,
         scenario=sd,
         rows=tuple(rows),

@@ -80,6 +80,23 @@ def test_verify_failing_scenario_reports_rows(capsys):
     assert "mgf" in captured.err
 
 
+def test_verify_replays_a_reports_scenario_block(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert main(["verify", CORRELATED, "--out", str(report)]) == 1
+    block = json.loads(report.read_text())["scenario"]
+    path = tmp_path / "block.json"
+    path.write_text(json.dumps(block))
+    again = tmp_path / "again.json"
+    assert main(["verify", str(path), "--out", str(again)]) == 1
+    assert again.read_bytes() == report.read_bytes()
+    # a digest that does not match f's table is an input error
+    block["target"]["functional"]["table_sha256"] = "0" * 64
+    path.write_text(json.dumps(block))
+    capsys.readouterr()
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: target.functional.table_sha256 is not ")
+
+
 def test_verify_missing_file(capsys):
     assert main(["verify", "/no/such/file.json"]) == 2
     assert "cannot read" in capsys.readouterr().err

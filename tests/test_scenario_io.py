@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,13 @@ from hamconc.hamming import Point
 from hamconc.scenario_io import ScenarioFileError, load_scenario, scenario_from_dict
 from hamconc.space import FiniteSpace, SetSpec
 from hamconc.verify import (
+    GENERATOR_KINDS,
     GapTarget,
     MeanTarget,
     MedianTarget,
     SetTarget,
+    random_scenario,
+    scenario_fingerprint,
     verify_scenario,
 )
 
@@ -39,7 +43,7 @@ def test_load_bundled_scenarios():
     assert isinstance(corr.target, MeanTarget)
     assert corr.dist.kind == "joint"
     report = verify_scenario(corr)
-    assert report.scenario["target"]["functional"]["drop"] == "infimum"
+    assert "drop" not in report.scenario["target"]["functional"]
     assert report.summary["derived"]["drop_family"] == "infimum"
 
 
@@ -87,7 +91,7 @@ def test_functional_types():
     sc = scenario_from_dict(d)
     assert isinstance(sc.target, MeanTarget)
     report = verify_scenario(sc)
-    assert report.scenario["target"]["functional"]["drop"] == "infimum"
+    assert "drop" not in report.scenario["target"]["functional"]
     assert report.summary["derived"]["drop_family"] == "infimum"
 
     d["target"] = {"kind": "median", "functional": {"type": "spline"}}
@@ -227,6 +231,37 @@ def test_key_named_rejections():
 
     with pytest.raises(ScenarioFileError, match="JSON object"):
         scenario_from_dict([1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "seeds",
+        "space.x",
+        "distribution.pmf",
+        "alpha.scale",
+        "target.parms",
+        "target.set.extra",
+        "target.functional.coefs",
+        "target.functional.set.extra",
+        "grids.theta",
+        "caps.memory",
+    ],
+)
+def test_an_unknown_key_is_refused_at_every_level(path):
+    d = {**_base(), "grids": {"t": [0.5]}, "caps": {"enumeration": 100}}
+    if not path.startswith("target.set."):
+        fd = {"type": "distance_to_set", "set": {"members": [[1, 1]]}}
+        d["target"] = {"kind": "mean", "functional": fd, "params": [1.0, 0.0]}
+    *parents, key = path.split(".")
+    obj = d
+    for part in parents:
+        obj = obj[part]
+    obj[key] = 1
+    with pytest.raises(ScenarioFileError, match=f"^unknown key '{re.escape(path)}'$"):
+        scenario_from_dict(d)
+    del obj[key]
+    scenario_from_dict(d)  # the same file without the key loads
 
 
 @pytest.mark.parametrize(
@@ -397,3 +432,87 @@ def test_invalid_json_file(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ScenarioFileError, match="invalid JSON"):
         load_scenario(path)
+
+
+# -- a report's scenario block is a scenario file ---------------------------------
+
+_FUNCTIONALS = {
+    "table": {"type": "table", "values": [0.0, 0.5, 0.25, 0.75]},
+    "weighted_sum": {"type": "weighted_sum", "coefficients": [0.5, 0.25]},
+    "distance_to_set": {"type": "distance_to_set", "set": {"members": [[1, 1]]}},
+}
+
+
+def _replay_files() -> dict:
+    files = {}
+    for form, fd in _FUNCTIONALS.items():
+        for kind in ("median", "gap", "mean"):
+            files[f"{form}-{kind}"] = {**_base(), "target": {"kind": kind, "functional": fd}}
+        target = {"kind": "mean", "functional": fd, "params": [1.0, 0.0]}
+        files[f"{form}-mean-params"] = {**_base(), "target": target}
+    files["set"] = _base()
+    given = {"grids": {"t": [1.0, 0.5], "lambda": [2.0, 0.0]}, "seed": 7, "caps": {"enumeration": 4}}
+    files["set-grids-seed-caps"] = {**_base(), **given}
+    target = {"kind": "mean", "functional": _FUNCTIONALS["table"], "params": [1.0, 0.0]}
+    files["mean-grids-seed-caps"] = {**_base(), **given, "target": target}
+    files["mean-lambda-grid"] = {**_base(), "grids": {"lambda": [1.0]}, "target": target}
+    return files
+
+
+def _assert_replays(scenario) -> None:
+    """The report's scenario block loads and verifies to the same bytes."""
+    report = verify_scenario(scenario)
+    text = report.to_json()
+    loaded = scenario_from_dict(json.loads(text)["scenario"])
+    assert scenario_fingerprint(loaded) == report.fingerprint
+    assert verify_scenario(loaded).to_json() == text
+
+
+@pytest.mark.parametrize("name", sorted(_replay_files()))
+def test_a_reports_scenario_block_is_a_scenario_file(name):
+    _assert_replays(scenario_from_dict(_replay_files()[name]))
+
+
+@pytest.mark.parametrize("name", ["s1.json", "correlated_pair.json"])
+def test_a_bundled_report_replays_from_its_scenario_block(name):
+    _assert_replays(load_scenario(SCENARIOS / name))
+
+
+@pytest.mark.parametrize("kind", GENERATOR_KINDS)
+def test_generated_reports_replay_from_their_scenario_block(kind):
+    for seed in range(50):
+        _assert_replays(random_scenario(seed, kind))
+
+
+def test_the_scenario_block_keeps_mean_params_and_no_null_keys():
+    d = _replay_files()["table-mean-params"]
+    report = verify_scenario(scenario_from_dict(d))
+    block = report.scenario
+    assert block["target"]["params"] == [1.0, 0.0]
+    assert "params" not in block["target"]["functional"]
+    assert list(block) == ["space", "distribution", "alpha", "target", "seed"]
+    assert sum(r.bound_id.startswith("sb-") for r in report.rows) == 48
+    assert len(report.rows) == len(verify_scenario(scenario_from_dict(block)).rows) == 150
+
+
+def test_a_table_digest_that_does_not_match_is_refused():
+    d = _replay_files()["weighted_sum-mean"]
+    block = verify_scenario(scenario_from_dict(d)).scenario
+    digest = block["target"]["functional"]["table_sha256"]
+    block["target"]["functional"]["table_sha256"] = digest[::-1]
+    with pytest.raises(
+        ScenarioFileError, match=f"^target.functional.table_sha256 is not {digest}, "
+    ):
+        scenario_from_dict(block)
+
+
+def test_a_table_digest_is_checked_only_within_the_cap(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the functional was tabulated")
+
+    monkeypatch.setattr(functionals._WeightedSum, "values", refuse)
+    fd = {"type": "weighted_sum", "coefficients": [1.0] * 12, "table_sha256": "0" * 64}
+    with pytest.raises(
+        ScenarioFileError, match="^target.functional: outcome count 4096 exceeds enumeration cap 10$"
+    ):
+        scenario_from_dict(_over_the_cap(fd))

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -114,12 +115,17 @@ def _check_report(report: BoundReport) -> None:
     assert lines[1:-1] == [
         ",".join(ref.csv_cell(row[c]) for c in CSV_COLUMNS) for row in payload["rows"]
     ]
-    # The fingerprint reads a functional through its table digest alone.
-    scenario = report.scenario
-    fd = scenario["target"].get("functional")
-    if fd is not None:
-        fd = {k: fd[k] for k in ("table_sha256", "drop", "params") if k in fd}
-        scenario = {**scenario, "target": {**scenario["target"], "functional": fd}}
+    # The fingerprint reads each table through its sha256 alone: a
+    # functional through its table_sha256, a set through the digest of its
+    # members as little-endian int64, in the order the report writes them.
+    target = dict(report.scenario["target"])
+    if "functional" in target:
+        target["functional"] = {"table_sha256": target["functional"]["table_sha256"]}
+    else:
+        flat = [s for member in target["set"]["members"] for s in member]
+        packed = struct.pack(f"<{len(flat)}q", *flat)
+        target["set"] = {"members_sha256": hashlib.sha256(packed).hexdigest()}
+    scenario = {**report.scenario, "target": target}
     canonical = ref.dumps(scenario, sort_keys=True).encode("utf-8")
     assert report.fingerprint == hashlib.sha256(canonical).hexdigest()
 
