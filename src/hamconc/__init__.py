@@ -40,12 +40,13 @@ from .bounds import (
 from .estimators import (
     DistanceToSet,
     FunctionalLaw,
+    Law,
     McEstimate,
     SetStats,
+    Stats,
     TailCurve,
     exact_functional_stats,
     exact_set_stats,
-    exact_tail,
     hoeffding_half_width,
     mc_tail,
     mgf_from_law,
@@ -53,7 +54,6 @@ from .estimators import (
 from .functionals import (
     Certificate,
     Functional,
-    Stats,
     check_drop_condition,
     check_lipschitz,
     check_self_bounding,
@@ -107,11 +107,12 @@ __all__ = [
     # functionals and certificates
     "Functional",
     "Certificate",
-    "Stats",
     "check_lipschitz",
     "check_drop_condition",
     "check_self_bounding",
     # exact and Monte Carlo estimation
+    "Law",
+    "Stats",
     "TailCurve",
     "SetStats",
     "FunctionalLaw",
@@ -119,7 +120,6 @@ __all__ = [
     "McEstimate",
     "exact_set_stats",
     "exact_functional_stats",
-    "exact_tail",
     "mgf_from_law",
     "hoeffding_half_width",
     "mc_tail",

@@ -19,25 +19,28 @@ exact one.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from ._util import exact_layers, exact_sum, frozen
-from .functionals import Functional, Stats, _law_atoms, _tabulate, stats_from_law
+from .functionals import Functional, _tabulate
 from .hamming import AlphaWeights, distance_field
 from .space import Distribution, FiniteSpace, SetSpec, _sample_ranks, law_arrays
 
 __all__ = [
+    "Law",
     "TailCurve",
+    "Stats",
     "SetStats",
     "FunctionalLaw",
     "DistanceToSet",
     "McEstimate",
     "exact_set_stats",
     "exact_functional_stats",
-    "exact_tail",
+    "stats_from_law",
     "mgf_from_law",
     "hoeffding_half_width",
     "mc_tail",
@@ -55,13 +58,50 @@ MC_DEFAULT_DELTA = 0.01
 _BLOCK_BYTES = 1 << 18
 
 
+class Law:
+    """A discrete real law, built once; every exact statistic reads it.
+
+    ``values`` and ``probs`` are read-only float64 views of the parallel
+    per-outcome arrays it was built from.  ``total`` is the correctly
+    rounded sum of ``probs``; the atoms are ``support``, the distinct
+    values in strictly increasing order, and ``masses``, the mass on
+    each; ``inverse`` maps each outcome to the index of its value in
+    ``support`` (one ``np.unique`` call finds both).  ``mean`` is
+    :meth:`expect` of the values and ``curve`` the law's
+    :class:`TailCurve`.  Raises for mismatched or empty arrays and for a
+    law without mass.
+    """
+
+    def __init__(
+        self, values: Sequence[float] | np.ndarray, probs: Sequence[float] | np.ndarray
+    ) -> None:
+        self.values = frozen(np.asarray(values, dtype=np.float64))
+        self.probs = frozen(np.asarray(probs, dtype=np.float64))
+        if self.values.shape != self.probs.shape or self.values.ndim != 1 or not self.values.size:
+            raise ValueError("values and probs must be matching nonempty 1-d arrays")
+        self.total = exact_sum(self.probs)
+        if not self.total > 0.0:
+            raise ValueError("law has no mass")
+        support, inverse = np.unique(self.values, return_inverse=True)
+        self.support, self.inverse = frozen(support), frozen(inverse)
+        self.masses = frozen(np.bincount(inverse, weights=self.probs, minlength=support.size))
+        self.mean = self.expect(self.values)
+        self.curve = TailCurve.from_law(self)
+
+    def expect(self, g: np.ndarray) -> float:
+        """E g(X) for g given per outcome: the correctly rounded sum of
+        g * p over the total."""
+        return exact_sum(g * self.probs) / self.total
+
+
 class TailCurve:
     """Cumulative views of a discrete real law, queryable at any point.
 
     ``support`` holds the distinct outcome values in strictly increasing
     order and ``masses`` the (unnormalized) probability on each, both as
-    read-only float64 arrays; queries divide by ``total`` so the curve is
-    a probability even when the input weights do not quite sum to one.
+    read-only float64 views of the arrays given, not copies; queries
+    divide by ``total`` so the curve is a probability even when the input
+    weights do not quite sum to one.
 
     Every prefix and suffix mass is the correctly rounded sum of its
     masses: the masses are split once into the exact layers of
@@ -73,8 +113,8 @@ class TailCurve:
     """
 
     def __init__(self, support, masses, total: float) -> None:
-        self._v = frozen(np.array(support, dtype=np.float64))
-        self._m = frozen(np.array(masses, dtype=np.float64))
+        self._v = frozen(np.asarray(support, dtype=np.float64))
+        self._m = frozen(np.asarray(masses, dtype=np.float64))
         self.total = float(total)
         layers, rest = exact_layers(self._m)
         parts = np.stack(layers, axis=1) if layers else np.zeros((self._m.size, 1))
@@ -86,18 +126,9 @@ class TailCurve:
         self._rest = rest
 
     @classmethod
-    def from_law(
-        cls,
-        values: Sequence[float] | np.ndarray,
-        probs: Sequence[float] | np.ndarray,
-        atoms: tuple[np.ndarray, np.ndarray, float] | None = None,
-    ) -> "TailCurve":
-        """The curve of a law given by parallel value/probability arrays.
-
-        ``atoms`` is the law's ``_law_atoms(values, probs)``, when the
-        caller already has it.
-        """
-        return cls(*(atoms or _law_atoms(values, probs)))
+    def from_law(cls, law: Law) -> "TailCurve":
+        """The curve of the law's atoms."""
+        return cls(law.support, law.masses, law.total)
 
     @property
     def support(self) -> np.ndarray:
@@ -154,10 +185,6 @@ class TailCurve:
             return 0.0
         return self._prefix(idx) / self.total
 
-    def expectation(self) -> float:
-        """Mean of the law, from the stored atoms."""
-        return exact_sum(self._v * self._m) / self.total
-
     @property
     def support_max(self) -> float:
         return float(self._v[-1])
@@ -167,17 +194,27 @@ class TailCurve:
         return float(self._v[0])
 
 
-def exact_tail(curve: TailCurve, t: float, mode: str = "geq") -> float:
-    """Query a tail probability: P(V >= t) for "geq", P(V > t) for "gt".
+@dataclass(frozen=True)
+class Stats:
+    """Exact mean and the median interval of a discrete law."""
 
-    Every inequality check in this package uses the "geq" convention;
-    "gt" exists for diagnostics.
+    mean: float
+    median_lo: float
+    median_hi: float
+
+
+def stats_from_law(law: Law) -> Stats:
+    """The law's mean and median interval.
+
+    median_lo is the least support value v with P(V <= v) >= 1/2 and
+    median_hi the greatest with P(V >= v) >= 1/2, each found by bisection
+    on the curve's correctly rounded prefix or suffix masses, which are
+    monotone, compared exactly with half the total.
     """
-    if mode == "geq":
-        return curve.prob_ge(t)
-    if mode == "gt":
-        return curve.prob_gt(t)
-    raise ValueError(f"mode must be 'geq' or 'gt', got {mode!r}")
+    curve, k = law.curve, law.support.size
+    lo = bisect_left(range(k), True, key=lambda i: 2.0 * curve._prefix(i) >= law.total)
+    hi = bisect_left(range(k), True, key=lambda i: 2.0 * curve._suffix(i) < law.total) - 1
+    return Stats(law.mean, float(law.support[lo]), float(law.support[hi]))
 
 
 @dataclass(frozen=True)
@@ -189,18 +226,13 @@ class SetStats:
     distance_curve: TailCurve
 
 
-@dataclass(frozen=True)
-class FunctionalLaw:
-    """Full exact law of f(X) plus its summary statistics.
+class FunctionalLaw(Law):
+    """Full exact law of f(X), its outcomes in rank order, plus its
+    ``stats``."""
 
-    ``values`` and ``probs`` are read-only float64 arrays over the
-    outcomes, in rank order.
-    """
-
-    values: np.ndarray
-    probs: np.ndarray
-    stats: Stats
-    curve: TailCurve
+    def __init__(self, values: np.ndarray, probs: np.ndarray) -> None:
+        super().__init__(values, probs)
+        self.stats = stats_from_law(self)
 
 
 @dataclass(frozen=True)
@@ -274,55 +306,33 @@ def exact_set_stats(
         raise ValueError(f"alpha has {alpha.n} weights, space has {space.n} coordinates")
     _, probs = law_arrays(space, dist, cap)
     in_set = a.mask(space)
-    dists = distance_field(alpha, in_set).ravel()
-    atoms = _law_atoms(dists, probs)
-    total = atoms[2]
-    p_in = exact_sum(probs[in_set.ravel()]) / total
-    rho = exact_sum(dists * probs) / total
-    return SetStats(p_in, rho, TailCurve.from_law(dists, probs, atoms))
+    law = Law(distance_field(alpha, in_set).ravel(), probs)
+    return SetStats(law.expect(in_set.ravel()), law.mean, law.curve)
 
 
 def exact_functional_stats(
     space: FiniteSpace, dist: Distribution, f: Functional, cap: int | None = None
 ) -> FunctionalLaw:
-    """Enumerate the law of f(X) exactly; one set of atoms serves stats and curve.
+    """Enumerate the law of f(X) exactly.
 
     The cap is checked before f is evaluated; a table f is read in place.
     """
     _, probs = law_arrays(space, dist, cap)
-    values = _tabulate(f.evaluator, space.alphabet_sizes).ravel()
-    atoms = _law_atoms(values, probs)
-    st = stats_from_law(values, probs, atoms)
-    curve = TailCurve.from_law(values, probs, atoms)
-    return FunctionalLaw(frozen(values), frozen(probs), st, curve)
+    return FunctionalLaw(_tabulate(f.evaluator, space.alphabet_sizes).ravel(), probs)
 
 
-def mgf_from_law(
-    values: Sequence[float] | np.ndarray,
-    probs: Sequence[float] | np.ndarray,
-    lam: float,
-    mean: float | None = None,
-) -> float:
+def mgf_from_law(law: Law, lam: float) -> float:
     """Centered moment generating function E exp(lam * (V - E V)), exactly.
 
-    ``mean`` is E V when the caller has it (it must be the exact mean,
-    ``exact_sum(values * probs) / exact_sum(probs)``, as
-    :func:`stats_from_law` computes it).  Each term is
-    ``p * math.exp(lam * (v - mean))`` with the same IEEE operations as
-    a per-outcome loop, and the sums are correctly rounded.
-    Self-normalizing: at lam = 0 the numerator and denominator are the
-    same sum, so the result is exactly 1.0.
+    Each outcome's term is ``p * math.exp(lam * (v - mean))``, the IEEE
+    operations of a per-outcome loop, but ``math.exp`` runs once per
+    distinct value and is gathered back through ``law.inverse``; the
+    sums are correctly rounded.  Self-normalizing: at lam = 0 the
+    numerator and denominator are the same sum, so the result is
+    exactly 1.0.
     """
-    lam = float(lam)
-    v = np.asarray(values, dtype=np.float64)
-    p = np.asarray(probs, dtype=np.float64)
-    total = exact_sum(p)
-    if total <= 0.0:
-        raise ValueError("law has no mass")
-    if mean is None:
-        mean = exact_sum(v * p) / total
-    e = np.fromiter(map(math.exp, (lam * (v - mean)).tolist()), np.float64, v.size)
-    return exact_sum(p * e) / total
+    x = (float(lam) * (law.support - law.mean)).tolist()
+    return law.expect(np.fromiter(map(math.exp, x), np.float64, len(x))[law.inverse])
 
 
 def hoeffding_half_width(n_samples: int, delta: float) -> float:

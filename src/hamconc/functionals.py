@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._util import exact_sum, frozen
+from ._util import frozen
 from .hamming import AlphaWeights, Point, distance_field
 # Not called here since distance_to tabulates through distance_field; the
 # name stays because bench/tracer.py counts calls through this attribute.
@@ -45,11 +45,9 @@ from .space import FiniteSpace, SetSpec, _mesh
 __all__ = [
     "Functional",
     "Certificate",
-    "Stats",
     "check_lipschitz",
     "check_drop_condition",
     "check_self_bounding",
-    "stats_from_law",
 ]
 
 # Checks allow this much float slack on their upper comparisons.
@@ -245,15 +243,6 @@ class Certificate:
     worst_slack: float
 
 
-@dataclass(frozen=True)
-class Stats:
-    """Exact mean and the median interval of a discrete law."""
-
-    mean: float
-    median_lo: float
-    median_hi: float
-
-
 def _spread(values: np.ndarray, i: int) -> np.ndarray:
     """max f - min f on each line of ``values`` along axis i: its largest gap."""
     return values.max(axis=i) - values.min(axis=i)
@@ -369,50 +358,3 @@ def check_self_bounding(f: Functional, space: FiniteSpace) -> Certificate:
     if witness is None:
         witness = _first_flagged(~(total <= CERT_TOL), space)
     return Certificate("self_bounding", witness is None, witness, float(np.max(total)))
-
-
-def _law_atoms(
-    values: Sequence[float] | np.ndarray, probs: Sequence[float] | np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """The atoms of a discrete law: (distinct values, mass on each, total mass).
-
-    The values come out strictly increasing; the total is the correctly
-    rounded sum of ``probs``.  Raises for mismatched or empty input and
-    for a law without mass.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    p = np.asarray(probs, dtype=np.float64)
-    if v.shape != p.shape or v.ndim != 1 or v.size == 0:
-        raise ValueError("values and probs must be matching nonempty 1-d arrays")
-    total = exact_sum(p)
-    if total <= 0.0:
-        raise ValueError("law has no mass")
-    uniq, inverse = np.unique(v, return_inverse=True)
-    return uniq, np.bincount(inverse, weights=p, minlength=uniq.size), total
-
-
-def stats_from_law(
-    values: Sequence[float] | np.ndarray,
-    probs: Sequence[float] | np.ndarray,
-    atoms: tuple[np.ndarray, np.ndarray, float] | None = None,
-) -> Stats:
-    """Exact stats of a discrete law given parallel value/probability arrays.
-
-    The mean is the correctly rounded sum of value * probability over
-    the total.  Medians come from exact float comparisons on the raw
-    values, so the median interval endpoints really are medians of the
-    stored law: median_lo is the least value v with P(f <= v) >= 1/2,
-    median_hi the greatest with P(f >= v) >= 1/2.  ``atoms`` is the
-    law's ``_law_atoms(values, probs)``, when the caller already has it.
-    """
-    uniq, mass, total = atoms or _law_atoms(values, probs)
-    v = np.asarray(values, dtype=np.float64)
-    p = np.asarray(probs, dtype=np.float64)
-    mean = exact_sum(v * p) / total
-    cum = np.cumsum(mass)
-    half = 0.5 * total - 1e-12
-    median_lo = float(uniq[int(np.argmax(cum >= half))])
-    suffix = total - cum + mass
-    median_hi = float(uniq[uniq.size - 1 - int(np.argmax(suffix[::-1] >= half))])
-    return Stats(mean, median_lo, median_hi)
-

@@ -27,9 +27,11 @@ satisfy ||alpha|| = 1 unless "normalize" is true.  Only a functional
 that is a "distance_to_set" or gives "table_sha256" is tabulated here,
 once the space is within the cap; the digest must then match f's table
 (:func:`hamconc.verify._sha256`).  Each object may hold only the keys
-its place allows (``_KEYS``), so an unknown key at any level is
-refused.  Malformed files raise ScenarioFileError naming the offending
-key; the command-line driver maps that to exit code 2.
+its place and, for a distribution, target or functional, its kind or
+type allow (``_KEYS``), so an unknown key at any level, or one of
+another kind (a product law's "joint_table"), is refused.  Malformed
+files raise ScenarioFileError naming the offending key; the
+``hamconc`` command maps that to exit code 2.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from typing import Any
 
 import numpy as np
 
+from ._util import quote
 from .functionals import Functional, _tabulate
 from .hamming import AlphaWeights, normalize
 from .space import Distribution, FiniteSpace, SetSpec, _check_cap
@@ -53,15 +56,24 @@ class ScenarioFileError(ValueError):
     """Malformed scenario file; the message names the offending key."""
 
 
-# The keys each object may hold, by where it sits in the file.
+# The keys each object may hold, by where it sits in the file and, for the
+# objects that come in kinds, by kind.  Median and gap targets allow
+# "params" so that _target_from can say it is for mean targets only.
 _KEYS = {
     "": {"space", "distribution", "alpha", "target", "grids", "seed", "caps"},
     "space": {"alphabet_sizes"},
-    "distribution": {"kind", "pmfs", "joint_table"},
+    "distribution": {"product": {"kind", "pmfs"}, "joint": {"kind", "joint_table"}},
     "alpha": {"weights", "normalize"},
-    "target": {"kind", "set", "functional", "params"},
+    "target": {
+        "set": {"kind", "set"},
+        **dict.fromkeys(("median", "gap", "mean"), {"kind", "functional", "params"}),
+    },
     "target.set": {"members"},
-    "target.functional": {"type", "values", "coefficients", "set", "table_sha256"},
+    "target.functional": {
+        "table": {"type", "values", "table_sha256"},
+        "weighted_sum": {"type", "coefficients", "table_sha256"},
+        "distance_to_set": {"type", "set", "table_sha256"},
+    },
     "target.functional.set": {"members"},
     "grids": {"t", "lambda"},
     "caps": {"enumeration"},
@@ -75,13 +87,22 @@ def _require(data: dict, key: str, where: str) -> Any:
     return data[key]
 
 
-def _as_dict(v: Any, where: str) -> dict:
-    """v as the object at ``where``, holding only the keys ``_KEYS`` allows there."""
+def _as_dict(v: Any, where: str, kind_key: str | None = None) -> dict:
+    """v as the object at ``where``, holding only the keys ``_KEYS`` allows
+    there; for an object that comes in kinds, named by its ``kind_key``,
+    once the kind is one ``_KEYS`` knows, the keys of that kind."""
     if not isinstance(v, dict):
         raise ScenarioFileError(
             f"{where} must be an object" if where else "scenario file must hold a JSON object"
         )
-    unknown = set(v) - _KEYS[where]
+    allowed = _KEYS[where]
+    if kind_key is not None:
+        kind = _require(v, kind_key, where)
+        if not (isinstance(kind, str) and kind in allowed):
+            kinds = ", ".join(map(quote, allowed))
+            raise ScenarioFileError(f"{where}.{kind_key} must be one of {kinds}, got {kind!r}")
+        allowed = allowed[kind]
+    unknown = set(v) - allowed
     if unknown:
         raise ScenarioFileError(f"unknown key {f'{where}.{min(unknown)}'.removeprefix('.')!r}")
     return v
@@ -144,17 +165,14 @@ def _space_from(data: dict) -> FiniteSpace:
 
 
 def _distribution_from(data: dict, space: FiniteSpace) -> Distribution:
-    d = _as_dict(_require(data, "distribution", ""), "distribution")
-    kind = _require(d, "kind", "distribution")
-    if kind == "product":
+    d = _as_dict(_require(data, "distribution", ""), "distribution", "kind")
+    if d["kind"] == "product":
         key, make = "pmfs", Distribution.product
         raw = _as_list(_require(d, key, "distribution"), "distribution.pmfs")
         arg = tuple(tuple(_number_list(p, f"distribution.pmfs[{i}]")) for i, p in enumerate(raw))
-    elif kind == "joint":
+    else:
         key, make = "joint_table", Distribution.joint
         arg = tuple(_number_list(_require(d, key, "distribution"), "distribution.joint_table"))
-    else:
-        raise ScenarioFileError(f'distribution.kind must be "product" or "joint", got {kind!r}')
     try:
         dist = make(arg)
         dist.require_matches(space)
@@ -231,8 +249,8 @@ def _functional_from(
     params: tuple[float, float] | None,
     cap: int | None,
 ) -> Functional:
-    fd = _as_dict(v, where)
-    ftype = _require(fd, "type", where)
+    fd = _as_dict(v, where, "type")
+    ftype = fd["type"]
     kw: dict = {} if params is None else {"self_bounding_params": params}
     if ftype == "distance_to_set" or "table_sha256" in fd:
         try:
@@ -253,14 +271,9 @@ def _functional_from(
                 f"space has {space.n} coordinates"
             )
         f = Functional.weighted_sum(coeffs, **kw)
-    elif ftype == "distance_to_set":
+    else:
         spec = _set_from(_require(fd, "set", where), f"{where}.set", space)
         f = Functional.distance_to(alpha, spec, space, **kw)
-    else:
-        raise ScenarioFileError(
-            f'{where}.type must be "table", "weighted_sum", or "distance_to_set", '
-            f"got {ftype!r}"
-        )
     if "table_sha256" in fd:
         digest = _sha256(_tabulate(f.evaluator, space.alphabet_sizes))
         if fd["table_sha256"] != digest:
@@ -269,28 +282,24 @@ def _functional_from(
 
 
 def _target_from(data: dict, space: FiniteSpace, alpha: AlphaWeights, cap: int | None) -> Target:
-    d = _as_dict(_require(data, "target", ""), "target")
-    kind = _require(d, "kind", "target")
+    d = _as_dict(_require(data, "target", ""), "target", "kind")
+    kind = d["kind"]
     if kind == "set":
         return SetTarget(_set_from(_require(d, "set", "target"), "target.set", space))
-    if kind in ("median", "gap", "mean"):
-        params = None
-        if "params" in d:
-            if kind != "mean":
-                raise ScenarioFileError('target.params is only valid for "mean" targets')
-            params = tuple(_finite_list(d["params"], "target.params"))
-            if len(params) != 2:
-                raise ScenarioFileError("target.params must be [a, b]")
-            if params[0] <= 0.0:
-                raise ScenarioFileError(f"target.params[0] (a) must be positive, got {params[0]}")
-            if params[1] < 0.0:
-                raise ScenarioFileError(f"target.params[1] (b) must be nonnegative, got {params[1]}")
-        fd = _require(d, "functional", "target")
-        f = _functional_from(fd, "target.functional", space, alpha, params, cap)
-        return {"median": MedianTarget, "gap": GapTarget, "mean": MeanTarget}[kind](f)
-    raise ScenarioFileError(
-        f'target.kind must be one of "set", "median", "gap", "mean", got {kind!r}'
-    )
+    params = None
+    if "params" in d:
+        if kind != "mean":
+            raise ScenarioFileError('target.params is only valid for "mean" targets')
+        params = tuple(_finite_list(d["params"], "target.params"))
+        if len(params) != 2:
+            raise ScenarioFileError("target.params must be [a, b]")
+        if params[0] <= 0.0:
+            raise ScenarioFileError(f"target.params[0] (a) must be positive, got {params[0]}")
+        if params[1] < 0.0:
+            raise ScenarioFileError(f"target.params[1] (b) must be nonnegative, got {params[1]}")
+    fd = _require(d, "functional", "target")
+    f = _functional_from(fd, "target.functional", space, alpha, params, cap)
+    return {"median": MedianTarget, "gap": GapTarget, "mean": MeanTarget}[kind](f)
 
 
 def _grid_from(gd: dict, key: str, positive: bool) -> tuple | None:

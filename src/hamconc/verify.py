@@ -24,7 +24,7 @@ from typing import ClassVar, Iterable, Iterator, NamedTuple, Union
 import numpy as np
 
 from . import bounds
-from ._util import dumps, exact_sum, fmt_float, fmt_floats, quote
+from ._util import dumps, fmt_float, fmt_floats, quote
 from .bounds import BoundId
 from .estimators import FunctionalLaw, exact_functional_stats, exact_set_stats, mgf_from_law
 from .functionals import (
@@ -162,9 +162,12 @@ class Scenario:
             object.__setattr__(
                 self, "lambda_grid", _clean_grid(self.lambda_grid, "lambda grid", False)
             )
-        if not isinstance(self.seed, int) or self.seed < 0:
+        # A bool is an int, but the loader refuses one, so its report would not replay.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.cap is not None and (not isinstance(self.cap, int) or self.cap < 1):
+        if self.cap is not None and (
+            isinstance(self.cap, bool) or not isinstance(self.cap, int) or self.cap < 1
+        ):
             raise ValueError(f"cap must be a positive integer, got {self.cap!r}")
 
 
@@ -554,8 +557,7 @@ def _median_infos(scenario: Scenario, law: FunctionalLaw) -> list[dict]:
     values = law.values.reshape(scenario.space.alphabet_sizes)
 
     def rho(in_set: np.ndarray) -> float:
-        dists = distance_field(scenario.alpha, in_set).ravel()
-        return exact_sum(dists * law.probs) / law.curve.total
+        return law.expect(distance_field(scenario.alpha, in_set).ravel())
 
     medians = [law.stats.median_lo]
     if law.stats.median_hi != law.stats.median_lo:
@@ -752,7 +754,7 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
             _row(
                 "mean",
                 BoundId.MGF,
-                mgf_from_law(law.values, law.probs, lam, mu),
+                mgf_from_law(law, lam),
                 bounds.mgf_bound(lam),
                 probability=False,
                 lam=lam,

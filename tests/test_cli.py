@@ -145,6 +145,15 @@ def test_verify_rejects_a_nan_table(tmp_path, capsys):
     assert "target.functional.values[2] must be finite, got nan" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_key_of_another_kind(tmp_path, capsys):
+    scn = json.loads(Path(S1).read_text())
+    scn["distribution"]["joint_table"] = [1, 0, 0, 0]  # s1's law is a product
+    path = tmp_path / "s1_joint_table.json"
+    path.write_text(json.dumps(scn))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == "error: unknown key 'distribution.joint_table'\n"
+
+
 def test_verify_negative_seed_is_an_input_error(capsys):
     assert main(["verify", S1, "--seed", "-1"]) == 2
     assert capsys.readouterr().err == (

@@ -10,10 +10,10 @@ from hamconc.estimators import (
     MC_DEFAULT_DELTA,
     MC_DEFAULT_N,
     DistanceToSet,
+    Law,
     TailCurve,
     exact_functional_stats,
     exact_set_stats,
-    exact_tail,
     hoeffding_half_width,
     _sampled_values,
     mc_tail,
@@ -49,33 +49,27 @@ def test_tail_curve_queries():
     # past the support the tail is the float literal zero
     assert curve.prob_ge(10.0) == 0.0
     assert curve.prob_gt(curve.support_max) == 0.0
-    assert curve.expectation() == SQRT_HALF
+    assert Law(curve.support, curve.masses).mean == SQRT_HALF
     assert curve.cdf == (0.25, 0.75, 1.0)
     assert curve.support_min == 0.0
     assert curve.support_max == 2.0 * SQRT_HALF
 
 
 def test_tail_curve_merges_duplicate_values():
-    curve = TailCurve.from_law([1.0, 0.0, 1.0], [0.2, 0.5, 0.3])
+    law = Law([1.0, 0.0, 1.0], [0.2, 0.5, 0.3])
+    curve = TailCurve.from_law(law)
     for got, want in ((curve.support, [0.0, 1.0]), (curve.masses, [0.5, 0.5])):
         assert got.dtype == np.float64 and not got.flags.writeable
         assert got.tolist() == want
+    assert law.inverse.tolist() == [1, 0, 1]
+    assert law.curve.support.tolist() == [0.0, 1.0]
 
 
 def test_tail_curve_validation():
     with pytest.raises(ValueError, match="matching nonempty"):
-        TailCurve.from_law([1.0], [0.5, 0.5])
+        Law([1.0], [0.5, 0.5])
     with pytest.raises(ValueError, match="no mass"):
-        TailCurve.from_law([1.0], [0.0])
-
-
-def test_exact_tail_modes():
-    curve = _s1_curve()
-    assert exact_tail(curve, SQRT_HALF) == 0.75
-    assert exact_tail(curve, SQRT_HALF, mode="geq") == 0.75
-    assert exact_tail(curve, SQRT_HALF, mode="gt") == 0.25
-    with pytest.raises(ValueError, match="mode must be"):
-        exact_tail(curve, 1.0, mode="ge")
+        Law([1.0], [0.0])
 
 
 def test_exact_set_stats_two_fair_bits():
@@ -112,14 +106,14 @@ def test_exact_functional_stats_scaled_bit_sum():
 
 
 def test_mgf_normalizes_at_zero():
-    assert mgf_from_law([0.3, 1.7, 2.9], [0.2, 0.5, 0.3], 0.0) == 1.0
+    assert mgf_from_law(Law([0.3, 1.7, 2.9], [0.2, 0.5, 0.3]), 0.0) == 1.0
 
 
 def test_mgf_from_law_two_fair_bits():
     # f = x1 + x2, centered at 1: E exp(V - 1) = 0.5 + 0.5*cosh(1)
     law = exact_functional_stats(SPACE_2, UNIFORM_2, Functional.weighted_sum((1.0, 1.0)))
-    assert mgf_from_law(law.values, law.probs, 1.0) == 1.2715403174076219
-    assert mgf_from_law(law.values, law.probs, 0.0) == 1.0
+    assert mgf_from_law(law, 1.0) == 1.2715403174076219
+    assert mgf_from_law(law, 0.0) == 1.0
 
 
 def test_hoeffding_half_width():

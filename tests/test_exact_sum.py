@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 import reference_mgf as ref
 from hamconc._util import _FSUM_BELOW, exact_layers, exact_sum
-from hamconc.estimators import TailCurve, mgf_from_law
-from hamconc.functionals import stats_from_law
+from hamconc.estimators import Law, TailCurve, exact_functional_stats, mgf_from_law
+from hamconc.functionals import Functional
+from hamconc.space import Distribution, FiniteSpace
+from hamconc.verify import DEFAULT_LAMBDA_GRID
 
 _EDGE = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1e308, -1e308]
 _TERMS = st.one_of(
@@ -102,7 +104,7 @@ _MASSES = st.one_of(
 
 
 def _check_curve(m: np.ndarray) -> None:
-    curve = TailCurve.from_law(np.arange(m.size, dtype=np.float64), m)
+    curve = TailCurve.from_law(Law(np.arange(m.size, dtype=np.float64), m))
     total = math.fsum(m.tolist())
     assert curve.total == total
     for i in range(m.size):
@@ -159,12 +161,11 @@ def test_mgf_matches_the_per_outcome_formula(size):
     rng = np.random.default_rng(size)
     for _ in range(10):
         values, probs = _law(rng, size)
-        mean = stats_from_law(values, probs).mean
+        law = Law(values, probs)
         for lam in (0.0, 0.5, 1.0, 2.0, 4.0, 8.0, float(rng.uniform(0.0, 20.0))):
             want = ref.mgf_from_law(values.tolist(), probs.tolist(), lam)
-            assert mgf_from_law(values, probs, lam).hex() == want.hex()
-            assert mgf_from_law(values, probs, lam, mean).hex() == want.hex()
-            assert mgf_from_law(values.tolist(), probs.tolist(), lam).hex() == want.hex()
+            assert mgf_from_law(law, lam).hex() == want.hex()
+            assert mgf_from_law(Law(values.tolist(), probs.tolist()), lam).hex() == want.hex()
 
 
 @settings(max_examples=100, deadline=None)
@@ -181,6 +182,59 @@ def test_mgf_matches_the_per_outcome_formula_on_drawn_laws(atoms, lam):
         want = ref.mgf_from_law(values, probs, lam)
     except (OverflowError, ValueError) as e:
         with pytest.raises(type(e)):
-            mgf_from_law(values, probs, lam)
+            mgf_from_law(Law(values, probs), lam)
         return
-    assert mgf_from_law(values, probs, lam).hex() == want.hex()
+    assert mgf_from_law(Law(values, probs), lam).hex() == want.hex()
+
+
+class _ExpSpy:
+    """math.exp, counting its calls."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+        self._exp = math.exp
+
+    def __call__(self, x: float) -> float:
+        self.calls += 1
+        return self._exp(x)
+
+
+# Repeated values, both zeros, zero and subnormal masses.
+_LAW_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -2.5, 0.1]), st.floats(-40.0, 40.0))
+_LAW_PROBS = st.one_of(
+    st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308])
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_LAW_VALUES, _LAW_PROBS), min_size=1, max_size=60))
+def test_law_mean_and_mgf_are_the_per_outcome_formulas(atoms):
+    values = [v for v, _ in atoms]
+    probs = [p for _, p in atoms]
+    total = math.fsum(probs)
+    if total == 0.0:
+        with pytest.raises(ValueError, match="no mass"):
+            Law(values, probs)
+        return
+    law = Law(values, probs)
+    assert law.mean == math.fsum(v * p for v, p in atoms) / total
+    for lam in DEFAULT_LAMBDA_GRID:
+        want = ref.mgf_from_law(values, probs, lam)
+        spy = _ExpSpy()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(math, "exp", spy)
+            got = mgf_from_law(law, lam)
+        assert got.hex() == want.hex()
+        assert spy.calls == len(set(values))
+
+
+def test_mgf_runs_exp_once_per_distinct_value(monkeypatch):
+    n = 10
+    space = FiniteSpace((2,) * n)
+    f = Functional.weighted_sum([n**-0.5] * n)
+    law = exact_functional_stats(space, Distribution.uniform(space), f)
+    spy = _ExpSpy()
+    monkeypatch.setattr(math, "exp", spy)
+    for lam in DEFAULT_LAMBDA_GRID:
+        mgf_from_law(law, lam)
+    assert spy.calls == (n + 1) * len(DEFAULT_LAMBDA_GRID)

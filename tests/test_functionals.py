@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hamconc.estimators import exact_functional_stats
+from hamconc.estimators import Law, exact_functional_stats, stats_from_law
 from hamconc.functionals import (
     CERT_TOL,
     Certificate,
@@ -17,7 +17,6 @@ from hamconc.functionals import (
     check_drop_condition,
     check_lipschitz,
     check_self_bounding,
-    stats_from_law,
 )
 from hamconc.hamming import (
     AlphaWeights,
@@ -416,20 +415,24 @@ def test_certificates_fail_on_nan(table):
 
 
 def test_stats_from_law_median_interval():
-    s = stats_from_law([0.0, 1.0], [0.5, 0.5])
+    s = stats_from_law(Law([0.0, 1.0], [0.5, 0.5]))
     assert (s.median_lo, s.median_hi) == (0.0, 1.0)
     assert s.mean == 0.5
 
-    s = stats_from_law([0.0, 1.0, 2.0], [0.25, 0.5, 0.25])
+    s = stats_from_law(Law([0.0, 1.0, 2.0], [0.25, 0.5, 0.25]))
     assert (s.median_lo, s.median_hi) == (1.0, 1.0)
     assert s.mean == 1.0
+
+    # P(f <= 0) falls short of 1/2 by 4e-13, so 0 is not a median.
+    s = stats_from_law(Law([0.0, 1.0], [0.5 - 4e-13, 0.5 + 4e-13]))
+    assert (s.median_lo, s.median_hi) == (1.0, 1.0)
 
 
 def test_stats_from_law_validation():
     with pytest.raises(ValueError, match="matching nonempty"):
-        stats_from_law([0.0, 1.0], [1.0])
+        Law([0.0, 1.0], [1.0])
     with pytest.raises(ValueError, match="no mass"):
-        stats_from_law([0.0], [0.0])
+        Law([0.0], [0.0])
 
 
 def test_stats_of_scaled_bit_sum():

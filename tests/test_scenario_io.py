@@ -264,6 +264,38 @@ def test_an_unknown_key_is_refused_at_every_level(path):
     scenario_from_dict(d)  # the same file without the key loads
 
 
+_TABLE = {"type": "table", "values": [0.0, 0.5, 0.5, 1.0]}
+_WSUM = {"type": "weighted_sum", "coefficients": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize(
+    "place, obj, key, value",
+    [
+        ("distribution", None, "joint_table", [1, 0, 0, 0]),
+        ("distribution", {"kind": "joint", "joint_table": [0.25] * 4}, "pmfs", [[0.5, 0.5]] * 2),
+        ("target", None, "functional", _WSUM),
+        ("target", None, "params", [1.0, 0.0]),
+        ("target", {"kind": "median", "functional": _TABLE}, "set", {"members": [[0, 0]]}),
+        ("target.functional", _TABLE, "coefficients", [0.5, 0.5]),
+        ("target.functional", _WSUM, "values", [0.0, 0.5, 0.5, 1.0]),
+        ("target.functional", _WSUM, "set", {"members": [[0, 0]]}),
+    ],
+)
+def test_a_key_of_another_kind_is_refused(place, obj, key, value):
+    d = _base()
+    if place == "target.functional":
+        d["target"] = {"kind": "mean", "functional": dict(obj)}
+    elif obj is not None:
+        d[place] = dict(obj)
+    target = d
+    for part in place.split("."):
+        target = target[part]
+    scenario_from_dict(d)  # loads without the key
+    target[key] = value
+    with pytest.raises(ScenarioFileError, match=f"^unknown key '{re.escape(place)}.{key}'$"):
+        scenario_from_dict(d)
+
+
 @pytest.mark.parametrize(
     "members, message",
     [

@@ -122,6 +122,11 @@ def test_scenario_validation():
         _set_scenario(seed=-1)
     with pytest.raises(ValueError, match="cap"):
         _set_scenario(cap=0)
+    # A report would write these as true, which the loader refuses.
+    with pytest.raises(ValueError, match="seed must be a nonnegative integer, got True"):
+        _set_scenario(seed=True)
+    with pytest.raises(ValueError, match="cap must be a positive integer, got True"):
+        _set_scenario(cap=True)
 
 
 # -- set flow -----------------------------------------------------------------
