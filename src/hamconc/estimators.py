@@ -10,15 +10,16 @@ per distinct sampled outcome.  The Monte Carlo path reports a two-sided
 confidence half-width from Hoeffding's inequality, which makes the
 cross-check against exact values a testable contract rather than a
 matter of eyeballing.  It never tabulates the space: a set is its
-member array, and distances to it are summed per coordinate against
-that array in blocks of bounded size, so its memory does not grow with
-the sample count, and each sampled distance is bit-identical to the
-exact one.
+member array, distances to it are read from a bounded table of the
+leading coordinates and summed per coordinate over the rest in blocks
+of bounded size, so its memory does not grow with the sample count,
+and each sampled distance is bit-identical to the exact one.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
@@ -56,6 +57,14 @@ MC_DEFAULT_DELTA = 0.01
 # {0,1}^18 to 64 members took 58 ms with 256 KB blocks, 60 ms with 512 KB
 # and 79 ms with 1 MB.
 _BLOCK_BYTES = 1 << 18
+# Bytes of the head table: the summed distances of every prefix of the
+# leading coordinates to every member.  On the same 18 bits and 64
+# members (2 vCPU, numpy 2.4.6, best of three noisy runs) the distances
+# took 43 ms with a 256 KB table, 39 ms at 512 KB, 36 ms at 1 MB, 33 ms
+# at 2 MB and 31 ms at 4 MB, at a tracemalloc peak of 1.3, 1.6, 2.0, 3.1
+# and 6.1 MB: past 1 MB each doubling saves under a tenth and costs the
+# table's size again.
+_HEAD_BYTES = 1 << 20
 
 
 class Law:
@@ -244,44 +253,58 @@ class DistanceToSet:
 
 
 def _sampled_distances(
-    coords: Sequence[np.ndarray],
+    ranks: np.ndarray,
     members: np.ndarray,
     alpha: AlphaWeights,
     sizes: Sequence[int],
 ) -> np.ndarray:
-    """d_alpha(x, A) at each point of the coordinate arrays ``coords``.
+    """d_alpha(x, A) at the outcome of each rank in ``ranks``.
 
-    ``coords`` holds n equal-length integer arrays, one per coordinate,
-    as ``np.unravel_index`` returns them.  ``tabs[i][s, j]`` is alpha_i
-    when symbol s differs from member j at coordinate i, else 0.  Each
-    block of points sums those contributions in coordinate order, as
-    :func:`~hamconc.hamming.hamming_distance` does (adding 0.0 changes
-    no sum), so every distance is bit-identical to ``distance_to_set``
-    and ``distance_field``.  Blocks hold about ``_BLOCK_BYTES`` of
-    partial sums, so memory does not grow with the number of points.
+    ``tabs[i][s, j]`` is alpha_i when symbol s differs from member j at
+    coordinate i, else 0.  The tables of the first k coordinates are
+    summed, in coordinate order, into one head table with a row per
+    prefix of k symbols; k is the largest for which that table has no
+    more rows than there are ranks and fits ``_HEAD_BYTES``.  Each block
+    of ranks reads its head rows, then adds the tables of the other
+    coordinates, unravelled from the ranks block by block, in order.
+    Those are the float additions of
+    :func:`~hamconc.hamming.hamming_distance` in its order (adding 0.0
+    changes no sum), so every distance is bit-identical to
+    ``distance_to_set`` and ``distance_field``.  Blocks hold about
+    ``_BLOCK_BYTES`` of partial sums, so memory does not grow with the
+    number of ranks.
     """
     tabs = [
         np.where(np.arange(m)[:, None] != members[:, i], w, 0.0)
         for i, (m, w) in enumerate(zip(sizes, alpha.weights))
     ]
-    rows = max(1, _BLOCK_BYTES // (8 * members.shape[0]))
-    size = len(coords[0])
-    out = np.empty(size, dtype=np.float64)
-    for lo in range(0, size, rows):
-        hi = lo + rows
-        d = tabs[0][coords[0][lo:hi]]
-        for tab, c in zip(tabs[1:], coords[1:]):
-            d += tab[c[lo:hi]]
-        out[lo:hi] = d.min(axis=1)
+    width = members.shape[0]
+    k, head = 1, tabs[0]
+    while k < len(sizes):
+        prefixes = head.shape[0] * sizes[k]
+        if prefixes > ranks.size or prefixes * width * 8 > _HEAD_BYTES:
+            break
+        head = (head[:, None, :] + tabs[k][None]).reshape(prefixes, width)
+        k += 1
+    tail = tuple(sizes[k:])
+    span = math.prod(tail)
+    rows = max(1, _BLOCK_BYTES // (8 * width))
+    out = np.empty(ranks.size, dtype=np.float64)
+    for lo in range(0, ranks.size, rows):
+        pre, rest = np.divmod(ranks[lo : lo + rows], span)
+        d = head[pre]
+        for tab, c in zip(tabs[k:], np.unravel_index(rest, tail) if tail else ()):
+            d += tab[c]
+        out[lo : lo + rows] = d.min(axis=1)
     return out
 
 
 def _sampled_values(
     space: FiniteSpace,
     quantity: "Functional | DistanceToSet",
-    coords: Sequence[np.ndarray],
+    ranks: np.ndarray,
 ) -> np.ndarray:
-    """The quantity at each point of the equal-length coordinate arrays ``coords``."""
+    """The quantity at the outcome of each rank in ``ranks``."""
     if isinstance(quantity, DistanceToSet):
         if quantity.alpha.n != space.n:
             raise ValueError(
@@ -290,8 +313,8 @@ def _sampled_values(
         members = quantity.target.member_symbols(space)
         if not len(members):
             raise ValueError("empty set has infinite distance")
-        return _sampled_distances(coords, members, quantity.alpha, space.alphabet_sizes)
-    return quantity.values(coords)
+        return _sampled_distances(ranks, members, quantity.alpha, space.alphabet_sizes)
+    return quantity.values(np.unravel_index(ranks, space.alphabet_sizes))
 
 
 def exact_set_stats(
@@ -372,21 +395,30 @@ def mc_tail(
     """Estimate P(q(X) >= t) by sampling the distribution.
 
     The samples are one array of ``n_samples`` outcome ranks.  q is
-    evaluated once per distinct sampled outcome, in bulk, at the
-    coordinates of the sorted distinct ranks: a functional through
-    :meth:`Functional.values` (table and weighted-sum functionals
-    without a Point per outcome, a plain callable point by point), the
-    distance to a set by summing per-coordinate contributions against
-    the member array in blocks of about 256 KB, bit-identical to the
-    exact distance.  Each outcome that reaches t adds its sample count
-    to the hits, so the estimate is the per-sample count.  The space is
-    not tabulated, so this path also serves spaces past the enumeration
-    cap.  Bit-reproducible for a given seed.
+    evaluated once per distinct sampled outcome, in bulk, on the sorted
+    distinct ranks: a functional through :meth:`Functional.values` at
+    their coordinates (table and weighted-sum functionals without a
+    Point per outcome, a plain callable point by point), the distance
+    to a set by :func:`_sampled_distances`: a table of about 1 MB
+    serves the leading coordinates, and the others are unravelled and
+    summed in blocks of about 256 KB, bit-identical to the exact
+    distance.  Each outcome that reaches t adds its sample count to the
+    hits, so the estimate is the per-sample count.  The space is not
+    tabulated, so this path also serves spaces past the enumeration cap.
+    Bit-reproducible for a given seed.
+
+    ``t`` may be infinite but not NaN; ``n_samples`` and ``seed`` must
+    be integers, not bools.
     """
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
+        raise TypeError(f"n_samples must be an integer, got {n_samples!r}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+        raise TypeError(f"seed must be an integer, got {seed!r}")
+    if math.isnan(t):
+        raise ValueError("t must not be NaN")
     half = hoeffding_half_width(n_samples, delta)
     ranks = _sample_ranks(space, dist, seed, n_samples)
     outcomes, counts = np.unique(ranks, return_counts=True)
-    coords = np.unravel_index(outcomes, space.alphabet_sizes)
-    vals = _sampled_values(space, quantity, coords)
+    vals = _sampled_values(space, quantity, outcomes)
     hits = int(counts[vals >= t].sum())
     return McEstimate(hits / n_samples, half, n_samples, seed, delta)

@@ -358,30 +358,34 @@ def law_arrays(
     return coords, dist._joint
 
 
-# Alphabets up to this size map a uniform draw to its symbol by counting
-# the inner cut points of the cumulative pmf that it reaches, one pass
-# per cut point; larger ones use np.searchsorted, whose cost grows with
-# log m.  Per 10^5 unsorted draws (2 vCPU, numpy 2.4.6) the count took
-# 0.15 ms at 2 symbols, 3.4 at 32, 7.2 at 64, 8.3 at 80 and 14 at 128;
-# searchsorted with its clamp took about 2.3, 6.9, 7.5, 8.6 and 9.5 ms.
+# Alphabets up to this size add a uniform draw's symbol to its rank by
+# counting the inner cut points of the cumulative pmf that it reaches,
+# one pass per cut point; larger ones use np.searchsorted, whose cost
+# grows with log m.  Per 10^5 unsorted draws added into the ranks (2 vCPU,
+# numpy 2.4.6, best of 7) the count took 0.1 ms at 2 symbols, 1.7 at 16,
+# 2.8-3.6 at 32, 6.3-7.3 at 64, 6.9-9.2 at 80 and 12-13 at 128;
+# searchsorted with its clamp took about 2.0-2.7, 4.5-5.3, 6.2-7.0,
+# 6.4-8.4, 6.9-9.0 and 7.8-8.1 ms.  They tie from 64 to 80 symbols, so
+# the cut stays at 64.
 _COUNT_MAX_SYMBOLS = 64
 
 
-def _symbol_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """The inverse-CDF symbol of each draw in ``u``.
+def _add_symbols(ranks: np.ndarray, cum: np.ndarray, u: np.ndarray) -> None:
+    """Add the inverse-CDF symbol of each draw in ``u`` to ``ranks``, in place.
 
-    This is ``min(searchsorted(cum, u, "right"), m - 1)``: ``cum`` is
-    the cumulative pmf, non-decreasing, so the number of
-    inner cut points ``cum[:m - 1]`` that ``u`` reaches is that clamped
-    index exactly, also when ``cum`` ends below 1 or repeats a value.
+    The symbol is ``min(searchsorted(cum, u, "right"), m - 1)``: ``cum``
+    is the cumulative pmf, non-decreasing, so the number of inner cut
+    points ``cum[:m - 1]`` that ``u`` reaches is that clamped index
+    exactly, also when ``cum`` ends below 1 or repeats a value.  Up to
+    ``_COUNT_MAX_SYMBOLS`` symbols each reached cut point adds 1 to the
+    rank directly, with no symbol array.
     """
     m = cum.size
     if m > _COUNT_MAX_SYMBOLS:
-        return np.minimum(np.searchsorted(cum, u, side="right"), m - 1)
-    idx = np.zeros(u.size, dtype=np.int64)
+        ranks += np.minimum(np.searchsorted(cum, u, side="right"), m - 1)
+        return
     for c in cum[: m - 1].tolist():
-        idx += u >= c
-    return idx
+        ranks += u >= c
 
 
 def _sample_ranks(
@@ -390,9 +394,10 @@ def _sample_ranks(
     """(count,) int64 outcome ranks of the sampled points; deterministic in seed.
 
     A product law draws ``count`` uniforms per coordinate, in coordinate
-    order, and accumulates the mixed-radix rank of the inverse-CDF
-    symbols; a joint law draws ``count`` uniforms and inverts the CDF of
-    the table.  Both read one Philox stream from ``seed``.
+    order, into one reused buffer, and accumulates the mixed-radix rank
+    of the inverse-CDF symbols; a joint law draws ``count`` uniforms and
+    inverts the CDF of the table.  Both read one Philox stream from
+    ``seed``.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -401,10 +406,11 @@ def _sample_ranks(
     if dist.kind == "product":
         assert dist.pmfs is not None
         ranks = np.zeros(count, dtype=np.int64)
+        u = np.empty(count, dtype=np.float64)
         for pmf in dist.pmfs:
             cum = np.cumsum(np.asarray(pmf, dtype=np.float64))
             ranks *= cum.size
-            ranks += _symbol_index(cum, rng.random(count))
+            _add_symbols(ranks, cum, rng.random(out=u))
         return ranks
     assert dist._joint is not None
     cum = np.cumsum(dist._joint)

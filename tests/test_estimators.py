@@ -11,10 +11,12 @@ from hamconc.estimators import (
     MC_DEFAULT_N,
     DistanceToSet,
     Law,
+    McEstimate,
     TailCurve,
     exact_functional_stats,
     exact_set_stats,
     hoeffding_half_width,
+    _sampled_distances,
     _sampled_values,
     mc_tail,
     mgf_from_law,
@@ -175,13 +177,113 @@ def test_sampled_distances_equal_the_distance_field(sizes, members):
     target = SetSpec.from_points(space.unrank(int(r)) for r in ranks)
     q = DistanceToSet(alpha, target)
     n_samples, seed = 5_000, 11
-    coords = np.unravel_index(_sample_ranks(space, dist, seed, n_samples), sizes)
-    exact = distance_field(alpha, target.mask(space))[coords]
+    ranks = _sample_ranks(space, dist, seed, n_samples)
+    exact = distance_field(alpha, target.mask(space)).ravel()[ranks]
     # 5000 points span several blocks when |A| = 64
-    assert _sampled_values(space, q, coords).tobytes() == exact.tobytes()
+    assert _sampled_values(space, q, ranks).tobytes() == exact.tobytes()
     t = float(np.median(exact))
     est = mc_tail(space, dist, q, t, n_samples=n_samples, seed=seed)
     assert est.estimate == np.count_nonzero(exact >= t) / n_samples
+
+
+@pytest.mark.parametrize(
+    "sizes, members, count, law",
+    [
+        # the head table covers the whole space: all 24 outcomes are drawn
+        ((3, 4, 2), 3, 500, "uniform"),
+        # k = 1: a second coordinate would give 6000 rows, more than the ranks
+        ((3000, 2, 3), 4, 5_000, "product"),
+        # size-1 alphabets add rows to no table
+        ((1, 2, 1, 3, 1, 2), 2, 300, "product"),
+        # 2^12 rows of 64 members take 2 MB: the byte budget stops the head at 2^11
+        ((2,) * 16, 64, 30_000, "product"),
+        ((2, 3, 4, 2), 5, 2_000, "joint"),
+    ],
+    ids=["whole-space", "k1", "size-1", "byte-budget", "joint"],
+)
+def test_head_table_distances_equal_the_distance_field(sizes, members, count, law):
+    rng = np.random.default_rng(sum(sizes))
+    space = FiniteSpace(sizes)
+    if law == "uniform":
+        dist = Distribution.uniform(space)
+    elif law == "joint":
+        dist = Distribution.joint(rng.dirichlet(np.ones(space.size)).tolist())
+    else:
+        dist = Distribution.product([rng.dirichlet(np.ones(m)).tolist() for m in sizes])
+    alpha = normalize(rng.uniform(0.1, 1.0, space.n).tolist())
+    target = SetSpec.from_points(
+        space.unrank(int(r)) for r in rng.choice(space.size, size=members, replace=False)
+    )
+    ranks = np.unique(_sample_ranks(space, dist, 2, count))
+    exact = distance_field(alpha, target.mask(space)).ravel()[ranks]
+    got = _sampled_distances(ranks, target.member_symbols(space), alpha, sizes)
+    assert got.tobytes() == exact.tobytes()
+
+
+_BITS = FiniteSpace((2,) * 18)
+_BITS_LAW = Distribution.product([(0.3, 0.7)] * 18)
+_SPREAD = SetSpec.from_points(_BITS.unrank(r) for r in range(0, _BITS.size, 4099))
+
+
+@pytest.mark.parametrize(
+    "space, dist, q, t, hits",
+    [
+        (_BITS, _BITS_LAW, DistanceToSet(normalize([1.0] * 18), _SPREAD), 1.0, 16373),
+        (_BITS, _BITS_LAW, Functional.weighted_sum([0.25] * 18), 3.0, 14456),
+        (
+            FiniteSpace((70, 3, 1)),
+            Distribution.product([[1 / 70] * 70, (0.2, 0.5, 0.3), (1.0,)]),
+            DistanceToSet(
+                normalize([2.0, 1.0, 1.0]),
+                SetSpec.from_points((s, s % 3, 0) for s in range(0, 70, 2)),
+            ),
+            0.6,
+            9843,
+        ),
+        (
+            FiniteSpace((2, 3, 4)),
+            Distribution.joint([(i % 5 + 1) / 70 for i in range(24)]),
+            DistanceToSet(normalize([1.0, 2.0, 3.0]), SetSpec.from_points([(1, 2, 3)])),
+            0.6,
+            16609,
+        ),
+    ],
+    ids=["binary-set", "binary-weighted-sum", "70-symbols-set", "joint-set"],
+)
+def test_mc_tail_golden_estimates(space, dist, q, t, hits):
+    # Pins the Philox stream and the symbols read from it: a change to
+    # either moves these hit counts.
+    est = mc_tail(space, dist, q, t, n_samples=20_000, seed=17)
+    assert est == McEstimate(hits / 20_000, hoeffding_half_width(20_000, 0.01), 20_000, 17, 0.01)
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf])
+def test_mc_tail_accepts_an_infinite_threshold(t):
+    q = DistanceToSet(ALPHA_UNIT_2, ORIGIN)
+    est = mc_tail(SPACE_2, UNIFORM_2, q, t, n_samples=100, seed=0)
+    assert est.estimate == (1.0 if t < 0 else 0.0)
+
+
+def test_mc_tail_refuses_a_nan_threshold():
+    q = DistanceToSet(ALPHA_UNIT_2, ORIGIN)
+    with pytest.raises(ValueError, match="NaN"):
+        mc_tail(SPACE_2, UNIFORM_2, q, math.nan, n_samples=100, seed=0)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"n_samples": True}, "n_samples must be an integer"),
+        ({"n_samples": 2.5}, "n_samples must be an integer"),
+        ({"n_samples": 100.0}, "n_samples must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+    ],
+)
+def test_mc_tail_refuses_non_integer_counts_and_seeds(kwargs, message):
+    q = DistanceToSet(ALPHA_UNIT_2, ORIGIN)
+    with pytest.raises(TypeError, match=message):
+        mc_tail(SPACE_2, UNIFORM_2, q, 0.5, **{"n_samples": 100, "seed": 0, **kwargs})
 
 
 _MC_SPACE = FiniteSpace((3, 2, 4, 2))

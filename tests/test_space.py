@@ -20,8 +20,8 @@ from hamconc.space import (
     FiniteSpace,
     SetSpec,
     enumeration_cap,
+    _add_symbols,
     _sample_ranks,
-    _symbol_index,
     law_arrays,
     sample,
 )
@@ -375,4 +375,6 @@ def test_symbol_index_is_the_clamped_searchsorted_at_every_cut(pmf):
     )
     u = u[(0.0 <= u) & (u < 1.0)]
     want = np.minimum(np.searchsorted(cum, u, side="right"), len(pmf) - 1)
-    assert np.array_equal(_symbol_index(cum, u), want)
+    ranks = np.full(u.size, 7, dtype=np.int64)
+    _add_symbols(ranks, cum, u)
+    assert np.array_equal(ranks - 7, want)
