@@ -19,7 +19,6 @@ and each sampled distance is bit-identical to the exact one.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,7 +28,7 @@ import numpy as np
 from ._util import exact_layers, exact_sum, frozen
 from .functionals import Functional, _tabulate
 from .hamming import AlphaWeights, distance_field
-from .space import Distribution, FiniteSpace, SetSpec, _sample_ranks, law_arrays
+from .space import Distribution, FiniteSpace, SetSpec, _require_ints, _sample_ranks, law_arrays
 
 __all__ = [
     "Law",
@@ -410,10 +409,7 @@ def mc_tail(
     ``t`` may be infinite but not NaN; ``n_samples`` and ``seed`` must
     be integers, not bools.
     """
-    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
-        raise TypeError(f"n_samples must be an integer, got {n_samples!r}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
+    _require_ints(n_samples=n_samples, seed=seed)
     if math.isnan(t):
         raise ValueError("t must not be NaN")
     half = hoeffding_half_width(n_samples, delta)

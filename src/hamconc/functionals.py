@@ -2,35 +2,36 @@
 
 Three conditions are certified exactly over the space:
 
-* Lipschitz: |f(x) - f(x')| <= d_alpha(x, x') for all pairs.  It is
-  checked edge by edge, on pairs that differ in one coordinate i, as
-  |f(x) - f(x')| <= alpha_i.  That is equivalent: d_alpha is the path
-  metric of the Hamming graph with edge weights alpha_i, so the bound
-  on every edge telescopes along a shortest path to every pair.
+* Lipschitz: |f(x) - f(x')| <= d_alpha(x, x') for all pairs.  d_alpha is
+  the path metric of the Hamming graph with edge weights alpha_i, so it
+  suffices on the edges, the pairs that differ in one coordinate i.
 * Coordinate drop: for a family f_1, ..., f_n, with f_i defined on the
   space with coordinate i removed,
       0 <= f(x) - f_i(x with coordinate i dropped) <= alpha_i.
 * Self-bounding with parameters (a, b): the drop gaps lie in [0, 1] and
   their sum is at most a * f(x) + b.
 
-Both are certified for the infimum family f_i = min over s of f(x with
-x_i = s), read off f's table.  It is the greatest admissible family (the
-lower condition forces f_i <= f at every symbol) and the upper
-conditions only get easier as f_i grows, so it certifies whenever any
-family does.
+The last two are certified for the infimum family f_i = min over s of
+f(x with x_i = s), the greatest admissible family (the lower condition
+forces f_i <= f at every symbol); the upper conditions only get easier
+as f_i grows, so it certifies whenever any family does.
 
-The drop condition implies the Lipschitz property: changing coordinate i
-moves f by at most alpha_i because both values sit in the interval
-[f_i, f_i + alpha_i] over the same dropped point, and a chain of single
-coordinate changes telescopes.  ``check_*`` functions return a
-:class:`Certificate` rather than a bare bool so a failing point is kept
-as evidence.
+Each check reads ``spreads[i]``, the largest max f - min f over the lines
+of f's table along axis i, taken once per table.  On a line, the largest
+|f(x) - f(x')| and the largest infimum-family gap are both max f - min f,
+so f is Lipschitz exactly when ``spreads[i] <= alpha_i`` on each axis
+with edges, the drop condition holds exactly when that holds on every
+axis, and the gaps lie in [0, 1] exactly when ``spreads[i] <= 1``.
+The drop condition implies the Lipschitz property, as both values of an
+edge lie in [f_i, f_i + alpha_i] over the same dropped point.  Checks
+return a :class:`Certificate`, which keeps a failing point as evidence.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -107,6 +108,13 @@ class _Table(_Evaluator):
         if point.n != len(shape) or any(s >= m for s, m in zip(point.symbols, shape)):
             raise ValueError(f"point {point.symbols} is not in this space")
         return float(self.table[point.symbols])
+
+    @cached_property
+    def spreads(self) -> np.ndarray:
+        """Per axis i, the largest max f - min f over the lines along i, NaN
+        if f has a NaN; taken once, as the table is read-only and its own."""
+        t = self.table
+        return frozen(np.array([np.max(t.max(i) - t.min(i)) for i in range(t.ndim)]))
 
     def values(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         if len(coords) != self.table.ndim:
@@ -243,84 +251,10 @@ class Certificate:
     worst_slack: float
 
 
-def _spread(values: np.ndarray, i: int) -> np.ndarray:
-    """max f - min f on each line of ``values`` along axis i: its largest gap."""
-    return values.max(axis=i) - values.min(axis=i)
-
-
-def check_lipschitz(f: Functional, alpha: AlphaWeights, space: FiniteSpace) -> Certificate:
-    """Certify |f(x) - f(x')| <= d_alpha(x, x') over pairs of points.
-
-    The check runs edge by edge: for each coordinate i and each line of
-    the space along axis i, max f - min f <= alpha_i.  This is exact,
-    not a sample, because d_alpha is the path metric of the Hamming
-    graph with edge weights alpha_i.  Axes with one symbol have no
-    edges and are skipped.
-
-    ``worst_slack`` is the largest (max f - min f - alpha_i) over the
-    lines, the violation of the worst single-coordinate edge, and the
-    witness is that edge: the points of least and greatest f on its
-    line, in rank order.  For a Lipschitz f the slack of a pair is at
-    most that of each edge on a shortest path between them, so this is
-    also the worst slack over all pairs; for a non-Lipschitz f a pair
-    several edges apart can exceed its distance by more than any single
-    edge does, and ``worst_slack`` then understates that pair.
-    """
-    if not alpha.normalized:
-        raise ValueError("Lipschitz certification assumes a unit weight vector")
-    if alpha.n != space.n:
-        raise ValueError(f"alpha has {alpha.n} weights, space has {space.n} coordinates")
+def _table_of(f: Functional, space: FiniteSpace) -> _Table:
+    """f's own table, or a new one for an evaluator that has none."""
     values = _tabulate(f.evaluator, space.alphabet_sizes)
-    worst = -math.inf
-    edge = None
-    for i, w in enumerate(alpha.weights):
-        if space.alphabet_sizes[i] == 1:
-            continue
-        slack = _spread(values, i) - w
-        k = np.unravel_index(int(np.argmax(slack)), slack.shape)
-        # A NaN value puts a NaN slack on every axis, which argmax finds
-        # first and which must fail the check, so NaN counts as the worst.
-        if not slack[k] <= worst:
-            worst = float(slack[k])
-            edge = (i, k)
-    holds = worst <= CERT_TOL
-    witness = None
-    if not holds:
-        i, k = edge
-        line = values[k[:i] + (slice(None),) + k[i:]]
-        lo, hi = int(np.argmin(line)), int(np.argmax(line))
-        if lo == hi:  # both found the NaN; pair it with a neighbour
-            lo = int(hi == 0)
-        lo, hi = sorted((lo, hi))
-        witness = (Point(k).insert(i, lo), Point(k).insert(i, hi))
-    return Certificate("lipschitz", holds, witness, worst)
-
-
-def check_drop_condition(
-    f: Functional, alpha: AlphaWeights, space: FiniteSpace
-) -> Certificate:
-    """Certify 0 <= f(x) - f_i(x without i) <= alpha_i everywhere, f_i the infimum.
-
-    The lower comparison holds by construction, so each line along each
-    axis i needs max f - min f <= alpha_i + CERT_TOL.  ``worst_slack`` is
-    max(-0.0, max f - min f - alpha_i) over the axes and lines; a NaN
-    value makes it NaN and fails the check.  The witness is the first
-    flagged point, in rank order, of the first failing axis.
-    """
-    if alpha.n != space.n:
-        raise ValueError(f"alpha has {alpha.n} weights, space has {space.n} coordinates")
-    values = _tabulate(f.evaluator, space.alphabet_sizes)
-    slacks = []
-    witness = None
-    for i, w in enumerate(alpha.weights):
-        spread = _spread(values, i)
-        slacks.append(np.max(spread - w))
-        if witness is None and not (spread <= w + CERT_TOL).all():
-            # the gaps f(x) - f_i of the first failing axis
-            gap = values - values.min(axis=i, keepdims=True)
-            witness = _first_flagged(~(gap <= w + CERT_TOL), space)
-    worst = float(np.max(slacks))
-    return Certificate("drop", witness is None, witness, worst if not worst <= 0.0 else -0.0)
+    return f.evaluator if isinstance(f.evaluator, _Table) else _Table(values)
 
 
 def _first_flagged(bad: np.ndarray, space: FiniteSpace) -> Point | None:
@@ -329,30 +263,87 @@ def _first_flagged(bad: np.ndarray, space: FiniteSpace) -> Point | None:
     return space.unrank(k) if bad.flat[k] else None
 
 
+def _gap_witness(table: _Table, bound: np.ndarray, space: FiniteSpace) -> Point | None:
+    """The first point, in rank order, whose gap f(x) - f_i is not <= ``bound[i]``
+    on the first axis i whose spread is not; None if every axis passes."""
+    failing = np.flatnonzero(~(table.spreads <= bound))
+    if not failing.size:
+        return None
+    i, values = int(failing[0]), table.table
+    return _first_flagged(~(values - values.min(i, keepdims=True) <= bound[i]), space)
+
+
+def check_lipschitz(f: Functional, alpha: AlphaWeights, space: FiniteSpace) -> Certificate:
+    """Certify |f(x) - f(x')| <= d_alpha(x, x') over pairs of points, edge by edge.
+
+    ``worst_slack`` is the largest max f - min f - alpha_i over the lines,
+    and the witness is that line's worst edge: its points of least and
+    greatest f, in rank order.  The axes are taken in order and a slack
+    replaces the worst unless it is <= it, so a NaN slack (all are NaN if
+    f has a NaN) gives way to any later one.  For a non-Lipschitz f a pair
+    several edges apart can exceed its distance by more than this.
+    """
+    if not alpha.normalized:
+        raise ValueError("Lipschitz certification assumes a unit weight vector")
+    if alpha.n != space.n:
+        raise ValueError(f"alpha has {alpha.n} weights, space has {space.n} coordinates")
+    table = _table_of(f, space)
+    axes = np.flatnonzero(np.asarray(space.alphabet_sizes) > 1)
+    slack = table.spreads[axes] - np.asarray(alpha.weights)[axes]
+    # the slacks after the last NaN one, or that NaN if it is the last
+    nan = np.flatnonzero(np.isnan(slack))
+    start = min(int(nan[-1]) + 1, slack.size - 1) if nan.size else 0
+    j = start + int(np.argmax(slack[start:])) if slack.size else None
+    worst = -math.inf if j is None else float(slack[j])
+    if worst <= CERT_TOL:
+        return Certificate("lipschitz", True, None, worst)
+    i, values = int(axes[j]), table.table
+    lines = values.max(i) - values.min(i) - alpha.weights[i]
+    k = np.unravel_index(int(np.argmax(lines)), lines.shape)
+    line = values[k[:i] + (slice(None),) + k[i:]]
+    lo, hi = sorted((int(np.argmin(line)), int(np.argmax(line))))
+    if lo == hi:  # both found the NaN; pair it with a neighbour
+        lo, hi = sorted((int(hi == 0), hi))
+    return Certificate("lipschitz", False, (Point(k).insert(i, lo), Point(k).insert(i, hi)), worst)
+
+
+def check_drop_condition(
+    f: Functional, alpha: AlphaWeights, space: FiniteSpace
+) -> Certificate:
+    """Certify 0 <= f(x) - f_i(x without i) <= alpha_i everywhere, f_i the infimum.
+
+    Each axis needs ``spreads[i] <= alpha_i + CERT_TOL``.  ``worst_slack``
+    is max(-0.0, max f - min f - alpha_i) over the axes and lines; a NaN
+    value makes it NaN and fails the check.  The witness is the first
+    flagged point, in rank order, of the first failing axis.
+    """
+    if alpha.n != space.n:
+        raise ValueError(f"alpha has {alpha.n} weights, space has {space.n} coordinates")
+    table = _table_of(f, space)
+    w = np.asarray(alpha.weights)
+    worst = float(np.max(table.spreads - w))
+    witness = _gap_witness(table, w + CERT_TOL, space)
+    return Certificate("drop", witness is None, witness, worst if not worst <= 0.0 else -0.0)
+
+
 def check_self_bounding(f: Functional, space: FiniteSpace) -> Certificate:
     """Certify the (a, b)-self-bounding conditions for f's infimum family.
 
-    Both conditions are checked at every point: each gap f(x) - f_i
-    lies in [0, 1 + CERT_TOL], and the gap sum, added one axis at a
-    time, is at most a*f(x) + b + CERT_TOL.  ``worst_slack`` reports the
-    sum condition's margin, max over points of (sum of gaps - a*f(x) -
-    b), as that is the binding one in use.  A NaN gap or value fails the
-    check.  The witness is the first flagged point of the first failing
-    condition, gap axes first.
+    Each axis needs ``spreads[i] <= 1 + CERT_TOL`` and each point a gap sum,
+    added one axis at a time, of at most a*f(x) + b + CERT_TOL; a NaN fails
+    both.  ``worst_slack`` is the sum's margin, max over points of (sum of
+    gaps - a*f(x) - b).  The witness is the first flagged point of the
+    first failing condition, gap axes first.
     """
     if f.self_bounding_params is None:
         raise ValueError("functional has no self-bounding parameters")
     a, b = f.self_bounding_params
-    values = _tabulate(f.evaluator, space.alphabet_sizes)
+    table = _table_of(f, space)
+    witness = _gap_witness(table, np.full(space.n, 1.0 + CERT_TOL), space)
+    values = table.table
     total = np.zeros(values.shape)
-    witness = None
-    for i in range(space.n):
-        gap = values - values.min(axis=i, keepdims=True)
-        total += gap
-        if witness is None:
-            # a gap is never below -0.0, and a NaN one fails this comparison
-            witness = _first_flagged(~(gap <= 1.0 + CERT_TOL), space)
-        del gap  # before the next axis's gap is built: one gap table at a time
+    for i in range(space.n):  # one gap table at a time, not n at once
+        total += values - values.min(i, keepdims=True)
     total -= a * values
     total -= b
     if witness is None:

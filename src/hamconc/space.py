@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -388,6 +389,13 @@ def _add_symbols(ranks: np.ndarray, cum: np.ndarray, u: np.ndarray) -> None:
         ranks += u >= c
 
 
+def _require_ints(**args) -> None:
+    """Refuse a bool or a non-integer sampler argument, before numpy sees it."""
+    for name, value in args.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+
+
 def _sample_ranks(
     space: FiniteSpace, dist: Distribution, seed: int, count: int
 ) -> np.ndarray:
@@ -426,7 +434,9 @@ def sample(
     The points of the ranks :func:`_sample_ranks` draws: product laws
     sample each coordinate by inverse CDF, joint laws the rank by
     inverse CDF over the table.  The generator is ``RNG_NAME``.
+    ``seed`` and ``count`` must be integers, not bools.
     """
+    _require_ints(seed=seed, count=count)
     ranks = _sample_ranks(space, dist, seed, count)
     rows = np.column_stack(np.unravel_index(ranks, space.alphabet_sizes)).tolist()
     return list(map(Point, map(tuple, rows)))

@@ -425,17 +425,20 @@ def scenario_to_dict(scenario: Scenario, table: np.ndarray | None = None) -> dic
 def _fingerprint(scenario: Scenario, sd: dict) -> str:
     """sha256 of ``sd``, the canonical form of ``scenario``, keys sorted,
     with the functional reduced to its ``table_sha256`` (one function
-    declared in different forms has one fingerprint) and a set's members
-    to ``members_sha256``, the :func:`_sha256` of their array."""
+    declared in different forms has one fingerprint), a set's members
+    to ``members_sha256``, the :func:`_sha256` of their array, and a
+    joint law's table to ``joint_table_sha256``, that of its array."""
+    if scenario.dist.kind == "joint":
+        joint = {"kind": "joint", "joint_table_sha256": _sha256(scenario.dist._joint)}
+        sd = {**sd, "distribution": joint}
     tgt = sd["target"]
     if "functional" in tgt:
         tgt = {**tgt, "functional": {"table_sha256": tgt["functional"]["table_sha256"]}}
     else:
         members = scenario.target.set_spec.member_symbols(scenario.space)
         tgt = {**tgt, "set": {"members_sha256": _sha256(members)}}
-    return hashlib.sha256(
-        dumps({**sd, "target": tgt}, sort_keys=True).encode("utf-8")
-    ).hexdigest()
+    canonical = dumps({**sd, "target": tgt}, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def scenario_fingerprint(scenario: Scenario) -> str:
@@ -683,8 +686,8 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
 
     The certificates hold for the infimum family f_i = min of f over
     coordinate i, the greatest admissible family, so they hold whenever
-    any family would.  After the cap check they read the law's table of
-    f, one axis at a time.
+    any family would.  After the cap check all three read the spreads of
+    the law's table of f, taken once.
     """
     if not isinstance(scenario.target, MeanTarget):
         raise ValueError("verify_drop_functional needs a scenario with a mean target")

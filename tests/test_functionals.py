@@ -349,6 +349,59 @@ def test_certificates_match_the_pointwise_infimum_family(data):
     assert _certificate_tuple(cert) == _certificate_tuple(Certificate("sb", *want))
 
 
+def _reference_lipschitz(f, weights, space):
+    """(holds, witness, worst_slack) of the Lipschitz check, edge by edge.
+
+    On each line along axis i the edge of greatest |f(x) - f(x')| is
+    kept, ties going to the greater top value, then to the lesser bottom
+    one, then to the first edge in symbol order, and a NaN ranking
+    first; the line's slack is that edge's minus alpha_i.  An axis keeps
+    its first line, in rank order, of greatest slack, a NaN ranking
+    first.  The axes with edges are taken in order, and an axis's slack
+    replaces the worst unless it is <= it.
+    """
+
+    def above(a, b):
+        return not math.isnan(b[0]) and (math.isnan(a[0]) or a > b)
+
+    worst, witness = -math.inf, None
+    for i, w in enumerate(weights):
+        k = space.alphabet_sizes[i]
+        best = None
+        for x in space.points():
+            if k == 1 or x.symbols[i] != 0:
+                continue
+            line = [x.drop(i).insert(i, s) for s in range(k)]
+            edge = None
+            for s in range(k):
+                for t in range(s + 1, k):
+                    u, v = f.value(line[s]), f.value(line[t])
+                    key = (abs(u - v), max(u, v), -min(u, v))
+                    if edge is None or above(key, edge[0]):
+                        edge = (key, (line[s], line[t]))
+            slack = (edge[0][0] - w,)
+            if best is None or above(slack, best[0]):
+                best = (slack, edge[1])
+        if best is not None and not best[0][0] <= worst:
+            worst, witness = best[0][0], best[1]
+    holds = worst <= CERT_TOL
+    return holds, None if holds else witness, worst
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lipschitz_certificate_matches_the_pointwise_edges(data):
+    space, table = _drawn_space_and_table(data)
+    weights = _drawn_weights(data, space.n).weights
+    assume(sum(w * w for w in weights) > 0.0)
+    alpha = normalize(weights)
+    scale = data.draw(st.sampled_from([1.0, 0.25]))
+    f = Functional.from_table(space, [scale * v for v in table])
+    cert = check_lipschitz(f, alpha, space)
+    want = _reference_lipschitz(f, alpha.weights, space)
+    assert _certificate_tuple(cert) == _certificate_tuple(Certificate("lipschitz", *want))
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_any_family_that_passes_leaves_the_infimum_family_passing(data):

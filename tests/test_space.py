@@ -314,6 +314,24 @@ def test_joint_sampling_hits_only_supported_outcomes():
     assert 0.35 < frac < 0.65
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"seed": True}, "seed must be an integer"),
+        ({"seed": 1.5}, "seed must be an integer"),
+        ({"count": True}, "count must be an integer"),
+        ({"count": 2.5}, "count must be an integer"),
+    ],
+)
+def test_sample_refuses_non_integer_seeds_and_counts(kwargs, message):
+    space = FiniteSpace((2, 2))
+    dist = Distribution.uniform(space)
+    with pytest.raises(TypeError, match=message):
+        sample(space, dist, **{"seed": 0, "count": 10, **kwargs})
+    # numpy integers are integers
+    assert sample(space, dist, np.int64(4), np.int64(10)) == sample(space, dist, 4, 10)
+
+
 def _reference_ranks(space, dist, seed, count):
     """Ranks drawn as the sampler once did: searchsorted and a clamp per coordinate."""
     rng = np.random.Generator(np.random.Philox(seed))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import struct
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -518,6 +519,24 @@ def test_an_infimum_family_target_is_not_evaluated_again():
     assert fn.calls == COUNT_SPACE.size
     assert report.summary["derived"]["drop_family"] == "infimum"
     assert report.all_pass
+
+
+def test_a_mean_verify_takes_its_spreads_once(monkeypatch):
+    # both drop certificates and the self-bounding one read the spread
+    # vector of the one table the flow builds
+    taken = []
+    spreads = functionals._Table.spreads.func
+    spy = cached_property(lambda t: taken.append(t.table.shape) or spreads(t))
+    spy.__set_name__(functionals._Table, "spreads")
+    monkeypatch.setattr(functionals._Table, "spreads", spy)
+    f = Functional.weighted_sum(COUNT_ALPHA.weights, self_bounding_params=(1.0, 0.0))
+    report = verify_scenario(_counting_scenario(MeanTarget(f)))
+    assert taken == [COUNT_SPACE.alphabet_sizes]
+    assert report.summary["derived"]["certificates"] == {
+        "drop_alpha": True,
+        "drop_unit": True,
+        "self_bounding": True,
+    }
 
 
 @pytest.mark.parametrize("target_cls", [MedianTarget, GapTarget, MeanTarget])

@@ -117,7 +117,9 @@ def _check_report(report: BoundReport) -> None:
     ]
     # The fingerprint reads each table through its sha256 alone: a
     # functional through its table_sha256, a set through the digest of its
-    # members as little-endian int64, in the order the report writes them.
+    # members as little-endian int64, in the order the report writes them,
+    # and a joint law through the digest of its table as little-endian
+    # float64, -0.0 as 0.0.
     target = dict(report.scenario["target"])
     if "functional" in target:
         target["functional"] = {"table_sha256": target["functional"]["table_sha256"]}
@@ -126,6 +128,11 @@ def _check_report(report: BoundReport) -> None:
         packed = struct.pack(f"<{len(flat)}q", *flat)
         target["set"] = {"members_sha256": hashlib.sha256(packed).hexdigest()}
     scenario = {**report.scenario, "target": target}
+    if scenario["distribution"]["kind"] == "joint":
+        table = scenario["distribution"]["joint_table"]
+        packed = struct.pack(f"<{len(table)}d", *(p + 0.0 for p in table))
+        digest = hashlib.sha256(packed).hexdigest()
+        scenario["distribution"] = {"kind": "joint", "joint_table_sha256": digest}
     canonical = ref.dumps(scenario, sort_keys=True).encode("utf-8")
     assert report.fingerprint == hashlib.sha256(canonical).hexdigest()
 
