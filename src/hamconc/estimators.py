@@ -13,7 +13,9 @@ matter of eyeballing.  It never tabulates the space: a set is its
 member array, distances to it are read from a bounded table of the
 leading coordinates and summed per coordinate over the rest in blocks
 of bounded size, so its memory does not grow with the sample count,
-and each sampled distance is bit-identical to the exact one.
+and each sampled distance is bit-identical to the exact one.  The
+sampler and the blocks run on all the CPUs the process may use, with
+the same bits as on one.
 """
 
 from __future__ import annotations
@@ -26,9 +28,17 @@ from typing import Sequence
 import numpy as np
 
 from ._util import exact_layers, exact_sum, frozen
-from .functionals import Functional, _tabulate
+from .functionals import Functional, _Evaluator, _tabulate
 from .hamming import AlphaWeights, distance_field
-from .space import Distribution, FiniteSpace, SetSpec, _require_ints, _sample_ranks, law_arrays
+from .space import (
+    Distribution,
+    FiniteSpace,
+    SetSpec,
+    _require_ints,
+    _sample_ranks,
+    _split,
+    law_arrays,
+)
 
 __all__ = [
     "Law",
@@ -251,6 +261,28 @@ class DistanceToSet:
     target: SetSpec
 
 
+def _by_blocks(ranks: np.ndarray, rows: int, fill, split: bool = True) -> np.ndarray:
+    """``fill(block)`` for each block of ``rows`` ranks, written in order
+    into one float64 array.
+
+    The blocks are handed out as contiguous runs, one per worker of
+    :func:`~hamconc.space._split`, and each worker writes its own slice;
+    with ``split`` false they all run on the calling thread.
+    """
+    out = np.empty(ranks.size, dtype=np.float64)
+
+    def run(a: int, b: int) -> None:
+        for lo in range(a * rows, min(b * rows, ranks.size), rows):
+            out[lo : lo + rows] = fill(ranks[lo : lo + rows])
+
+    blocks = -(-ranks.size // rows)
+    if split:
+        _split(run, blocks)
+    else:
+        run(0, blocks)
+    return out
+
+
 def _sampled_distances(
     ranks: np.ndarray,
     members: np.ndarray,
@@ -271,7 +303,8 @@ def _sampled_distances(
     changes no sum), so every distance is bit-identical to
     ``distance_to_set`` and ``distance_field``.  Blocks hold about
     ``_BLOCK_BYTES`` of partial sums, so memory does not grow with the
-    number of ranks.
+    number of ranks; the head table is built once, and the blocks are
+    shared out over the CPUs by :func:`_by_blocks`.
     """
     tabs = [
         np.where(np.arange(m)[:, None] != members[:, i], w, 0.0)
@@ -287,15 +320,15 @@ def _sampled_distances(
         k += 1
     tail = tuple(sizes[k:])
     span = math.prod(tail)
-    rows = max(1, _BLOCK_BYTES // (8 * width))
-    out = np.empty(ranks.size, dtype=np.float64)
-    for lo in range(0, ranks.size, rows):
-        pre, rest = np.divmod(ranks[lo : lo + rows], span)
+
+    def fill(block: np.ndarray) -> np.ndarray:
+        pre, rest = np.divmod(block, span)
         d = head[pre]
         for tab, c in zip(tabs[k:], np.unravel_index(rest, tail) if tail else ()):
             d += tab[c]
-        out[lo : lo + rows] = d.min(axis=1)
-    return out
+        return d.min(axis=1)
+
+    return _by_blocks(ranks, max(1, _BLOCK_BYTES // (8 * width)), fill)
 
 
 def _sampled_values(
@@ -303,7 +336,15 @@ def _sampled_values(
     quantity: "Functional | DistanceToSet",
     ranks: np.ndarray,
 ) -> np.ndarray:
-    """The quantity at the outcome of each rank in ``ranks``."""
+    """The quantity at the outcome of each rank in ``ranks``.
+
+    A functional is evaluated block by block, each block's ranks
+    unravelled into about ``_BLOCK_BYTES`` of coordinates, so no n
+    coordinate arrays of all the ranks are held at once.  A table or
+    weighted sum shares the blocks out over the CPUs as the distances
+    do; a plain callable runs on the calling thread, as user code is not
+    assumed to be thread-safe.
+    """
     if isinstance(quantity, DistanceToSet):
         if quantity.alpha.n != space.n:
             raise ValueError(
@@ -313,7 +354,13 @@ def _sampled_values(
         if not len(members):
             raise ValueError("empty set has infinite distance")
         return _sampled_distances(ranks, members, quantity.alpha, space.alphabet_sizes)
-    return quantity.values(np.unravel_index(ranks, space.alphabet_sizes))
+    sizes = space.alphabet_sizes
+    return _by_blocks(
+        ranks,
+        max(1, _BLOCK_BYTES // (8 * space.n)),
+        lambda block: quantity.values(np.unravel_index(block, sizes)),
+        isinstance(quantity.evaluator, _Evaluator),
+    )
 
 
 def exact_set_stats(
@@ -393,21 +440,27 @@ def mc_tail(
 ) -> McEstimate:
     """Estimate P(q(X) >= t) by sampling the distribution.
 
-    The samples are one array of ``n_samples`` outcome ranks.  q is
-    evaluated once per distinct sampled outcome, in bulk, on the sorted
-    distinct ranks: a functional through :meth:`Functional.values` at
-    their coordinates (table and weighted-sum functionals without a
-    Point per outcome, a plain callable point by point), the distance
-    to a set by :func:`_sampled_distances`: a table of about 1 MB
-    serves the leading coordinates, and the others are unravelled and
-    summed in blocks of about 256 KB, bit-identical to the exact
-    distance.  Each outcome that reaches t adds its sample count to the
-    hits, so the estimate is the per-sample count.  The space is not
-    tabulated, so this path also serves spaces past the enumeration cap.
-    Bit-reproducible for a given seed.
+    The samples are one array of ``n_samples`` outcome ranks, drawn by
+    :func:`~hamconc.space._sample_ranks` from one Philox stream split by
+    coordinate.  q is evaluated once per distinct sampled outcome, on
+    the sorted distinct ranks, block by block: a functional through
+    :meth:`Functional.values` at each block's coordinates (table and
+    weighted-sum functionals without a Point per outcome, a plain
+    callable point by point), the distance to a set by
+    :func:`_sampled_distances`: a table of about 1 MB serves the leading
+    coordinates, and the others are unravelled and summed in blocks of
+    about 256 KB, bit-identical to the exact distance.  The sampling and
+    the blocks of a table, a weighted sum or a distance are shared out
+    over the CPUs the process may use; a plain callable runs on the
+    calling thread.  Each outcome that reaches t adds its sample count
+    to the hits, so the estimate is the per-sample count.  The space is
+    not tabulated, so this path also serves spaces past the enumeration
+    cap.  Bit-reproducible for a given seed: the estimate is the same
+    for any number of CPUs.
 
     ``t`` may be infinite but not NaN; ``n_samples`` and ``seed`` must
-    be integers, not bools.
+    be integers, not bools.  A sampled value that is NaN raises
+    ``ValueError`` naming the first such outcome in rank order.
     """
     _require_ints(n_samples=n_samples, seed=seed)
     if math.isnan(t):
@@ -416,5 +469,9 @@ def mc_tail(
     ranks = _sample_ranks(space, dist, seed, n_samples)
     outcomes, counts = np.unique(ranks, return_counts=True)
     vals = _sampled_values(space, quantity, outcomes)
+    nan = np.isnan(vals)
+    if nan.any():
+        x = space.unrank(int(outcomes[np.argmax(nan)]))
+        raise ValueError(f"sampled value is NaN at x={x.symbols}")
     hits = int(counts[vals >= t].sum())
     return McEstimate(hits / n_samples, half, n_samples, seed, delta)

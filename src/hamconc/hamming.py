@@ -124,9 +124,17 @@ def normalize(alpha: AlphaWeights | Iterable[float]) -> AlphaWeights:
     """
     if not isinstance(alpha, AlphaWeights):
         alpha = AlphaWeights(tuple(alpha))
-    if alpha.l2_norm == 0.0:
+    top = max(alpha.weights)
+    if top == 0.0:
         raise ValueError("degenerate weights: all weights are zero")
-    return AlphaWeights(tuple(w / alpha.l2_norm for w in alpha.weights))
+    # Scaled first by a power of two, so the largest weight lies in
+    # [0.5, 1): the squares of weights near 1e-160 would otherwise lose
+    # their bits to underflow, and those near 1e160 overflow.  The scaling
+    # is exact, so weights whose squares stay in range keep the quotients
+    # they had unscaled.
+    e = math.frexp(top)[1]
+    scaled = AlphaWeights(tuple(math.ldexp(w, -e) for w in alpha.weights))
+    return AlphaWeights(tuple(w / scaled.l2_norm for w in scaled.weights))
 
 
 def hamming_distance(alpha: AlphaWeights, x: Point, y: Point) -> float:

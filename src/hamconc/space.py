@@ -16,6 +16,7 @@ import itertools
 import math
 import numbers
 import os
+import threading
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -61,10 +62,69 @@ def enumeration_cap() -> int:
     return cap
 
 
-def _rng(seed: int) -> np.random.Generator:
+def _rng(seed: int, word: int = 0) -> np.random.Generator:
+    """A generator over the Philox stream of ``seed``, from its 64-bit word
+    ``word`` on, as if that many words had been drawn.
+
+    Philox is counter-based, so the position costs at most three draws:
+    ``advance`` skips whole blocks of four words and ``random_raw`` the
+    rest.  The
+    word is taken as a Python int, as ``Philox.advance`` raises
+    ``OverflowError`` on a numpy integer.
+    """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    return np.random.Generator(np.random.Philox(seed))
+    bits = np.random.Philox(seed)
+    word = int(word)
+    bits.advance(word // 4)
+    bits.random_raw(word % 4)
+    return np.random.Generator(bits)
+
+
+def _workers() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _split(work, total: int) -> list:
+    """``work(lo, hi)`` on contiguous ranges that split ``range(total)``,
+    one range per worker; their results, in range order.
+
+    There are ``min(_workers(), total)`` ranges (at least one), of equal
+    length within one.  The first runs on the calling thread and each
+    other one on a thread of its own, joined before this returns, so no
+    thread outlives the call; the array work they do in numpy runs
+    outside the interpreter lock.  An exception raised in a range
+    reaches the caller unchanged, the first range's first.
+    """
+    k = max(1, min(_workers(), total))
+    cuts = [total * j // k for j in range(k + 1)]
+    results: list = [None] * k
+    errors: list = [None] * k
+
+    def part(j: int) -> None:
+        try:
+            results[j] = work(cuts[j], cuts[j + 1])
+        except BaseException as exc:  # raised again on the calling thread
+            errors[j] = exc
+
+    started = []
+    try:
+        for j in range(1, k):
+            thread = threading.Thread(target=part, args=(j,))
+            thread.start()
+            started.append(thread)
+        results[0] = work(cuts[0], cuts[1])
+    finally:
+        for thread in started:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 @dataclass(frozen=True)
@@ -401,29 +461,51 @@ def _sample_ranks(
 ) -> np.ndarray:
     """(count,) int64 outcome ranks of the sampled points; deterministic in seed.
 
-    A product law draws ``count`` uniforms per coordinate, in coordinate
-    order, into one reused buffer, and accumulates the mixed-radix rank
-    of the inverse-CDF symbols; a joint law draws ``count`` uniforms and
-    inverts the CDF of the table.  Both read one Philox stream from
-    ``seed``.
+    Both laws read one Philox stream from ``seed``, one 64-bit word per
+    uniform.  A product law gives coordinate i the words
+    ``[i * count, (i + 1) * count)`` and takes its symbols by inverse CDF;
+    a joint law gives sample j word j and inverts the CDF of the table.
+    The work is split over the CPUs the process may use (:func:`_split`):
+    each worker reads its words from a generator positioned at the first
+    of them (:func:`_rng`).  A product law's worker takes a run of
+    coordinates, draws each coordinate's uniforms into one reused buffer
+    and accumulates the mixed-radix rank of its symbols; the partial
+    ranks are then joined in coordinate order.  A joint law's worker
+    takes a run of samples.  The ranks are the same for any number of
+    workers, so they depend on the seed alone.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     dist.require_matches(space)
-    rng = _rng(seed)
+    count = int(count)
     if dist.kind == "product":
         assert dist.pmfs is not None
-        ranks = np.zeros(count, dtype=np.int64)
-        u = np.empty(count, dtype=np.float64)
-        for pmf in dist.pmfs:
-            cum = np.cumsum(np.asarray(pmf, dtype=np.float64))
-            ranks *= cum.size
-            _add_symbols(ranks, cum, rng.random(out=u))
+        cums = [np.cumsum(np.asarray(pmf, dtype=np.float64)) for pmf in dist.pmfs]
+
+        def draw(a: int, b: int) -> tuple[np.ndarray, int]:
+            rng = _rng(seed, a * count)
+            ranks = np.zeros(count, dtype=np.int64)
+            u = np.empty(count, dtype=np.float64)
+            for cum in cums[a:b]:
+                ranks *= cum.size
+                _add_symbols(ranks, cum, rng.random(out=u))
+            return ranks, math.prod(space.alphabet_sizes[a:b])
+
+        (ranks, _), *rest = _split(draw, len(cums))
+        for part, span in rest:
+            ranks *= span
+            ranks += part
         return ranks
     assert dist._joint is not None
     cum = np.cumsum(dist._joint)
-    ranks = np.searchsorted(cum, rng.random(count), side="right")
-    return np.minimum(ranks, space.size - 1).astype(np.int64, copy=False)
+    ranks = np.empty(count, dtype=np.int64)
+
+    def draw_joint(a: int, b: int) -> None:
+        u = _rng(seed, a).random(b - a)
+        ranks[a:b] = np.minimum(np.searchsorted(cum, u, side="right"), space.size - 1)
+
+    _split(draw_joint, count)
+    return ranks
 
 
 def sample(

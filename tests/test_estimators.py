@@ -1,11 +1,15 @@
 """Exact enumeration and Monte Carlo estimators against hand-computed laws."""
 
 import math
+import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from hamconc import space as space_module
 from hamconc.estimators import (
     MC_DEFAULT_DELTA,
     MC_DEFAULT_N,
@@ -225,36 +229,52 @@ _BITS_LAW = Distribution.product([(0.3, 0.7)] * 18)
 _SPREAD = SetSpec.from_points(_BITS.unrank(r) for r in range(0, _BITS.size, 4099))
 
 
-@pytest.mark.parametrize(
-    "space, dist, q, t, hits",
-    [
-        (_BITS, _BITS_LAW, DistanceToSet(normalize([1.0] * 18), _SPREAD), 1.0, 16373),
-        (_BITS, _BITS_LAW, Functional.weighted_sum([0.25] * 18), 3.0, 14456),
-        (
-            FiniteSpace((70, 3, 1)),
-            Distribution.product([[1 / 70] * 70, (0.2, 0.5, 0.3), (1.0,)]),
-            DistanceToSet(
-                normalize([2.0, 1.0, 1.0]),
-                SetSpec.from_points((s, s % 3, 0) for s in range(0, 70, 2)),
-            ),
-            0.6,
-            9843,
+_GOLDEN = [
+    (_BITS, _BITS_LAW, DistanceToSet(normalize([1.0] * 18), _SPREAD), 1.0, 16373),
+    (_BITS, _BITS_LAW, Functional.weighted_sum([0.25] * 18), 3.0, 14456),
+    (
+        FiniteSpace((70, 3, 1)),
+        Distribution.product([[1 / 70] * 70, (0.2, 0.5, 0.3), (1.0,)]),
+        DistanceToSet(
+            normalize([2.0, 1.0, 1.0]),
+            SetSpec.from_points((s, s % 3, 0) for s in range(0, 70, 2)),
         ),
-        (
-            FiniteSpace((2, 3, 4)),
-            Distribution.joint([(i % 5 + 1) / 70 for i in range(24)]),
-            DistanceToSet(normalize([1.0, 2.0, 3.0]), SetSpec.from_points([(1, 2, 3)])),
-            0.6,
-            16609,
-        ),
-    ],
-    ids=["binary-set", "binary-weighted-sum", "70-symbols-set", "joint-set"],
-)
+        0.6,
+        9843,
+    ),
+    (
+        FiniteSpace((2, 3, 4)),
+        Distribution.joint([(i % 5 + 1) / 70 for i in range(24)]),
+        DistanceToSet(normalize([1.0, 2.0, 3.0]), SetSpec.from_points([(1, 2, 3)])),
+        0.6,
+        16609,
+    ),
+]
+_GOLDEN_IDS = ["binary-set", "binary-weighted-sum", "70-symbols-set", "joint-set"]
+
+
+@pytest.mark.parametrize("space, dist, q, t, hits", _GOLDEN, ids=_GOLDEN_IDS)
 def test_mc_tail_golden_estimates(space, dist, q, t, hits):
     # Pins the Philox stream and the symbols read from it: a change to
     # either moves these hit counts.
     est = mc_tail(space, dist, q, t, n_samples=20_000, seed=17)
     assert est == McEstimate(hits / 20_000, hoeffding_half_width(20_000, 0.01), 20_000, 17, 0.01)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, "n", "n+2", 8])
+def test_mc_tail_golden_estimates_for_any_worker_count(monkeypatch, workers):
+    # 8 workers on fewer CPUs and a short switch interval interleave the
+    # workers' writes into the shared output as often as they can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for space, dist, q, t, hits in _GOLDEN:
+            k = {"n": space.n, "n+2": space.n + 2}.get(workers, workers)
+            monkeypatch.setattr(space_module, "_workers", lambda: k)
+            est = mc_tail(space, dist, q, t, n_samples=20_000, seed=17)
+            assert est.estimate == hits / 20_000
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("t", [math.inf, -math.inf])
@@ -268,6 +288,28 @@ def test_mc_tail_refuses_a_nan_threshold():
     q = DistanceToSet(ALPHA_UNIT_2, ORIGIN)
     with pytest.raises(ValueError, match="NaN"):
         mc_tail(SPACE_2, UNIFORM_2, q, math.nan, n_samples=100, seed=0)
+
+
+@pytest.mark.parametrize(
+    "table, evaluator, where",
+    [
+        ([0.0, 0.1, math.nan, 0.2], "table", "(1, 0)"),
+        ([0.0, math.nan, math.nan, 0.2], "table", "(0, 1)"),
+        ([0.0, 0.1, math.nan, 0.2], "callable", "(1, 0)"),
+    ],
+)
+def test_mc_tail_refuses_a_nan_sampled_value(table, evaluator, where):
+    f = Functional.from_table(SPACE_2, table)
+    if evaluator == "callable":
+        f = Functional(evaluator=f.value)
+    # the first NaN outcome in rank order is named
+    with pytest.raises(ValueError, match=re.escape(f"sampled value is NaN at x={where}")):
+        mc_tail(SPACE_2, UNIFORM_2, f, -1.0, n_samples=1_000, seed=0)
+    # a NaN outside the sample is not seen
+    first_0 = Distribution.product(((1.0, 0.0), (0.5, 0.5)))
+    g = Functional.from_table(SPACE_2, [0.0, 0.1, math.nan, math.nan])
+    est = mc_tail(SPACE_2, first_0, g, 0.1, n_samples=1_000, seed=0)
+    assert 0.0 < est.estimate < 1.0
 
 
 @pytest.mark.parametrize(
@@ -317,6 +359,45 @@ def test_mc_tail_equals_the_per_sample_count(quantity):
     for t in sorted(set(vals))[::3]:
         est = mc_tail(_MC_SPACE, dist, quantity, t, n_samples=n_samples, seed=seed)
         assert est.estimate == sum(v >= t for v in vals) / n_samples
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("kind", ["table", "weighted_sum", "callable"])
+def test_sampled_functional_values_equal_one_bulk_evaluation(monkeypatch, kind, workers):
+    monkeypatch.setattr(space_module, "_workers", lambda: workers)
+    caller = threading.current_thread()
+
+    def on_caller(point):
+        # user code is not assumed thread-safe: it runs on the calling thread
+        assert threading.current_thread() is caller
+        return _quadratic(point)
+
+    f = {
+        "table": Functional.from_table(_MC_SPACE, np.random.default_rng(8).normal(size=48)),
+        "weighted_sum": Functional.weighted_sum((0.5, -1.0, 0.25, 2.0)),
+        "callable": Functional(evaluator=on_caller),
+    }[kind]
+    # 20000 ranks of 4 coordinates fill three blocks of 256 KB
+    ranks = np.random.default_rng(1).integers(0, _MC_SPACE.size, 20_000)
+    want = f.values(np.unravel_index(ranks, _MC_SPACE.alphabet_sizes))
+    assert _sampled_values(_MC_SPACE, f, ranks).tobytes() == want.tobytes()
+
+
+def test_sampled_functional_memory_is_bounded(monkeypatch):
+    # the 20 coordinate arrays of all the distinct outcomes of 10^5
+    # samples of (2,)*20 would take about 12 MB
+    monkeypatch.setattr(space_module, "_workers", lambda: 2)
+    n = 20
+    space = FiniteSpace((2,) * n)
+    ranks = np.unique(_sample_ranks(space, Distribution.product([(0.4, 0.6)] * n), 1, 10**5))
+    f = Functional.weighted_sum([0.25] * n)
+    tracemalloc.start()
+    try:
+        _sampled_values(space, f, ranks)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_mc_tail_calls_a_plain_callable_once_per_distinct_outcome():

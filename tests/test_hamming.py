@@ -54,6 +54,22 @@ def test_normalize_rescales_to_unit_norm():
     assert normalize(a).weights == a.weights
 
 
+@pytest.mark.parametrize(
+    "weights, want",
+    [
+        ((0.0, 1.4376609882372853e-161), (0.0, 1.0)),
+        ((5e-324,), (1.0,)),
+        ((2.0**-600, 2.0**-600), (1 / math.sqrt(2),) * 2),
+        ((2.0**600, 2.0**600), (1 / math.sqrt(2),) * 2),
+    ],
+)
+def test_normalize_gives_a_unit_vector_at_any_scale(weights, want):
+    # the squares of these weights underflow or overflow unscaled
+    a = normalize(weights)
+    assert a.weights == want
+    assert a.normalized
+
+
 def test_normalize_rejects_zero_vector():
     with pytest.raises(ValueError, match="degenerate"):
         normalize((0.0, 0.0))

@@ -1,6 +1,7 @@
 """Finite spaces, distributions, subsets, enumeration, and sampling."""
 
 import math
+import threading
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from hamconc.estimators import mc_tail
 from hamconc.functionals import Functional
 from hamconc.hamming import Point
+from hamconc import space as space_module
 from hamconc.space import (
     _COUNT_MAX_SYMBOLS,
     DEFAULT_ENUM_CAP,
@@ -21,7 +23,9 @@ from hamconc.space import (
     SetSpec,
     enumeration_cap,
     _add_symbols,
+    _rng,
     _sample_ranks,
+    _split,
     law_arrays,
     sample,
 )
@@ -372,6 +376,90 @@ def test_sampled_ranks_equal_searchsorted_on_the_same_stream(sizes, dist):
     assert np.array_equal(ranks, _reference_ranks(space, dist, 5, 20_000))
     points = sample(space, dist, 6, 300)
     assert [space.rank(p) for p in points] == _reference_ranks(space, dist, 6, 300).tolist()
+
+
+@pytest.mark.parametrize("word_type", [int, np.int64])
+def test_a_positioned_generator_reads_the_stream_from_its_word(word_type):
+    stream = np.random.Philox(9).random_raw(24)
+    doubles = np.random.Generator(np.random.Philox(9)).random(24)
+    for word in range(10):
+        at = word_type(word)
+        assert np.array_equal(_rng(9, at).bit_generator.random_raw(8), stream[word : word + 8])
+        assert np.array_equal(_rng(9, at).random(8), doubles[word : word + 8])
+
+
+_SPLIT_LAWS = [
+    ((2,) * 7, Distribution.product([(0.3, 0.7)] * 7)),
+    (
+        (1, 3, 1, 2, 1),
+        Distribution.product(((1.0,), (0.2, 0.0, 0.8), (1.0,), (0.6, 0.4), (1.0,))),
+    ),
+    (
+        # alphabets past and at _COUNT_MAX_SYMBOLS
+        (_BIG, 2, _COUNT_MAX_SYMBOLS, 3),
+        Distribution.product(
+            [
+                (1 / _BIG,) * _BIG,
+                (0.5, 0.5),
+                (1 / _COUNT_MAX_SYMBOLS,) * _COUNT_MAX_SYMBOLS,
+                (0.1, 0.3, 0.6),
+            ]
+        ),
+    ),
+    ((3,), Distribution.product([(0.2, 0.3, 0.5)])),
+    ((2, 3, 2), Distribution.joint([(i % 4 + 1) / 30 for i in range(12)])),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3, "n", "n+2"])
+@pytest.mark.parametrize(
+    "sizes, dist", _SPLIT_LAWS, ids=["bits", "size-1", "large", "one-axis", "joint"]
+)
+def test_sampled_ranks_are_the_same_for_any_worker_count(monkeypatch, sizes, dist, workers):
+    space = FiniteSpace(sizes)
+    k = {"n": space.n, "n+2": space.n + 2}.get(workers, workers)
+    monkeypatch.setattr(space_module, "_workers", lambda: k)
+    # counts that are not multiples of 4 start coordinates mid-block
+    for count in (1, 3, 6, 4_097):
+        ranks = _sample_ranks(space, dist, 5, count)
+        assert ranks.dtype == np.int64
+        assert np.array_equal(ranks, _reference_ranks(space, dist, 5, count))
+    points = sample(space, dist, 6, 301)
+    assert [space.rank(p) for p in points] == _reference_ranks(space, dist, 6, 301).tolist()
+
+
+@pytest.mark.parametrize("workers, total", [(1, 5), (3, 10), (4, 2), (3, 0)])
+def test_split_covers_the_range_in_order_with_one_thread_per_part(monkeypatch, workers, total):
+    monkeypatch.setattr(space_module, "_workers", lambda: workers)
+    before = threading.active_count()
+    parts = _split(lambda lo, hi: (lo, hi, threading.current_thread()), total)
+    assert threading.active_count() == before
+    assert len(parts) == max(1, min(workers, total))
+    assert [p[0] for p in parts[1:]] == [p[1] for p in parts[:-1]]
+    assert (parts[0][0], parts[-1][1]) == (0, total)
+    assert max(hi - lo for lo, hi, _ in parts) - min(hi - lo for lo, hi, _ in parts) <= 1
+    assert parts[0][2] is threading.current_thread()
+    assert len({id(p[2]) for p in parts}) == len(parts)
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2])
+def test_split_raises_a_part_s_exception_unchanged(monkeypatch, failing):
+    monkeypatch.setattr(space_module, "_workers", lambda: 3)
+    errors = [KeyError(j) for j in range(3)]
+    done = []
+
+    def work(lo, hi):
+        if lo >= failing:
+            raise errors[lo]
+        done.append(lo)
+
+    before = threading.active_count()
+    with pytest.raises(KeyError) as info:
+        _split(work, 3)
+    # the first failing part's own exception, once every part has ended
+    assert info.value is errors[failing]
+    assert sorted(done) == list(range(failing))
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize(
