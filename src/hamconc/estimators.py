@@ -10,12 +10,12 @@ per distinct sampled outcome.  The Monte Carlo path reports a two-sided
 confidence half-width from Hoeffding's inequality, which makes the
 cross-check against exact values a testable contract rather than a
 matter of eyeballing.  It never tabulates the space: a set is its
-member array, distances to it are read from a bounded table of the
-leading coordinates and summed per coordinate over the rest in blocks
-of bounded size, so its memory does not grow with the sample count,
-and each sampled distance is bit-identical to the exact one.  The
-sampler and the blocks run on all the CPUs the process may use, with
-the same bits as on one.
+member array; each sampled prefix sums its distances to the members
+once, and the min-plus passes of ``distance_field`` add the trailing
+coordinates where that is cheaper, in blocks of bounded size, so memory
+does not grow with the sample count, and each sampled distance is
+bit-identical to the exact one.  The sampler and the blocks run on all
+the CPUs the process may use, with the same bits as on one.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 
 from ._util import exact_layers, exact_sum, frozen
 from .functionals import Functional, _Evaluator, _tabulate
-from .hamming import AlphaWeights, distance_field
+from .hamming import AlphaWeights, _min_plus, distance_field
 from .space import (
     Distribution,
     FiniteSpace,
@@ -61,18 +61,11 @@ __all__ = [
 MC_DEFAULT_N = 10**5
 MC_DEFAULT_DELTA = 0.01
 
-# Bytes of one block of partial distances (sampled outcomes x set members).
-# On 2 vCPU with numpy 2.4.6, the distances of 48k distinct outcomes in
-# {0,1}^18 to 64 members took 58 ms with 256 KB blocks, 60 ms with 512 KB
-# and 79 ms with 1 MB.
+# Bytes of one block: partial distances (ranks or prefixes x members), a
+# field (suffixes x prefixes) or a functional's unravelled coordinates.
 _BLOCK_BYTES = 1 << 18
 # Bytes of the head table: the summed distances of every prefix of the
-# leading coordinates to every member.  On the same 18 bits and 64
-# members (2 vCPU, numpy 2.4.6, best of three noisy runs) the distances
-# took 43 ms with a 256 KB table, 39 ms at 512 KB, 36 ms at 1 MB, 33 ms
-# at 2 MB and 31 ms at 4 MB, at a tracemalloc peak of 1.3, 1.6, 2.0, 3.1
-# and 6.1 MB: past 1 MB each doubling saves under a tenth and costs the
-# table's size again.
+# leading coordinates to every member.
 _HEAD_BYTES = 1 << 20
 
 
@@ -261,9 +254,9 @@ class DistanceToSet:
     target: SetSpec
 
 
-def _by_blocks(ranks: np.ndarray, rows: int, fill, split: bool = True) -> np.ndarray:
-    """``fill(block)`` for each block of ``rows`` ranks, written in order
-    into one float64 array.
+def _by_blocks(ranks: np.ndarray, cuts: Sequence[int], fill, split: bool = True) -> np.ndarray:
+    """``fill(ranks[lo:hi])`` for each block between consecutive ``cuts``
+    (from 0 to ``ranks.size``), written in order into one float64 array.
 
     The blocks are handed out as contiguous runs, one per worker of
     :func:`~hamconc.space._split`, and each worker writes its own slice;
@@ -272,14 +265,13 @@ def _by_blocks(ranks: np.ndarray, rows: int, fill, split: bool = True) -> np.nda
     out = np.empty(ranks.size, dtype=np.float64)
 
     def run(a: int, b: int) -> None:
-        for lo in range(a * rows, min(b * rows, ranks.size), rows):
-            out[lo : lo + rows] = fill(ranks[lo : lo + rows])
+        for lo, hi in zip(cuts[a:b], cuts[a + 1 : b + 1]):
+            out[lo:hi] = fill(ranks[lo:hi])
 
-    blocks = -(-ranks.size // rows)
     if split:
-        _split(run, blocks)
+        _split(run, len(cuts) - 1)
     else:
-        run(0, blocks)
+        run(0, len(cuts) - 1)
     return out
 
 
@@ -288,47 +280,81 @@ def _sampled_distances(
     members: np.ndarray,
     alpha: AlphaWeights,
     sizes: Sequence[int],
+    split: int | None = None,
 ) -> np.ndarray:
-    """d_alpha(x, A) at the outcome of each rank in ``ranks``.
+    """d_alpha(x, A) at the outcome of each of the sorted distinct ``ranks``.
 
     ``tabs[i][s, j]`` is alpha_i when symbol s differs from member j at
-    coordinate i, else 0.  The tables of the first k coordinates are
-    summed, in coordinate order, into one head table with a row per
-    prefix of k symbols; k is the largest for which that table has no
-    more rows than there are ranks and fits ``_HEAD_BYTES``.  Each block
-    of ranks reads its head rows, then adds the tables of the other
-    coordinates, unravelled from the ranks block by block, in order.
-    Those are the float additions of
-    :func:`~hamconc.hamming.hamming_distance` in its order (adding 0.0
-    changes no sum), so every distance is bit-identical to
-    ``distance_to_set`` and ``distance_field``.  Blocks hold about
-    ``_BLOCK_BYTES`` of partial sums, so memory does not grow with the
-    number of ranks; the head table is built once, and the blocks are
-    shared out over the CPUs by :func:`_by_blocks`.
+    coordinate i, else 0.  The first k summed, in coordinate order, make
+    a head table with a row per prefix of k symbols, k the largest for
+    which it has no more rows than there are ranks and fits
+    ``_HEAD_BYTES``.  Each prefix of m symbols, ``k <= m <= n``, reads
+    its head row and adds the tables of coordinates k..m-1.  At m = n
+    the least sum is the distance.  Below n a field cell per prefix and
+    suffix of n - m symbols holds the least sum of the members with that
+    suffix, or infinity; the min-plus passes of ``distance_field``
+    (:func:`~hamconc.hamming._min_plus`) add the trailing weights, and
+    each rank reads its cell.  Rounding is monotone (``min(a, b) + w ==
+    min(a + w, b + w)``), so every distance is bit-identical to
+    ``hamming_distance``'s sums in coordinate order, the least of them.
+
+    m, unless ``split`` forces it (k then at most m), takes the fewest
+    operations ``P * (|A| * (m - k) + T * (n - m))`` for P prefixes and T
+    suffixes.  Below n every prefix is worked out, so there must be no
+    more prefixes than ranks and one prefix's field must fit
+    ``_BLOCK_BYTES``, as each block about does; :func:`_by_blocks` shares
+    the blocks out over the CPUs.
     """
-    tabs = [
-        np.where(np.arange(m)[:, None] != members[:, i], w, 0.0)
-        for i, (m, w) in enumerate(zip(sizes, alpha.weights))
-    ]
-    width = members.shape[0]
-    k, head = 1, tabs[0]
-    while k < len(sizes):
-        prefixes = head.shape[0] * sizes[k]
-        if prefixes > ranks.size or prefixes * width * 8 > _HEAD_BYTES:
-            break
-        head = (head[:, None, :] + tabs[k][None]).reshape(prefixes, width)
+    n, width = len(sizes), members.shape[0]
+    k = 1
+    while k < n and math.prod(sizes[: k + 1]) <= min(ranks.size, _HEAD_BYTES // (8 * width)):
         k += 1
-    tail = tuple(sizes[k:])
-    span = math.prod(tail)
+
+    def ops(m: int) -> float:
+        prefixes, span = math.prod(sizes[:m]), math.prod(sizes[m:])
+        if m < n and (prefixes > ranks.size or 8 * span > _BLOCK_BYTES):
+            return math.inf
+        return min(prefixes, ranks.size) * (width * (m - k) + span * (n - m))
+
+    m = min(range(n, k - 1, -1), key=ops) if split is None else split
+    k = min(k, m)
+    span, mid = math.prod(sizes[m:]), math.prod(sizes[k:m])
+    if m < n:
+        suffix = np.ravel_multi_index(tuple(members[:, m:].T), sizes[m:])
+        members = members[np.argsort(suffix)]
+        keys, starts = np.unique(np.sort(suffix), return_index=True)
+    tabs = [
+        np.where(np.arange(size)[:, None] != members[:, i], w, 0.0)
+        for i, (size, w) in enumerate(zip(sizes, alpha.weights))
+    ]
+    head = tabs[0]
+    for tab in tabs[1:k]:
+        head = (head[:, None, :] + tab[None]).reshape(-1, width)
+
+    def fold(pre: np.ndarray) -> np.ndarray:
+        """The partial distances over the first m coordinates of prefixes ``pre``."""
+        row, rest = np.divmod(pre, mid)
+        d = head[row]
+        for tab, c in zip(tabs[k:m], np.unravel_index(rest, sizes[k:m]) if m > k else ()):
+            d += tab[c]
+        return d
+
+    if m == n:
+        cuts = [*range(0, ranks.size, max(1, _BLOCK_BYTES // (8 * width))), ranks.size]
+        return _by_blocks(ranks, cuts, lambda block: fold(block).min(axis=1))
+    rows = max(1, _BLOCK_BYTES // (8 * max(width, span)))
 
     def fill(block: np.ndarray) -> np.ndarray:
-        pre, rest = np.divmod(block, span)
-        d = head[pre]
-        for tab, c in zip(tabs[k:], np.unravel_index(rest, tail) if tail else ()):
-            d += tab[c]
-        return d.min(axis=1)
+        # Field axes: one per trailing coordinate, then the block's prefixes.
+        first, last = int(block[0]) // span, int(block[-1]) // span + 1
+        field = np.full((span, last - first), np.inf)
+        field[keys] = np.minimum.reduceat(fold(np.arange(first, last)), starts, axis=1).T
+        _min_plus(field.reshape(*sizes[m:], -1), alpha.weights[m:])
+        return field[block % span, block // span - first]
 
-    return _by_blocks(ranks, max(1, _BLOCK_BYTES // (8 * width)), fill)
+    # Blocks of ``rows`` prefixes; a run of prefixes no rank has adds none.
+    bounds = np.searchsorted(ranks, np.arange(0, math.prod(sizes[:m]), rows) * span)
+    return _by_blocks(ranks, np.unique(np.append(bounds, ranks.size)).tolist(), fill)
 
 
 def _sampled_values(
@@ -357,7 +383,7 @@ def _sampled_values(
     sizes = space.alphabet_sizes
     return _by_blocks(
         ranks,
-        max(1, _BLOCK_BYTES // (8 * space.n)),
+        [*range(0, ranks.size, max(1, _BLOCK_BYTES // (8 * space.n))), ranks.size],
         lambda block: quantity.values(np.unravel_index(block, sizes)),
         isinstance(quantity.evaluator, _Evaluator),
     )
@@ -441,22 +467,23 @@ def mc_tail(
     """Estimate P(q(X) >= t) by sampling the distribution.
 
     The samples are one array of ``n_samples`` outcome ranks, drawn by
-    :func:`~hamconc.space._sample_ranks` from one Philox stream split by
-    coordinate.  q is evaluated once per distinct sampled outcome, on
-    the sorted distinct ranks, block by block: a functional through
-    :meth:`Functional.values` at each block's coordinates (table and
-    weighted-sum functionals without a Point per outcome, a plain
-    callable point by point), the distance to a set by
-    :func:`_sampled_distances`: a table of about 1 MB serves the leading
-    coordinates, and the others are unravelled and summed in blocks of
-    about 256 KB, bit-identical to the exact distance.  The sampling and
-    the blocks of a table, a weighted sum or a distance are shared out
-    over the CPUs the process may use; a plain callable runs on the
-    calling thread.  Each outcome that reaches t adds its sample count
-    to the hits, so the estimate is the per-sample count.  The space is
-    not tabulated, so this path also serves spaces past the enumeration
-    cap.  Bit-reproducible for a given seed: the estimate is the same
-    for any number of CPUs.
+    :func:`~hamconc.space._sample_ranks` from one Philox stream, read by
+    coordinate and split by sample.  q is evaluated once per distinct
+    sampled outcome, on the sorted distinct ranks, block by block: a
+    functional through :meth:`Functional.values` at each block's
+    coordinates (table and weighted-sum functionals without a Point per
+    outcome, a plain callable point by point), the distance to a set by
+    :func:`_sampled_distances`: each sampled prefix sums its distances
+    to the members once, from a table of about 1 MB, and the trailing
+    coordinates are added per coordinate or by min-plus passes over a
+    field of about 256 KB, bit-identical to the exact distance.  The
+    sampling and the blocks of a table, a weighted sum or a distance are
+    shared out over the CPUs the process may use; a plain callable runs
+    on the calling thread.  Each outcome that reaches t adds its sample
+    count to the hits, so the estimate is the per-sample count.  The
+    space is not tabulated, so this path also serves spaces past the
+    enumeration cap.  Bit-reproducible for a given seed: the estimate is
+    the same for any number of CPUs.
 
     ``t`` may be infinite but not NaN; ``n_samples`` and ``seed`` must
     be integers, not bools.  A sampled value that is NaN raises

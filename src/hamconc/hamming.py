@@ -49,7 +49,8 @@ class AlphaWeights:
     weights:
         The weight of each coordinate, finite and >= 0.
     l2_norm:
-        sqrt(sum of squared weights), cached at construction.
+        sqrt(sum of squared weights), cached at construction; taken on
+        the weights scaled by :func:`_scaled`, so squares never overflow.
     l1_sum:
         Sum of the weights; this is the largest value the induced
         distance can take, so tail grids are scaled by it.
@@ -67,7 +68,7 @@ class AlphaWeights:
             if not math.isfinite(w) or w < 0.0:
                 raise ValueError(f"weights must be finite and >= 0, got {w!r}")
         object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "l2_norm", math.sqrt(sum(w * w for w in ws)))
+        object.__setattr__(self, "l2_norm", math.ldexp(*_scaled(ws)[1:]))
         object.__setattr__(self, "l1_sum", sum(ws))
 
     @property
@@ -124,17 +125,19 @@ def normalize(alpha: AlphaWeights | Iterable[float]) -> AlphaWeights:
     """
     if not isinstance(alpha, AlphaWeights):
         alpha = AlphaWeights(tuple(alpha))
-    top = max(alpha.weights)
-    if top == 0.0:
+    scaled, root, _ = _scaled(alpha.weights)
+    if root == 0.0:
         raise ValueError("degenerate weights: all weights are zero")
-    # Scaled first by a power of two, so the largest weight lies in
-    # [0.5, 1): the squares of weights near 1e-160 would otherwise lose
-    # their bits to underflow, and those near 1e160 overflow.  The scaling
-    # is exact, so weights whose squares stay in range keep the quotients
-    # they had unscaled.
-    e = math.frexp(top)[1]
-    scaled = AlphaWeights(tuple(math.ldexp(w, -e) for w in alpha.weights))
-    return AlphaWeights(tuple(w / scaled.l2_norm for w in scaled.weights))
+    return AlphaWeights(tuple(w / root for w in scaled))
+
+
+def _scaled(ws: tuple[float, ...]) -> tuple[tuple[float, ...], float, int]:
+    """(ws * 2**-e, their l2 norm, e), the largest scaled weight in [0.5, 1):
+    exact, and no square of a weight near 1e-160 or 1e160 underflows or
+    overflows, while weights whose squares are in range keep their bits."""
+    e = math.frexp(max(ws))[1]
+    scaled = tuple(math.ldexp(w, -e) for w in ws)
+    return scaled, math.sqrt(sum(w * w for w in scaled)), e
 
 
 def hamming_distance(alpha: AlphaWeights, x: Point, y: Point) -> float:
@@ -185,8 +188,9 @@ def distance_field(alpha: AlphaWeights, in_set: np.ndarray) -> np.ndarray:
     min-plus pass per axis, ``d = min(d, min over axis i of d + alpha_i)``,
     started from 0 on A and infinity off it, gives the distance to A
     (Felzenszwalb & Huttenlocher, "Distance Transforms of Sampled
-    Functions", Theory of Computing 8, 2012).  Weights are added in
-    coordinate order and float addition is monotone, so each entry is
+    Functions", Theory of Computing 8, 2012); :func:`_min_plus` runs
+    them, and ``mc_tail``'s sampled distances share it.  Weights are added
+    in coordinate order and float addition is monotone, so each entry is
     bit-identical to :func:`distance_to_set` at that point.
 
     Raises
@@ -198,15 +202,24 @@ def distance_field(alpha: AlphaWeights, in_set: np.ndarray) -> np.ndarray:
         raise ValueError(f"alpha has {alpha.n} weights, set mask has {in_set.ndim} axes")
     if not in_set.any():
         raise ValueError("empty set has infinite distance")
-    d = np.where(in_set, 0.0, np.inf)
+    return _min_plus(np.where(in_set, 0.0, np.inf), alpha.weights)
+
+
+def _min_plus(d: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
+    """``d = min(d, min over axis i of d + w_i)`` in place, for each weight
+    w_i in order, over the first axes of ``d`` (C-contiguous float64): from
+    distances over earlier coordinates, the least over these too."""
     shape = d.shape
-    for i, w in enumerate(alpha.weights):
+    for i, w in enumerate(weights):
+        if shape[i] == 1:  # d + w >= d: the pass would change nothing
+            continue
         # Axis i as the middle of three: the mins below then run along
         # whole rows, where numpy's reduction over a short axis would run
         # one tiny loop per output entry, several times slower.
         v = d.reshape(math.prod(shape[:i]), shape[i], -1)
-        low = v[:, 0]
-        for s in range(1, shape[i]):
-            low = np.minimum(low, v[:, s])
-        np.minimum(v, (low + w)[:, None], out=v)
+        low = np.minimum(v[:, 0], v[:, 1])
+        for s in range(2, shape[i]):
+            np.minimum(low, v[:, s], out=low)
+        low += w
+        np.minimum(v, low[:, None], out=v)
     return d

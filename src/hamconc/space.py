@@ -63,22 +63,25 @@ def enumeration_cap() -> int:
 
 
 def _rng(seed: int, word: int = 0) -> np.random.Generator:
-    """A generator over the Philox stream of ``seed``, from its 64-bit word
-    ``word`` on, as if that many words had been drawn.
-
-    Philox is counter-based, so the position costs at most three draws:
-    ``advance`` skips whole blocks of four words and ``random_raw`` the
-    rest.  The
-    word is taken as a Python int, as ``Philox.advance`` raises
-    ``OverflowError`` on a numpy integer.
-    """
+    """A generator over the Philox stream of ``seed``, from word ``word`` on."""
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     bits = np.random.Philox(seed)
-    word = int(word)
-    bits.advance(word // 4)
-    bits.random_raw(word % 4)
+    _seek(bits, word)
     return np.random.Generator(bits)
+
+
+def _seek(bits: np.random.Philox, word: int) -> None:
+    """Position ``bits`` at 64-bit word ``word`` (any integer) of its stream:
+    Philox makes block c of four words from counter c, so the counter is
+    set to ``word // 4``, the buffer emptied and ``word % 4`` words drawn.
+    """
+    word = int(word)
+    state = bits.state
+    state["state"]["counter"] = np.array([word // 4, 0, 0, 0], dtype=np.uint64)
+    state["buffer_pos"] = 4
+    bits.state = state
+    bits.random_raw(word % 4)
 
 
 def _workers() -> int:
@@ -465,14 +468,14 @@ def _sample_ranks(
     uniform.  A product law gives coordinate i the words
     ``[i * count, (i + 1) * count)`` and takes its symbols by inverse CDF;
     a joint law gives sample j word j and inverts the CDF of the table.
-    The work is split over the CPUs the process may use (:func:`_split`):
-    each worker reads its words from a generator positioned at the first
-    of them (:func:`_rng`).  A product law's worker takes a run of
-    coordinates, draws each coordinate's uniforms into one reused buffer
-    and accumulates the mixed-radix rank of its symbols; the partial
-    ranks are then joined in coordinate order.  A joint law's worker
-    takes a run of samples.  The ranks are the same for any number of
-    workers, so they depend on the seed alone.
+    The samples are split over the CPUs the process may use
+    (:func:`_split`), each worker taking a run of them, so the buffers of
+    all the workers add up to the serial size.  A product law's worker
+    positions one generator at its run's first word of each coordinate
+    (:func:`_seek`), draws that coordinate's uniforms into one reused
+    buffer and accumulates the mixed-radix ranks of its samples in
+    place.  The ranks are the same for any number of workers, so they
+    depend on the seed alone.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -481,20 +484,17 @@ def _sample_ranks(
     if dist.kind == "product":
         assert dist.pmfs is not None
         cums = [np.cumsum(np.asarray(pmf, dtype=np.float64)) for pmf in dist.pmfs]
+        ranks = np.zeros(count, dtype=np.int64)
 
-        def draw(a: int, b: int) -> tuple[np.ndarray, int]:
-            rng = _rng(seed, a * count)
-            ranks = np.zeros(count, dtype=np.int64)
-            u = np.empty(count, dtype=np.float64)
-            for cum in cums[a:b]:
-                ranks *= cum.size
-                _add_symbols(ranks, cum, rng.random(out=u))
-            return ranks, math.prod(space.alphabet_sizes[a:b])
+        def draw(a: int, b: int) -> None:
+            rng = _rng(seed)
+            part, u = ranks[a:b], np.empty(b - a, dtype=np.float64)
+            for i, cum in enumerate(cums):
+                _seek(rng.bit_generator, i * count + a)
+                part *= cum.size
+                _add_symbols(part, cum, rng.random(out=u))
 
-        (ranks, _), *rest = _split(draw, len(cums))
-        for part, span in rest:
-            ranks *= span
-            ranks += part
+        _split(draw, count)
         return ranks
     assert dist._joint is not None
     cum = np.cumsum(dist._joint)

@@ -1,5 +1,6 @@
 """Exact enumeration and Monte Carlo estimators against hand-computed laws."""
 
+import hashlib
 import math
 import re
 import sys
@@ -9,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from hamconc import estimators as estimators_module
 from hamconc import space as space_module
 from hamconc.estimators import (
     MC_DEFAULT_DELTA,
@@ -222,6 +224,105 @@ def test_head_table_distances_equal_the_distance_field(sizes, members, count, la
     exact = distance_field(alpha, target.mask(space)).ravel()[ranks]
     got = _sampled_distances(ranks, target.member_symbols(space), alpha, sizes)
     assert got.tobytes() == exact.tobytes()
+
+
+def _split_case(kind):
+    """(sorted distinct ranks, member symbols, alpha, sizes) for the split tests."""
+    sizes, count, law = {
+        "binary": ((2,) * 9, 40, "product"),
+        "3-1-4-2-3": ((3, 1, 4, 2, 3), 6, "product"),
+        "size-1": ((1, 2, 1, 3, 1, 2), 3, "product"),
+        "one-member": ((2, 3, 2, 2), 1, "product"),
+        "shared-suffix": ((2,) * 8, 12, "product"),
+        "joint": ((2, 3, 4, 2), 5, "joint"),
+    }[kind]
+    rng = np.random.default_rng(len(kind))
+    space = FiniteSpace(sizes)
+    if law == "joint":
+        dist = Distribution.joint(rng.dirichlet(np.ones(space.size)).tolist())
+    else:
+        dist = Distribution.product([rng.dirichlet(np.ones(m)).tolist() for m in sizes])
+    members = np.array([space.unrank(int(r)).symbols for r in rng.choice(space.size, count, False)])
+    if kind == "shared-suffix":
+        # three suffixes of 3 symbols, four members each
+        members[:, 5:] = members[np.arange(count) % 3, 5:]
+    alpha = normalize(rng.uniform(0.1, 1.0, space.n).tolist())
+    ranks = np.unique(_sample_ranks(space, dist, 4, 3_000))
+    return ranks, members, alpha, sizes
+
+
+_SPLIT_KINDS = ["binary", "3-1-4-2-3", "size-1", "one-member", "shared-suffix", "joint"]
+
+
+@pytest.mark.parametrize("kind", _SPLIT_KINDS)
+@pytest.mark.parametrize("block_bytes", [None, 64])
+@pytest.mark.parametrize("workers", [1, 2, 3, 1000])
+def test_every_split_equals_the_distance_field(monkeypatch, kind, block_bytes, workers):
+    # 64-byte blocks hold one prefix or one rank each, so the workers
+    # share out many blocks; 1000 workers outnumber the blocks
+    if block_bytes is not None:
+        monkeypatch.setattr(estimators_module, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(space_module, "_workers", lambda: workers)
+    ranks, members, alpha, sizes = _split_case(kind)
+    mask = np.zeros(sizes, dtype=bool)
+    mask[tuple(members.T)] = True
+    want = distance_field(alpha, mask).ravel()[ranks].tobytes()
+    assert _sampled_distances(ranks, members, alpha, sizes).tobytes() == want
+    for m in range(1, len(sizes) + 1):
+        assert _sampled_distances(ranks, members, alpha, sizes, m).tobytes() == want, m
+
+
+def test_a_split_below_n_is_taken_where_it_is_cheaper(monkeypatch):
+    # 64 members of {0,1}^18 and 20000 distinct ranks: the per-member
+    # sums over the last coordinates cost more than the passes
+    n = 18
+    rng = np.random.default_rng(18)
+    members = rng.integers(0, 2, (64, n))
+    ranks = np.unique(rng.integers(0, 2**n, 30_000))
+    alpha = normalize(rng.uniform(0.1, 1.0, n).tolist())
+    splits = []
+    real = estimators_module._min_plus
+    monkeypatch.setattr(
+        estimators_module, "_min_plus", lambda d, w: splits.append(len(w)) or real(d, w)
+    )
+    got = _sampled_distances(ranks, members, alpha, (2,) * n)
+    mask = np.zeros((2,) * n, dtype=bool)
+    mask[tuple(members.T)] = True
+    assert got.tobytes() == distance_field(alpha, mask).ravel()[ranks].tobytes()
+    assert splits and 0 < splits[0] < n
+
+
+def test_past_the_cap_distances_keep_their_bits():
+    # (2,)*40 with 64 members: no split below n fits, every rank sums its
+    # 64 distances.  The digest is that of the per-member sums before the
+    # split was introduced.
+    n = 40
+    space = FiniteSpace((2,) * n)
+    rng = np.random.default_rng(40)
+    members = rng.integers(0, 2, (64, n))
+    alpha = normalize(rng.uniform(0.1, 1.0, n).tolist())
+    ranks = np.unique(_sample_ranks(space, Distribution.product([(0.4, 0.6)] * n), 3, 10**5))
+    got = _sampled_distances(ranks, members, alpha, space.alphabet_sizes)
+    assert hashlib.sha256(got.tobytes()).hexdigest() == (
+        "1515a8164be38aa0a1185445bec93335846c2e6cfa839cf305f15b1c27336283"
+    )
+
+
+def test_sampler_memory_does_not_grow_with_the_workers(monkeypatch):
+    # each worker draws only its own samples: at 18 workers the buffers
+    # add up to the serial size (they were 18 full-length pairs)
+    space = FiniteSpace((2,) * 18)
+    dist = Distribution.product([(0.4, 0.6)] * 18)
+    peaks = []
+    for workers in (1, 18):
+        monkeypatch.setattr(space_module, "_workers", lambda: workers)
+        tracemalloc.start()
+        try:
+            _sample_ranks(space, dist, 1, 10**5)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + 2**20
 
 
 _BITS = FiniteSpace((2,) * 18)

@@ -70,6 +70,27 @@ def test_normalize_gives_a_unit_vector_at_any_scale(weights, want):
     assert a.normalized
 
 
+@pytest.mark.parametrize(
+    "weights, norm",
+    [
+        ((2.0**600,), 2.0**600),
+        ((2.0**-600,), 2.0**-600),
+        ((5e-324,), 5e-324),
+        ((2.0**600, 2.0**600), 2.0**600 * math.sqrt(2)),
+        ((1.4376609882372853e-161, 0.0), 1.4376609882372853e-161),
+        ((0.0, 0.0), 0.0),
+    ],
+)
+def test_l2_norm_at_any_scale(weights, norm):
+    # unscaled, these squares overflow to inf or underflow to subnormals
+    assert AlphaWeights(weights).l2_norm == norm
+
+
+@given(st.lists(st.floats(1e-100, 1e100), min_size=1, max_size=6))
+def test_l2_norm_keeps_its_bits_where_the_squares_are_in_range(ws):
+    assert AlphaWeights(tuple(ws)).l2_norm == math.sqrt(sum(w * w for w in ws))
+
+
 def test_normalize_rejects_zero_vector():
     with pytest.raises(ValueError, match="degenerate"):
         normalize((0.0, 0.0))
