@@ -27,7 +27,6 @@ from .bounds import (
     h_exponent,
     improved_set_bound,
     mcdiarmid_set_bound,
-    mean_tail_bound,
     median_tail_bound,
     median_tail_classical,
     membership_product_bound,
@@ -64,7 +63,6 @@ from .space import (
     Distribution,
     FiniteSpace,
     SetSpec,
-    enumeration_cap,
     sample,
 )
 from .verify import (
@@ -102,7 +100,6 @@ __all__ = [
     "FiniteSpace",
     "Distribution",
     "SetSpec",
-    "enumeration_cap",
     "sample",
     # functionals and certificates
     "Functional",
@@ -132,7 +129,6 @@ __all__ = [
     "membership_product_bound",
     "median_tail_bound",
     "median_tail_classical",
-    "mean_tail_bound",
     "mgf_bound",
     "shifted_median_bound",
     "gap_bound",

@@ -7,14 +7,25 @@ compose with any driver.  The piecewise exponent :func:`h_exponent` is
 the heart of the improved set bound: it matches t^2/2 + distance-squared
 geometry for t past rho and freezes at 2*rho^2 below it, where the
 distance term dominates.
+
+:data:`EVALUATORS` is the one statement of every bound: each id maps to
+a :class:`Bound` record of its function, its parameter names and
+whether its value is a probability.  The verify flows read a row's
+vacuity from it, ``eval-bound`` and ``curves`` its parameters, and
+README's list of ids is checked against it.  The flows call each
+function by its module attribute, so a wrapper set on that attribute
+(the benchmark's tracer sets one) sees every call.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from enum import Enum
+from typing import Callable, NamedTuple
 
 __all__ = [
+    "Bound",
     "BoundId",
     "h_exponent",
     "mcdiarmid_set_bound",
@@ -23,7 +34,6 @@ __all__ = [
     "membership_product_bound",
     "median_tail_bound",
     "median_tail_classical",
-    "mean_tail_bound",
     "mgf_bound",
     "shifted_median_bound",
     "gap_bound",
@@ -49,7 +59,6 @@ class BoundId(str, Enum):
     MEMBERSHIP_PRODUCT = "membership-product"
     MEDIAN_IMPROVED = "median-improved"
     MEDIAN_CLASSICAL = "median-classical"
-    MEAN_TAIL = "mean-tail"
     MGF = "mgf"
     SHIFTED_MEDIAN = "shifted-median"
     GAP_IMPROVED = "gap-improved"
@@ -136,17 +145,6 @@ def median_tail_classical(t: float) -> float:
     return 2.0 * math.exp(-0.5 * t * t)
 
 
-def mean_tail_bound(t: float) -> float:
-    """One-sided mean tail under a unit weight vector: exp(-2*t^2).
-
-    It serves ``mean-tail`` and, as :func:`drop_mean_tail_bound`,
-    ``drop-mean-tail``: the mean tail under the drop condition, whose
-    gaps in [0, alpha_i] bound the differences by alpha_i the same way.
-    """
-    t = _require_pos("t", t)
-    return math.exp(-2.0 * t * t)
-
-
 def mgf_bound(lam: float) -> float:
     """Centered moment generating function cap: exp(lam^2 / 8)."""
     lam = _require_nonneg("lam", lam)
@@ -211,37 +209,53 @@ def sb_lower_bound(t: float, mu: float, a: float, b: float) -> float:
     return math.exp(-t * t / (2.0 * denom))
 
 
-drop_mean_tail_bound = mean_tail_bound
+def drop_mean_tail_bound(t: float) -> float:
+    """Mean tail under the drop condition with a unit weight vector: exp(-2*t^2).
+
+    Drop gaps in [0, alpha_i] bound each coordinate's differences by
+    alpha_i, which gives McDiarmid's one-sided tail for independent
+    coordinates.
+    """
+    t = _require_pos("t", t)
+    return math.exp(-2.0 * t * t)
 
 
 def drop_mean_tail_scaled(t: float, n: int) -> float:
     """Mean tail for unit increments on n coordinates: exp(-2*t^2 / n)."""
     t = _require_pos("t", t)
-    n = int(n)
-    if n < 1:
+    # A bool is an int, and a float is a count only when it is integral.
+    integral = isinstance(n, numbers.Integral) or float(n).is_integer()
+    if isinstance(n, bool) or not integral or n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    return math.exp(-2.0 * t * t / n)
+    return math.exp(-2.0 * t * t / int(n))
 
 
-# Dispatcher: name -> (callable, parameter names in call order).  The
-# extra "h" entry exposes the raw exponent through the same front door.
-EVALUATORS: dict[str, tuple] = {
-    BoundId.MCD_SET.value: (mcdiarmid_set_bound, ("t",)),
-    BoundId.SIMPLE_SET.value: (simple_set_bound, ("t",)),
-    BoundId.IMPROVED_SET.value: (improved_set_bound, ("t", "rho")),
-    BoundId.MEMBERSHIP_PRODUCT.value: (membership_product_bound, ("rho",)),
-    BoundId.MEDIAN_IMPROVED.value: (median_tail_bound, ("t", "rho")),
-    BoundId.MEDIAN_CLASSICAL.value: (median_tail_classical, ("t",)),
-    BoundId.MEAN_TAIL.value: (mean_tail_bound, ("t",)),
-    BoundId.MGF.value: (mgf_bound, ("lam",)),
-    BoundId.SHIFTED_MEDIAN.value: (shifted_median_bound, ("t", "gap")),
-    BoundId.GAP_IMPROVED.value: (gap_bound, ("rho",)),
-    BoundId.GAP_CLASSICAL.value: (gap_bound_classical, ()),
-    BoundId.SB_UPPER.value: (sb_upper_bound, ("t", "mu", "a", "b")),
-    BoundId.SB_LOWER.value: (sb_lower_bound, ("t", "mu", "a", "b")),
-    BoundId.DROP_MEAN_TAIL.value: (drop_mean_tail_bound, ("t",)),
-    BoundId.DROP_MEAN_TAIL_SCALED.value: (drop_mean_tail_scaled, ("t", "n")),
-    "h": (h_exponent, ("t", "rho")),
+class Bound(NamedTuple):
+    """One bound: its function, its parameter names in call order, and
+    whether its value is a probability, so that a value above 1 is vacuous."""
+
+    fn: Callable[..., float]
+    params: tuple[str, ...]
+    probability: bool
+
+
+# Every bound by its id, and the raw exponent "h" through the same front door.
+EVALUATORS: dict[str, Bound] = {
+    BoundId.MCD_SET.value: Bound(mcdiarmid_set_bound, ("t",), True),
+    BoundId.SIMPLE_SET.value: Bound(simple_set_bound, ("t",), True),
+    BoundId.IMPROVED_SET.value: Bound(improved_set_bound, ("t", "rho"), True),
+    BoundId.MEMBERSHIP_PRODUCT.value: Bound(membership_product_bound, ("rho",), True),
+    BoundId.MEDIAN_IMPROVED.value: Bound(median_tail_bound, ("t", "rho"), True),
+    BoundId.MEDIAN_CLASSICAL.value: Bound(median_tail_classical, ("t",), True),
+    BoundId.MGF.value: Bound(mgf_bound, ("lam",), False),
+    BoundId.SHIFTED_MEDIAN.value: Bound(shifted_median_bound, ("t", "gap"), True),
+    BoundId.GAP_IMPROVED.value: Bound(gap_bound, ("rho",), False),
+    BoundId.GAP_CLASSICAL.value: Bound(gap_bound_classical, (), False),
+    BoundId.SB_UPPER.value: Bound(sb_upper_bound, ("t", "mu", "a", "b"), True),
+    BoundId.SB_LOWER.value: Bound(sb_lower_bound, ("t", "mu", "a", "b"), True),
+    BoundId.DROP_MEAN_TAIL.value: Bound(drop_mean_tail_bound, ("t",), True),
+    BoundId.DROP_MEAN_TAIL_SCALED.value: Bound(drop_mean_tail_scaled, ("t", "n"), True),
+    "h": Bound(h_exponent, ("t", "rho"), False),
 }
 
 
@@ -255,16 +269,16 @@ def evaluate_bound(name: str, **params: float) -> float:
         message names the offending key.
     """
     try:
-        fn, wanted = EVALUATORS[name]
+        bound = EVALUATORS[name]
     except KeyError:
         known = ", ".join(sorted(EVALUATORS))
         raise ValueError(f"unknown bound {name!r}; known: {known}") from None
     for key in params:
-        if key not in wanted:
+        if key not in bound.params:
             raise ValueError(f"bound {name!r} does not take parameter {key!r}")
     args = []
-    for key in wanted:
+    for key in bound.params:
         if key not in params:
             raise ValueError(f"bound {name!r} requires parameter {key!r}")
         args.append(params[key])
-    return float(fn(*args))
+    return float(bound.fn(*args))

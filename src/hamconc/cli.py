@@ -58,8 +58,7 @@ def cmd_eval_bound(args: argparse.Namespace) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    _, declared = bounds.EVALUATORS[args.name]
-    for key in declared:
+    for key in bounds.EVALUATORS[args.name].params:
         print(f"{key} = {fmt_float(float(params[key]))}")
     print(f"{args.name} = {fmt_float(value)}")
     return 0
@@ -184,24 +183,24 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if axis in fixed:
         print(f"error: --{axis} conflicts with the range axis", file=sys.stderr)
         return 2
+    # Each bound's parameters are checked once: (name, fixed arguments, takes the axis).
+    calls = []
+    for name in args.bound_set:
+        params = bounds.EVALUATORS[name].params
+        for k in params:
+            if k != axis and k not in fixed:
+                print(
+                    f"error: bound {name} needs parameter {k}; pass --{k} "
+                    "or use it as the range axis",
+                    file=sys.stderr,
+                )
+                return 2
+        calls.append((name, {k: fixed[k] for k in params if k != axis}, axis in params))
     lines = [",".join([axis] + list(args.bound_set))]
     for x in grid:
         row = [fmt_float(float(x))]
-        for name in args.bound_set:
-            _, declared = bounds.EVALUATORS[name]
-            kwargs = {}
-            for k in declared:
-                if k == axis:
-                    kwargs[k] = float(x)
-                elif k in fixed:
-                    kwargs[k] = fixed[k]
-                else:
-                    print(
-                        f"error: bound {name} needs parameter {k}; pass --{k} "
-                        "or use it as the range axis",
-                        file=sys.stderr,
-                    )
-                    return 2
+        for name, given, on_axis in calls:
+            kwargs = {**given, axis: float(x)} if on_axis else given
             try:
                 row.append(fmt_float(bounds.evaluate_bound(name, **kwargs)))
             except ValueError as e:

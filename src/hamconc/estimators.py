@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import sub
 from typing import Sequence
 
 import numpy as np
@@ -116,11 +117,11 @@ class TailCurve:
 
     Every prefix and suffix mass is the correctly rounded sum of its
     masses: the masses are split once into the exact layers of
-    :func:`~hamconc._util.exact_layers`, whose running sums from either
-    end are exact, and a query adds one value per layer with
-    ``math.fsum``.  Queries past either end of the support return
-    exactly 0.0, which is what makes "tail vanishes past the range"
-    checks exact rather than approximate.
+    :func:`~hamconc._util.exact_layers`, whose running sums are exact,
+    and so are their differences, the suffix sums; a query adds one
+    value per layer with ``math.fsum``.  Queries past either end of the
+    support return exactly 0.0, which is what makes "tail vanishes past
+    the range" checks exact rather than approximate.
     """
 
     def __init__(self, support, masses, total: float) -> None:
@@ -129,10 +130,9 @@ class TailCurve:
         self.total = float(total)
         layers, rest = exact_layers(self._m)
         parts = np.stack(layers, axis=1) if layers else np.zeros((self._m.size, 1))
-        # Row i, one exact value per layer: the mass on support points
-        # 0..i (_pre) and on points i and above (_suf).
+        # Row i, one exact value per layer: the mass on support points 0..i.
         self._pre = np.cumsum(parts, axis=0)
-        self._suf = np.cumsum(parts[::-1], axis=0)[::-1]
+        self._top = self._pre[-1].tolist()
         # Masses too large to split (None for any probability law).
         self._rest = rest
 
@@ -157,8 +157,9 @@ class TailCurve:
         return math.fsum(parts)
 
     def _suffix(self, i: int) -> float:
-        """Mass on support points i and above."""
-        parts = self._suf[i].tolist()
+        """Mass on support points i and above: per layer, the total less
+        the mass below i, an exact difference."""
+        parts = list(map(sub, self._top, self._pre[i - 1].tolist())) if i else self._top[:]
         if self._rest is not None:
             parts += self._rest[i:].tolist()
         return math.fsum(parts)

@@ -26,19 +26,16 @@ from .hamming import Point
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
-    "ENUM_CAP_ENV",
     "RNG_NAME",
     "FiniteSpace",
     "Distribution",
     "SetSpec",
-    "enumeration_cap",
     "law_arrays",
     "sample",
 ]
 
+# Cap on exhaustive enumeration when a scenario or a call gives none.
 DEFAULT_ENUM_CAP = 10**7
-# Environment override for the default enumeration cap (a positive int).
-ENUM_CAP_ENV = "HAMCONC_ENUM_CAP"
 
 # Counter-based generator used for all sampling; recorded in reports so a
 # reader of a report knows how to reproduce the stream from the seed.
@@ -46,20 +43,6 @@ RNG_NAME = "numpy-philox4x64"
 
 _MAX_SIZE = 2**63 - 1  # outcome counts must fit a 64-bit signed int
 _PMF_SUM_ATOL = 1e-12
-
-
-def enumeration_cap() -> int:
-    """Default cap on exhaustive enumeration; overridable via env var."""
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None:
-        return DEFAULT_ENUM_CAP
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if cap <= 0:
-        raise ValueError(f"{ENUM_CAP_ENV} must be positive, got {cap}")
-    return cap
 
 
 def _rng(seed: int, word: int = 0) -> np.random.Generator:
@@ -373,7 +356,7 @@ class SetSpec:
 
 
 def _check_cap(space: FiniteSpace, cap: int | None) -> None:
-    limit = enumeration_cap() if cap is None else int(cap)
+    limit = DEFAULT_ENUM_CAP if cap is None else int(cap)
     if space.size > limit:
         raise ValueError(
             f"outcome count {space.size} exceeds enumeration cap {limit}"
@@ -402,7 +385,7 @@ def law_arrays(
     flat outer products that multiply in coordinate order, so each
     probability is bit-identical to :meth:`Distribution.probability`.
     The cap (default
-    :func:`enumeration_cap`) guards against runaway exhaustive sweeps;
+    ``DEFAULT_ENUM_CAP``) guards against runaway exhaustive sweeps;
     pass an explicit ``cap`` to raise it for one call.
 
     The name and the pair are kept because ``bench/tracer.py`` wraps

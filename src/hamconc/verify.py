@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bounds
 from ._util import dumps, fmt_float, fmt_floats, quote
-from .bounds import BoundId
+from .bounds import EVALUATORS
 from .estimators import FunctionalLaw, exact_functional_stats, exact_set_stats, mgf_from_law
 from .functionals import (
     Functional,
@@ -244,7 +244,6 @@ _REPORT_JSON = (
     '{"fingerprint":%s,"rng":%s,"scenario":%s,"rows":[%s],"summary":%s,"notes":%s}'
 )
 _FLAGS = ("false", "true")
-_BOUND_TEXT = {b: b.value for b in BoundId}
 
 
 def _row_cells(rows: tuple[BoundRow, ...], text, null: str) -> Iterator[tuple[str, ...]]:
@@ -274,22 +273,22 @@ def _row_cells(rows: tuple[BoundRow, ...], text, null: str) -> Iterator[tuple[st
 
 def _row(
     target_kind: str,
-    bound_id: BoundId,
+    bound_id: str,
     lhs: float,
     bound: float,
     *,
-    probability: bool = True,
     median_used: float | None = None,
     tail: str | None = None,
     t: float | None = None,
     lam: float | None = None,
 ) -> BoundRow:
+    """A row of the bound ``bound_id``, vacuous when its value is a probability above 1."""
     lhs = float(lhs)
     bound = float(bound)
     slack = bound - lhs
     return BoundRow(
-        target_kind, _BOUND_TEXT[bound_id], lhs, bound, slack, slack >= -PASS_TOL,
-        bool(probability and bound > 1.0), median_used, tail, t, lam,
+        target_kind, bound_id, lhs, bound, slack, slack >= -PASS_TOL,
+        EVALUATORS[bound_id].probability and bound > 1.0, median_used, tail, t, lam,
     )
 
 
@@ -534,15 +533,13 @@ def verify_set(scenario: Scenario) -> BoundReport:
     rows: list[BoundRow] = []
     for t in ts:
         lhs = st.p_in * st.distance_curve.prob_ge(t)
-        rows.append(_row("set", BoundId.MCD_SET, lhs, bounds.mcdiarmid_set_bound(t), t=t))
-        rows.append(_row("set", BoundId.SIMPLE_SET, lhs, bounds.simple_set_bound(t), t=t))
-        rows.append(
-            _row("set", BoundId.IMPROVED_SET, lhs, bounds.improved_set_bound(t, st.rho), t=t)
-        )
+        rows.append(_row("set", "mcd-set", lhs, bounds.mcdiarmid_set_bound(t), t=t))
+        rows.append(_row("set", "simple-set", lhs, bounds.simple_set_bound(t), t=t))
+        rows.append(_row("set", "improved-set", lhs, bounds.improved_set_bound(t, st.rho), t=t))
     rows.append(
         _row(
             "set",
-            BoundId.MEMBERSHIP_PRODUCT,
+            "membership-product",
             st.p_in * (1.0 - st.p_in),
             bounds.membership_product_bound(st.rho),
         )
@@ -628,12 +625,11 @@ def verify_median(scenario: Scenario) -> BoundReport:
                 ("lower", law.curve.prob_le(m - t), info["rho_superlevel"]),
             ):
                 pairs = [
-                    (BoundId.MEDIAN_IMPROVED, bounds.median_tail_bound(t, rho)),
-                    (BoundId.MEDIAN_CLASSICAL, bounds.median_tail_classical(t)),
+                    ("median-improved", bounds.median_tail_bound(t, rho)),
+                    ("median-classical", bounds.median_tail_classical(t)),
                 ]
                 if t > gap:
-                    shifted = bounds.shifted_median_bound(t, gap)
-                    pairs.append((BoundId.SHIFTED_MEDIAN, shifted))
+                    pairs.append(("shifted-median", bounds.shifted_median_bound(t, gap)))
                 rows += [
                     _row("median", bid, lhs, b, median_used=m, tail=tail, t=t)
                     for bid, b in pairs
@@ -661,13 +657,10 @@ def verify_gap(scenario: Scenario) -> BoundReport:
         lhs = abs(law.stats.mean - m)
         rho = info["rho_sublevel" if law.stats.mean >= m else "rho_superlevel"]
         pairs = (
-            (BoundId.GAP_IMPROVED, bounds.gap_bound(rho)),
-            (BoundId.GAP_CLASSICAL, bounds.gap_bound_classical()),
+            ("gap-improved", bounds.gap_bound(rho)),
+            ("gap-classical", bounds.gap_bound_classical()),
         )
-        rows += [
-            _row("gap", bid, lhs, b, probability=False, median_used=m)
-            for bid, b in pairs
-        ]
+        rows += [_row("gap", bid, lhs, b, median_used=m) for bid, b in pairs]
     return _make_report(scenario, rows, derived, notes, law.values)
 
 
@@ -735,33 +728,26 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
         if cert_alpha.holds:
             b = bounds.drop_mean_tail_bound(t)
             cells += [
-                (BoundId.DROP_MEAN_TAIL, "upper", upper, b),
-                (BoundId.DROP_MEAN_TAIL, "lower", lower, b),
+                ("drop-mean-tail", "upper", upper, b),
+                ("drop-mean-tail", "lower", lower, b),
             ]
         if cert_unit.holds:
             b = bounds.drop_mean_tail_scaled(t, space.n)
             cells += [
-                (BoundId.DROP_MEAN_TAIL_SCALED, "upper", upper, b),
-                (BoundId.DROP_MEAN_TAIL_SCALED, "lower", lower, b),
+                ("drop-mean-tail-scaled", "upper", upper, b),
+                ("drop-mean-tail-scaled", "lower", lower, b),
             ]
         if cert_sb is not None:
             cells += [
-                (BoundId.SB_UPPER, "upper", upper, bounds.sb_upper_bound(t, mu, *params)),
-                (BoundId.SB_LOWER, "lower", lower, bounds.sb_lower_bound(t, mu, *params)),
+                ("sb-upper", "upper", upper, bounds.sb_upper_bound(t, mu, *params)),
+                ("sb-lower", "lower", lower, bounds.sb_lower_bound(t, mu, *params)),
             ]
         rows += [
             _row("mean", bid, lhs, b, tail=tail, t=t) for bid, tail, lhs, b in cells
         ]
     if cert_alpha.holds:
         rows += [
-            _row(
-                "mean",
-                BoundId.MGF,
-                mgf_from_law(law, lam),
-                bounds.mgf_bound(lam),
-                probability=False,
-                lam=lam,
-            )
+            _row("mean", "mgf", mgf_from_law(law, lam), bounds.mgf_bound(lam), lam=lam)
             for lam in lams
         ]
     derived = {

@@ -1,6 +1,9 @@
 """Closed-form bounds: frozen values, domains, and structural ordering."""
 
+import inspect
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -10,6 +13,7 @@ from hamconc.bounds import (
     GAP_CLASSICAL_VALUE,
     GAP_IMPROVED_SUP,
     GAP_RHO_STAR,
+    Bound,
     BoundId,
     EVALUATORS,
     drop_mean_tail_bound,
@@ -20,7 +24,6 @@ from hamconc.bounds import (
     h_exponent,
     improved_set_bound,
     mcdiarmid_set_bound,
-    mean_tail_bound,
     median_tail_bound,
     median_tail_classical,
     membership_product_bound,
@@ -130,7 +133,7 @@ def test_median_improved_dominated_by_classical(t, rho):
 
 
 def test_mean_tail_and_mgf_values():
-    assert mean_tail_bound(1.0) == 0.1353352832366127
+    assert drop_mean_tail_bound(1.0) == 0.1353352832366127
     assert mgf_bound(0.0) == 1.0
     assert mgf_bound(2.0) == 1.6487212707001282
     with pytest.raises(ValueError, match="lam"):
@@ -139,7 +142,7 @@ def test_mean_tail_and_mgf_values():
 
 def test_shifted_median_values_and_validity_region():
     assert shifted_median_bound(1.0, 0.25) == 0.32465246735834974
-    assert shifted_median_bound(1.0, 0.0) == mean_tail_bound(1.0)
+    assert shifted_median_bound(1.0, 0.0) == drop_mean_tail_bound(1.0)
     with pytest.raises(ValueError, match="outside the validity region"):
         shifted_median_bound(0.25, 0.25)
     with pytest.raises(ValueError, match="outside the validity region"):
@@ -194,6 +197,26 @@ def test_drop_tail_values():
     assert drop_mean_tail_scaled(2.0, 4) == 0.1353352832366127  # 2*4/4 = 2
     with pytest.raises(ValueError, match="n"):
         drop_mean_tail_scaled(1.0, 0)
+    assert drop_mean_tail_scaled(2.0, 4.0) == drop_mean_tail_scaled(2.0, 4)
+
+
+@pytest.mark.parametrize(
+    "n, text",
+    [
+        (2.5, "2.5"),
+        (True, "True"),
+        (False, "False"),
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+        (-3, "-3"),
+    ],
+)
+def test_drop_tail_scaled_refuses_a_non_count(n, text):
+    # Truncating n would give 2.5 the value for n = 2, and True that for n = 1.
+    with pytest.raises(ValueError, match=f"^n must be a positive integer, got {text}$"):
+        drop_mean_tail_scaled(1.0, n)
+    with pytest.raises(ValueError, match=f"^n must be a positive integer, got {text}$"):
+        evaluate_bound("drop-mean-tail-scaled", t=1.0, n=n)
 
 
 # -- dispatcher ---------------------------------------------------------------
@@ -218,5 +241,24 @@ def test_evaluate_bound_names_offending_keys():
 
 
 def test_every_bound_id_has_an_evaluator():
-    assert {b.value for b in BoundId} <= set(EVALUATORS)
-    assert "h" in EVALUATORS
+    # one record per bound id, and the exponent "h"
+    assert set(EVALUATORS) == {b.value for b in BoundId} | {"h"}
+    assert "mean-tail" not in EVALUATORS
+    for name, bound in EVALUATORS.items():
+        assert isinstance(bound, Bound)
+        # the parameters are the function's own, in call order
+        assert bound.params == tuple(inspect.signature(bound.fn).parameters), name
+    # values that are not probabilities: the gap, the MGF and the exponent
+    plain = {name for name, bound in EVALUATORS.items() if not bound.probability}
+    assert plain == {"gap-improved", "gap-classical", "mgf", "h"}
+
+
+def test_readme_lists_exactly_the_table():
+    # README's bound table: one line "| `id` | `param`, ... | yes/no |" per id.
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = {}
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*?) \| (yes|no) \|$", text, re.M)
+    for name, params, probability in rows:
+        assert name not in listed, name
+        listed[name] = (tuple(re.findall(r"`(\w+)`", params)), probability == "yes")
+    assert listed == {name: (b.params, b.probability) for name, b in EVALUATORS.items()}

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from hamconc import estimators as estimators_module
+from hamconc._util import exact_layers
 from hamconc import space as space_module
 from hamconc.estimators import (
     MC_DEFAULT_DELTA,
@@ -71,6 +72,28 @@ def test_tail_curve_merges_duplicate_values():
         assert got.tolist() == want
     assert law.inverse.tolist() == [1, 0, 1]
     assert law.curve.support.tolist() == [0.0, 1.0]
+
+
+def test_tail_curve_keeps_only_prefix_sums():
+    # One (k, layers) table of exact prefix sums; each suffix is the
+    # total less a prefix, layer by layer. A second table of suffix sums
+    # would hold twice as much after the build and peak a table higher.
+    k = 2**16
+    masses = np.random.default_rng(0).random(k) ** 3
+    support = np.arange(k, dtype=np.float64)
+    table = k * len(exact_layers(masses)[0]) * 8
+    tracemalloc.start()
+    try:
+        curve = TailCurve(support, masses, 1.0)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1.5 * table
+    assert peak < 3.5 * table
+    # every tail is still the correctly rounded sum of its masses
+    for i in (0, 1, 7, k // 3, k - 2, k - 1):
+        assert curve.prob_ge(support[i]) == math.fsum(masses[i:].tolist())
+        assert curve.prob_le(support[i]) == math.fsum(masses[: i + 1].tolist())
 
 
 def test_tail_curve_validation():

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from hamconc import functionals
+from hamconc import functionals, space
 from hamconc.hamming import Point
 from hamconc.scenario_io import ScenarioFileError, load_scenario, scenario_from_dict
 from hamconc.space import FiniteSpace, SetSpec
@@ -147,7 +147,7 @@ def test_a_distance_over_the_cap_is_refused_before_it_is_tabulated(monkeypatch):
         scenario_from_dict(d)
     # without caps.enumeration the loader checks the default cap
     del d["caps"]
-    monkeypatch.setenv("HAMCONC_ENUM_CAP", "100")
+    monkeypatch.setattr(space, "DEFAULT_ENUM_CAP", 100)
     with pytest.raises(ScenarioFileError, match="exceeds enumeration cap 100$"):
         scenario_from_dict(d)
 

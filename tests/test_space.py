@@ -15,13 +15,10 @@ from hamconc.hamming import Point
 from hamconc import space as space_module
 from hamconc.space import (
     _COUNT_MAX_SYMBOLS,
-    DEFAULT_ENUM_CAP,
-    ENUM_CAP_ENV,
     RNG_NAME,
     Distribution,
     FiniteSpace,
     SetSpec,
-    enumeration_cap,
     _add_symbols,
     _rng,
     _sample_ranks,
@@ -278,19 +275,6 @@ def test_enumeration_cap_guards_sweeps():
         law_arrays(space, dist, cap=7)
     # explicit cap >= size is fine
     assert law_arrays(space, dist, cap=8)[1].size == 8
-
-
-def test_enumeration_cap_env_override(monkeypatch):
-    monkeypatch.delenv(ENUM_CAP_ENV, raising=False)
-    assert enumeration_cap() == DEFAULT_ENUM_CAP
-    monkeypatch.setenv(ENUM_CAP_ENV, "12")
-    assert enumeration_cap() == 12
-    monkeypatch.setenv(ENUM_CAP_ENV, "0")
-    with pytest.raises(ValueError, match=ENUM_CAP_ENV):
-        enumeration_cap()
-    monkeypatch.setenv(ENUM_CAP_ENV, "many")
-    with pytest.raises(ValueError, match=ENUM_CAP_ENV):
-        enumeration_cap()
 
 
 def test_rng_name_is_pinned():

@@ -881,3 +881,50 @@ def test_sweep_reduces_deterministically():
     assert sets.joint_count == 0
     with pytest.raises(ValueError, match="trials"):
         sweep("set", 0)
+
+
+def _bound_params(report, row) -> dict:
+    """Every parameter a bound may take, for ``row``, read off the row and
+    its report: t and lambda from the row, rho by median and side, gap,
+    mu, n and the self-bounding (a, b) from the report."""
+    derived = report.summary["derived"]
+    params = {"t": row.t, "lam": row.lam, "mu": derived.get("mu"), "n": derived.get("n")}
+    if "rho" in derived:
+        params["rho"] = derived["rho"]
+    if row.median_used is not None:
+        info = next(i for i in derived["medians"] if i["median"] == row.median_used)
+        # a gap row takes the side its gap falls on, as the upper or lower tail
+        side = row.tail or ("upper" if derived["mu"] >= row.median_used else "lower")
+        params["rho"] = info["rho_sublevel" if side == "upper" else "rho_superlevel"]
+        params["gap"] = info["gap"]
+    params["a"], params["b"] = report.scenario["target"].get("params", (None, None))
+    return params
+
+
+def test_every_row_is_its_ids_bound_and_vacuity():
+    # The flows name a row's id and call its bound function separately,
+    # so each row is checked against the table: the id's function at the
+    # row's parameters gives the row's bound, and the row is vacuous just
+    # when the id's value is a probability and exceeds 1.
+    scenarios = [random_scenario(s, kind) for kind in GENERATOR_KINDS for s in range(200)]
+    scenarios += [load_scenario(CORRELATED), load_scenario(CORRELATED.parent / "s1.json")]
+    space = FiniteSpace((2, 2))
+    for weights in ((1.0, 1.0), normalize((1.0, 1.0)).weights):
+        f = Functional.weighted_sum(weights, self_bounding_params=(1.0, 0.0))
+        scenarios.append(
+            Scenario(space, Distribution.uniform(space), normalize((1.0, 1.0)), MeanTarget(f))
+        )
+    seen = set()
+    for sc in scenarios:
+        try:
+            report = verify_scenario(sc)
+        except ValueError:
+            continue
+        for row in report.rows:
+            entry = bounds.EVALUATORS[row.bound_id]
+            params = _bound_params(report, row)
+            args = {k: params[k] for k in entry.params}
+            assert row.bound == bounds.evaluate_bound(row.bound_id, **args), row
+            assert row.vacuous == (entry.probability and row.bound > 1.0), row
+            seen.add(row.bound_id)
+    assert seen == set(bounds.EVALUATORS) - {"h"}
