@@ -57,7 +57,7 @@ from .functionals import (
     check_lipschitz,
     check_self_bounding,
 )
-from .hamming import AlphaWeights, Point, distance_to_set, hamming_distance, normalize
+from .hamming import AlphaWeights, Point, hamming_distance, normalize
 from .scenario_io import ScenarioFileError, load_scenario, scenario_from_dict
 from .space import (
     Distribution,
@@ -95,7 +95,6 @@ __all__ = [
     "Point",
     "normalize",
     "hamming_distance",
-    "distance_to_set",
     # spaces and laws
     "FiniteSpace",
     "Distribution",

@@ -164,46 +164,39 @@ class TailCurve:
             parts += self._rest[i:].tolist()
         return math.fsum(parts)
 
-    @property
-    def cdf(self) -> tuple[float, ...]:
-        """P(V <= v) at each support point."""
-        return tuple(self._prefix(i) / self.total for i in range(self._v.size))
+    def _search(self, x: float, side: str) -> int:
+        """Where ``x`` falls in the support; a NaN has no place there and is refused."""
+        if math.isnan(x):
+            raise ValueError("tail query point must not be NaN")
+        return int(np.searchsorted(self._v, x, side=side))
 
     def prob_ge(self, x: float) -> float:
         """P(V >= x)."""
-        idx = int(np.searchsorted(self._v, x, side="left"))
+        idx = self._search(x, "left")
         if idx >= self._v.size:
             return 0.0
         return self._suffix(idx) / self.total
 
     def prob_gt(self, x: float) -> float:
         """P(V > x)."""
-        idx = int(np.searchsorted(self._v, x, side="right"))
+        idx = self._search(x, "right")
         if idx >= self._v.size:
             return 0.0
         return self._suffix(idx) / self.total
 
     def prob_le(self, x: float) -> float:
         """P(V <= x)."""
-        idx = int(np.searchsorted(self._v, x, side="right")) - 1
+        idx = self._search(x, "right") - 1
         if idx < 0:
             return 0.0
         return self._prefix(idx) / self.total
 
     def prob_lt(self, x: float) -> float:
         """P(V < x)."""
-        idx = int(np.searchsorted(self._v, x, side="left")) - 1
+        idx = self._search(x, "left") - 1
         if idx < 0:
             return 0.0
         return self._prefix(idx) / self.total
-
-    @property
-    def support_max(self) -> float:
-        return float(self._v[-1])
-
-    @property
-    def support_min(self) -> float:
-        return float(self._v[0])
 
 
 @dataclass(frozen=True)
@@ -432,7 +425,8 @@ def mgf_from_law(law: Law, lam: float) -> float:
 
 
 def hoeffding_half_width(n_samples: int, delta: float) -> float:
-    """Two-sided Hoeffding band half-width sqrt(log(2/delta) / (2n))."""
+    """Two-sided Hoeffding band half-width sqrt(log(2/delta) / (2n)), n an int."""
+    _require_ints(n_samples=n_samples)
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     if not 0.0 < delta < 1.0:

@@ -41,7 +41,7 @@ from .hamming import AlphaWeights, Point, distance_field
 # Not called here since distance_to tabulates through distance_field; the
 # name stays because bench/tracer.py counts calls through this attribute.
 from .hamming import hamming_distance  # noqa: F401
-from .space import FiniteSpace, SetSpec, _mesh
+from .space import FiniteSpace, SetSpec
 
 __all__ = [
     "Functional",
@@ -76,7 +76,7 @@ def _tabulate(fn: Callable[[Point], float], sizes: tuple[int, ...]) -> np.ndarra
         if fn.table.shape != sizes:
             raise ValueError(f"table has shape {fn.table.shape}, space has {sizes}")
         return fn.table
-    coords = _mesh(sizes)
+    coords = np.indices(sizes, sparse=True)
     if isinstance(fn, _Evaluator):
         return fn.values(coords)
     return _pointwise(fn, coords)

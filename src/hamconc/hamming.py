@@ -20,20 +20,17 @@ because rescaling changes every distance.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
 import numpy as np
-
-if TYPE_CHECKING:  # import cycle guard: space imports Point from here
-    from .space import FiniteSpace, SetSpec
 
 __all__ = [
     "AlphaWeights",
     "Point",
     "normalize",
     "hamming_distance",
-    "distance_to_set",
 ]
 
 # |l2_norm - 1| at or below this counts as a unit vector.
@@ -88,7 +85,9 @@ class Point:
     symbols: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        syms = tuple(map(int, self.symbols))
+        syms = tuple(self.symbols)
+        _require_symbols(syms)
+        syms = tuple(map(int, syms))
         if syms and min(syms) < 0:
             bad = next(s for s in syms if s < 0)
             raise ValueError(f"symbols are nonnegative indices, got {bad}")
@@ -98,20 +97,17 @@ class Point:
     def n(self) -> int:
         return len(self.symbols)
 
-    def drop(self, i: int) -> "Point":
-        """The point with coordinate ``i`` removed (dimension n-1)."""
-        syms = self.symbols
-        return Point(syms[:i] + syms[i + 1 :])
-
-    def replace(self, i: int, symbol: int) -> "Point":
-        """The point with coordinate ``i`` set to ``symbol``."""
-        syms = self.symbols
-        return Point(syms[:i] + (int(symbol),) + syms[i + 1 :])
-
     def insert(self, i: int, symbol: int) -> "Point":
         """The point of dimension n+1 with ``symbol`` inserted at ``i``."""
         syms = self.symbols
-        return Point(syms[:i] + (int(symbol),) + syms[i:])
+        return Point(syms[:i] + (symbol,) + syms[i:])
+
+
+def _require_symbols(symbols: Iterable) -> None:
+    """Refuse a bool or a non-integer symbol, which ``int`` would truncate."""
+    for s in symbols:
+        if type(s) is not int and (isinstance(s, bool) or not isinstance(s, numbers.Integral)):
+            raise ValueError(f"symbols are integer indices, got {s!r}")
 
 
 def normalize(alpha: AlphaWeights | Iterable[float]) -> AlphaWeights:
@@ -157,29 +153,6 @@ def hamming_distance(alpha: AlphaWeights, x: Point, y: Point) -> float:
     return total
 
 
-def distance_to_set(
-    alpha: AlphaWeights, x: Point, a: "SetSpec", space: "FiniteSpace"
-) -> float:
-    """d_alpha(x, A) = min over members y of A of d_alpha(x, y).
-
-    Raises
-    ------
-    ValueError
-        If A has no members in ``space``: the empty set has infinite
-        distance, which no caller of these bounds can use.
-    """
-    best: float | None = None
-    for y in a.members(space):
-        d = hamming_distance(alpha, x, y)
-        if best is None or d < best:
-            best = d
-            if best == 0.0:
-                break
-    if best is None:
-        raise ValueError("empty set has infinite distance")
-    return best
-
-
 def distance_field(alpha: AlphaWeights, in_set: np.ndarray) -> np.ndarray:
     """d_alpha(x, A) at every x, for A given as a boolean mask.
 
@@ -191,7 +164,8 @@ def distance_field(alpha: AlphaWeights, in_set: np.ndarray) -> np.ndarray:
     Functions", Theory of Computing 8, 2012); :func:`_min_plus` runs
     them, and ``mc_tail``'s sampled distances share it.  Weights are added
     in coordinate order and float addition is monotone, so each entry is
-    bit-identical to :func:`distance_to_set` at that point.
+    bit-identical to the least :func:`hamming_distance` from that point
+    to a member of A.
 
     Raises
     ------

@@ -18,11 +18,11 @@ import numbers
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-from .hamming import Point
+from .hamming import Point, _require_symbols
 
 __all__ = [
     "DEFAULT_ENUM_CAP",
@@ -139,23 +139,6 @@ class FiniteSpace:
     def n(self) -> int:
         return len(self.alphabet_sizes)
 
-    def contains(self, point: Point) -> bool:
-        if point.n != self.n:
-            return False
-        return all(0 <= s < m for s, m in zip(point.symbols, self.alphabet_sizes))
-
-    def require_point(self, point: Point) -> None:
-        if not self.contains(point):
-            raise ValueError(f"point {point.symbols} is not in this space")
-
-    def rank(self, point: Point) -> int:
-        """Lexicographic index of ``point``, last coordinate fastest."""
-        self.require_point(point)
-        r = 0
-        for s, m in zip(point.symbols, self.alphabet_sizes):
-            r = r * m + s
-        return r
-
     def unrank(self, rank: int) -> Point:
         if not 0 <= rank < self.size:
             raise ValueError(f"rank {rank} out of range [0, {self.size})")
@@ -164,11 +147,6 @@ class FiniteSpace:
             m = self.alphabet_sizes[i]
             rank, syms[i] = divmod(rank, m)
         return Point(tuple(syms))
-
-    def points(self) -> Iterator[Point]:
-        """All points in rank (lexicographic) order."""
-        for syms in itertools.product(*(range(m) for m in self.alphabet_sizes)):
-            yield Point(syms)
 
 
 def _check_pmf(pmf: tuple[float, ...], what: str) -> None:
@@ -257,17 +235,6 @@ class Distribution:
                     f"space has {space.size} outcomes"
                 )
 
-    def probability(self, space: FiniteSpace, point: Point) -> float:
-        self.require_matches(space)
-        if self.kind == "product":
-            assert self.pmfs is not None
-            p = 1.0
-            for pmf, s in zip(self.pmfs, point.symbols):
-                p *= pmf[s]
-            return p
-        assert self.joint_table is not None
-        return self.joint_table[space.rank(point)]
-
 
 def _unique_rows(a: np.ndarray) -> np.ndarray:
     """The distinct rows of an int64 member array, sorted; no rows give (0, 0)."""
@@ -288,7 +255,8 @@ class SetSpec:
     array, deduplicated and in canonical order, lexicographic in the
     symbols, which is rank order in every space that holds them.  Each
     use with a space checks the members against it in one pass over the
-    array.  Sets with the same members are equal.
+    array.  Sets with the same members are equal.  A bool or non-integer
+    symbol is refused, not truncated.
     """
 
     symbols: np.ndarray
@@ -299,6 +267,7 @@ class SetSpec:
             rows = symbols.tolist() if isinstance(symbols, np.ndarray) else list(symbols)
             if len(set(map(len, rows))) > 1:
                 raise ValueError("explicit set members must share one dimension")
+            _require_symbols(itertools.chain.from_iterable(rows))
             try:
                 symbols = np.array(rows, dtype=np.int64)
             except OverflowError:  # such symbols lie outside every space
@@ -337,16 +306,9 @@ class SetSpec:
             raise ValueError(f"point {tuple(bad.tolist())} is not in this space")
         return symbols
 
-    def members(self, space: FiniteSpace) -> Iterator[Point]:
-        """Member points in rank order."""
-        return map(Point, map(tuple, self.member_symbols(space).tolist()))
-
     def _rank_array(self, space: FiniteSpace) -> np.ndarray:
         symbols = self.member_symbols(space)
         return np.ravel_multi_index(tuple(symbols.T), space.alphabet_sizes)
-
-    def member_ranks(self, space: FiniteSpace) -> tuple[int, ...]:
-        return tuple(self._rank_array(space).tolist())
 
     def mask(self, space: FiniteSpace) -> np.ndarray:
         """Membership as a boolean tensor of shape ``space.alphabet_sizes``."""
@@ -363,28 +325,19 @@ def _check_cap(space: FiniteSpace, cap: int | None) -> None:
         )
 
 
-def _mesh(sizes: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Open mesh of the points: ``np.ix_`` over ``arange(s_i)``, built faster.
-
-    Axis i has shape (1, ..., s_i, ..., 1); values over it come out in
-    the shape ``sizes``, in rank order, with no (S, n) symbols matrix.
-    """
-    return np.indices(sizes, sparse=True)
-
-
 def law_arrays(
     space: FiniteSpace, dist: Distribution, cap: int | None = None
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """The exact law over the whole space: (coords, probabilities (S,)).
 
-    ``coords`` is the ``np.ix_`` open mesh of ``arange(s_i)``, the form
+    ``coords`` is the ``np.ix_`` open mesh of ``arange(s_i)``, built by
+    ``np.indices(sizes, sparse=True)``: the form
     :meth:`~hamconc.functionals.Functional.values` takes for the whole
-    space; the probabilities are in rank order, and a joint law's are its
-    read-only table.  A product law is the
-    product ``pmf_0[c_0] * pmf_1[c_1] * ...`` over the mesh, built as
-    flat outer products that multiply in coordinate order, so each
-    probability is bit-identical to :meth:`Distribution.probability`.
-    The cap (default
+    space, axis i of shape (1, ..., s_i, ..., 1).  The probabilities are
+    in rank order, and a joint law's are its read-only table.  A product
+    law is the product ``pmf_0[x_0] * pmf_1[x_1] * ...`` at each point,
+    built as flat outer products that multiply in coordinate order, the
+    order of a per-point product.  The cap (default
     ``DEFAULT_ENUM_CAP``) guards against runaway exhaustive sweeps;
     pass an explicit ``cap`` to raise it for one call.
 
@@ -394,7 +347,7 @@ def law_arrays(
     """
     _check_cap(space, cap)
     dist.require_matches(space)
-    coords = _mesh(space.alphabet_sizes)
+    coords = np.indices(space.alphabet_sizes, sparse=True)
     if dist.kind == "product":
         assert dist.pmfs is not None
         probs = np.ones(1)
@@ -491,17 +444,15 @@ def _sample_ranks(
     return ranks
 
 
-def sample(
-    space: FiniteSpace, dist: Distribution, seed: int, count: int
-) -> list[Point]:
-    """Draw ``count`` points, reproducibly: same seed, same list.
+def sample(space: FiniteSpace, dist: Distribution, seed: int, count: int) -> np.ndarray:
+    """Draw ``count`` points, reproducibly: same seed, same array.
 
-    The points of the ranks :func:`_sample_ranks` draws: product laws
-    sample each coordinate by inverse CDF, joint laws the rank by
-    inverse CDF over the table.  The generator is ``RNG_NAME``.
-    ``seed`` and ``count`` must be integers, not bools.
+    A (count, n) int64 array, one row of symbols per draw: the points of
+    the ranks :func:`_sample_ranks` draws.  Product laws sample each
+    coordinate by inverse CDF, joint laws the rank by inverse CDF over
+    the table.  The generator is ``RNG_NAME``.  ``seed`` and ``count``
+    must be integers, not bools.
     """
     _require_ints(seed=seed, count=count)
     ranks = _sample_ranks(space, dist, seed, count)
-    rows = np.column_stack(np.unravel_index(ranks, space.alphabet_sizes)).tolist()
-    return list(map(Point, map(tuple, rows)))
+    return np.column_stack(np.unravel_index(ranks, space.alphabet_sizes)).astype(np.int64)

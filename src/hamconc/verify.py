@@ -37,7 +37,7 @@ from .functionals import (
     check_self_bounding,
 )
 from .hamming import AlphaWeights, distance_field
-from .space import RNG_NAME, Distribution, FiniteSpace, SetSpec, _check_cap, _rng
+from .space import RNG_NAME, Distribution, FiniteSpace, SetSpec, _check_cap, _require_ints, _rng
 
 __all__ = [
     "PASS_TOL",
@@ -885,7 +885,9 @@ def sweep(
 
     Scenarios run in trial order and results are reduced in that order,
     so the outcome is deterministic for a given starting seed.
+    ``trials`` and ``seed`` must be integers, not bools.
     """
+    _require_ints(trials=trials, seed=seed)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     passes = 0

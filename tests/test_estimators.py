@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import reference_pointwise as ref
 from hamconc import estimators as estimators_module
 from hamconc._util import exact_layers
 from hamconc import space as space_module
@@ -29,7 +30,7 @@ from hamconc.estimators import (
     mgf_from_law,
 )
 from hamconc.functionals import Functional
-from hamconc.hamming import AlphaWeights, distance_field, distance_to_set, normalize
+from hamconc.hamming import AlphaWeights, Point, distance_field, normalize
 from hamconc.space import Distribution, FiniteSpace, SetSpec, _sample_ranks, sample
 
 SQRT_HALF = 0.7071067811865475
@@ -57,11 +58,21 @@ def test_tail_curve_queries():
     assert curve.prob_le(-1.0) == 0.0
     # past the support the tail is the float literal zero
     assert curve.prob_ge(10.0) == 0.0
-    assert curve.prob_gt(curve.support_max) == 0.0
+    assert curve.prob_gt(curve.support[-1]) == 0.0
     assert Law(curve.support, curve.masses).mean == SQRT_HALF
-    assert curve.cdf == (0.25, 0.75, 1.0)
-    assert curve.support_min == 0.0
-    assert curve.support_max == 2.0 * SQRT_HALF
+    assert [curve.prob_le(v) for v in curve.support] == [0.25, 0.75, 1.0]
+    assert curve.support.tolist() == [0.0, SQRT_HALF, 2.0 * SQRT_HALF]
+
+
+def test_tail_queries_refuse_nan():
+    curve = _s1_curve()
+    for query in (curve.prob_ge, curve.prob_gt, curve.prob_le, curve.prob_lt):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            query(math.nan)
+        with pytest.raises(ValueError, match="must not be NaN"):
+            query(np.float64("nan"))
+    assert curve.prob_ge(-math.inf) == curve.prob_le(math.inf) == 1.0
+    assert curve.prob_gt(math.inf) == curve.prob_lt(-math.inf) == 0.0
 
 
 def test_tail_curve_merges_duplicate_values():
@@ -475,9 +486,9 @@ def test_mc_tail_equals_the_per_sample_count(quantity):
     rng = np.random.default_rng(9)
     dist = Distribution.product([rng.dirichlet(np.ones(m)) for m in _MC_SPACE.alphabet_sizes])
     n_samples, seed = 3_000, 4
-    points = sample(_MC_SPACE, dist, seed, n_samples)
+    points = [Point(p) for p in sample(_MC_SPACE, dist, seed, n_samples).tolist()]
     if isinstance(quantity, DistanceToSet):
-        vals = [distance_to_set(quantity.alpha, p, quantity.target, _MC_SPACE) for p in points]
+        vals = [ref.distance_to_set(quantity.alpha, p, quantity.target, _MC_SPACE) for p in points]
     else:
         vals = [quantity.value(p) for p in points]
     for t in sorted(set(vals))[::3]:
@@ -529,7 +540,7 @@ def test_mc_tail_calls_a_plain_callable_once_per_distinct_outcome():
     f = Functional(evaluator=lambda p: calls.append(p.symbols) or _quadratic(p))
     dist = Distribution.uniform(_MC_SPACE)
     mc_tail(_MC_SPACE, dist, f, 3.0, n_samples=2_000, seed=9)
-    distinct = {p.symbols for p in sample(_MC_SPACE, dist, 9, 2_000)}
+    distinct = set(map(tuple, sample(_MC_SPACE, dist, 9, 2_000).tolist()))
     assert len(calls) == len(distinct) < 2_000
     assert set(calls) == distinct
 

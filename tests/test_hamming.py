@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hamconc.hamming import (
     AlphaWeights,
     Point,
-    distance_to_set,
+    distance_field,
     hamming_distance,
     normalize,
 )
@@ -104,11 +104,10 @@ def test_normalize_always_yields_unit_norm(ws):
 def test_point_coordinate_surgery():
     p = Point((0, 1, 2))
     assert p.n == 3
-    assert p.drop(1) == Point((0, 2))
-    assert p.replace(0, 5) == Point((5, 1, 2))
     assert p.insert(3, 7) == Point((0, 1, 2, 7))
-    # drop then insert the same symbol is the identity
-    assert p.drop(2).insert(2, 2) == p
+    assert p.insert(0, 5) == Point((5, 0, 1, 2))
+    # inserting a dropped coordinate's symbol back is the identity
+    assert Point(p.symbols[:1] + p.symbols[2:]).insert(1, 1) == p
 
 
 def test_point_rejects_negative_symbols():
@@ -159,10 +158,11 @@ def test_distance_to_set_takes_the_minimum():
     space = FiniteSpace((2, 2))
     a = AlphaWeights((0.6, 0.8))
     spec = SetSpec.from_points([(0, 0), (1, 1)])
-    assert distance_to_set(a, Point((0, 0)), spec, space) == 0.0
+    field = distance_field(a, spec.mask(space))
+    assert field[0, 0] == 0.0
     # (0,1) is 0.8 from (0,0) and 0.6 from (1,1)
-    assert distance_to_set(a, Point((0, 1)), spec, space) == 0.6
-    assert distance_to_set(a, Point((1, 0)), spec, space) == 0.6
+    assert field[0, 1] == 0.6
+    assert field[1, 0] == 0.6
 
 
 def test_distance_to_empty_set_is_an_error():
@@ -170,4 +170,4 @@ def test_distance_to_empty_set_is_an_error():
     a = AlphaWeights((0.6, 0.8))
     empty = SetSpec.from_points(())
     with pytest.raises(ValueError, match="empty set"):
-        distance_to_set(a, Point((0, 0)), empty, space)
+        distance_field(a, empty.mask(space))

@@ -404,7 +404,7 @@ def test_members_parse_to_the_canonical_set():
     d["target"]["set"]["members"] = [[1, 1], [0, 1], [1, 1]]
     spec = scenario_from_dict(d).target.set_spec
     assert spec == SetSpec.from_points([(0, 1), (1, 1)])
-    assert spec.member_ranks(FiniteSpace((2, 2))) == (1, 3)
+    assert spec.mask(FiniteSpace((2, 2))).ravel().tolist() == [False, True, False, True]
 
 
 def test_a_set_scenario_is_loaded_verified_and_written_without_a_point(

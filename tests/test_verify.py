@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import reference_pointwise as ref
 from hamconc import bounds, functionals
 from hamconc._util import fmt_float
+from hamconc.estimators import hoeffding_half_width
 from hamconc.cli import _describe_row
 from hamconc.functionals import Functional
 from hamconc.hamming import AlphaWeights, normalize
@@ -260,7 +262,7 @@ def test_median_flow_rejects_a_single_bad_edge():
     # one edge (0, e_0) breaks the Lipschitz condition by ~0.0063 in S = 2048
     space = FiniteSpace((2,) * 11)
     alpha = normalize([0.2] + [1.0] * 10)
-    table = [0.5 * sum(a * s for a, s in zip(alpha.weights, p.symbols)) for p in space.points()]
+    table = [0.5 * sum(a * s for a, s in zip(alpha.weights, p.symbols)) for p in ref.points(space)]
     table[0] -= 0.6 * alpha.weights[0]
     sc = Scenario(
         space=space,
@@ -826,7 +828,7 @@ def test_random_scenario_structure():
         sc = random_scenario(seed, "set")
         assert sc.alpha.normalized
         assert sc.dist.kind == "product"
-        members = list(sc.target.set_spec.members(sc.space))
+        members = sc.target.set_spec.member_symbols(sc.space)
         assert 0 < len(members) < sc.space.size
     drop_kinds = {random_scenario(s, "drop").dist.kind for s in range(10)}
     assert drop_kinds == {"product", "joint"}
@@ -883,6 +885,21 @@ def test_sweep_reduces_deterministically():
         sweep("set", 0)
 
 
+@pytest.mark.parametrize("count", [True, 2.5, 2.0], ids=repr)
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda k: hoeffding_half_width(k, 0.01), "n_samples"),
+        (lambda k: sweep("set", k), "trials"),
+        (lambda k: sweep("set", 1, seed=k), "seed"),
+    ],
+    ids=["hoeffding_half_width", "sweep", "sweep-seed"],
+)
+def test_counts_refuse_bools_and_non_integers(call, name, count):
+    with pytest.raises(TypeError, match=f"^{name} must be an integer, got {count!r}$"):
+        call(count)
+
+
 def _bound_params(report, row) -> dict:
     """Every parameter a bound may take, for ``row``, read off the row and
     its report: t and lambda from the row, rho by median and side, gap,
@@ -928,3 +945,37 @@ def test_every_row_is_its_ids_bound_and_vacuity():
             assert row.vacuous == (entry.probability and row.bound > 1.0), row
             seen.add(row.bound_id)
     assert seen == set(bounds.EVALUATORS) - {"h"}
+
+
+# -- the names the benchmark reaches into -------------------------------------
+
+
+def test_the_benchmark_finds_every_name_it_patches_or_reads(monkeypatch):
+    # bench/tracer.py patches package names by attribute, and the workloads
+    # read Point, SetSpec.explicit, SetSpec.from_points and a table's
+    # per-point call; a refactor that removes one fails here, not only in
+    # a traced benchmark run.
+    import hamconc
+    from hamconc import estimators, verify
+
+    monkeypatch.syspath_prepend(str(CORRELATED.parent.parent / "bench"))
+    import inputs
+    import tracer
+    import workloads
+
+    flow = verify.verify_set
+    trace = tracer.Tracer()
+    with trace.installed():
+        assert verify.verify_set is not flow
+        for kind in GENERATOR_KINDS:
+            sc = random_scenario(0, kind)
+            assert workloads._scenario_dict(sc)["target"]["kind"] == sc.target.kind
+            verify.verify_scenario(sc)
+        case = {"sizes": [2, 2], "pmfs": [[0.5, 0.5]] * 2, "weights": [0.6, 0.8]}
+        for quantity in ("set", "distance_to"):
+            args = inputs.build_mc_case(hamconc, {**case, "quantity": quantity, "members": [[0, 1]]})
+            estimators.mc_tail(*args, 0.5, n_samples=100)
+    assert verify.verify_set is flow
+    metrics = trace.layer_metrics()
+    for key in ("verify.rows", "functionals.check_drop_condition.calls", "estimators.mc_tail.calls"):
+        assert metrics[key] > 0, key

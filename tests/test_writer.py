@@ -144,7 +144,7 @@ def test_generated_reports_match_the_reference_writer(kind):
         report = verify_scenario(scenario)
         _check_report(report)
         if kind == "set":
-            members = [list(p.symbols) for p in scenario.target.set_spec.members(scenario.space)]
+            members = scenario.target.set_spec.member_symbols(scenario.space).tolist()
             assert report.scenario["target"]["set"]["members"] == members
 
 
