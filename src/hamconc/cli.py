@@ -12,7 +12,6 @@ failed, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
@@ -108,8 +107,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         print(f"error: cannot read {args.scenario}: {e}", file=sys.stderr)
         return 2
     try:
-        if args.seed is not None:
-            scenario = dataclasses.replace(scenario, seed=args.seed)
         report = verify_scenario(scenario)
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -235,7 +232,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="path to a scenario JSON file")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--seed", type=int, default=None, help="override the scenario's seed")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="verify batches of random scenarios")

@@ -1,6 +1,12 @@
-"""Read scenarios from plain JSON files.
+"""The scenario: its type, its checks, its file form both ways and its digest.
 
-Schema (one object per file)::
+A :class:`Scenario` binds a finite product space, a distribution, a
+weight vector and one target (a set, or a functional checked around
+its median, its mean, or for the mean-median gap), with optional grids,
+a seed and an enumeration cap.  This module builds one from a plain
+JSON file (:func:`load_scenario`, :func:`scenario_from_dict`), writes
+one back as such a file (:func:`scenario_to_dict`) and hashes that form
+(:func:`scenario_fingerprint`).  Schema (one object per file)::
 
     {
       "space":        {"alphabet_sizes": [2, 2]},
@@ -26,30 +32,228 @@ mean targets and switches on the self-bounding rows.  Weights must
 satisfy ||alpha|| = 1 unless "normalize" is true.  Only a functional
 that is a "distance_to_set" or gives "table_sha256" is tabulated here,
 once the space is within the cap; the digest must then match f's table
-(:func:`hamconc.verify._sha256`).  Each object may hold only the keys
-its place and, for a distribution, target or functional, its kind or
-type allow (``_KEYS``), so an unknown key at any level, or one of
-another kind (a product law's "joint_table"), is refused.  Malformed
-files raise ScenarioFileError naming the offending key; the
+(:func:`_sha256`).  Each object may hold only the keys its place and,
+for a distribution, target or functional, its kind or type allow
+(``_KEYS``), so an unknown key at any level, or one of another kind (a
+product law's "joint_table"), is refused.  The grids and the seed are
+checked once, by :class:`Scenario`, for files and callers alike.
+Malformed files raise ScenarioFileError naming the offending key; the
 ``hamconc`` command maps that to exit code 2.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, ClassVar, Iterable, Union
 
 import numpy as np
 
-from ._util import quote
-from .functionals import Functional, _tabulate
+from ._util import dumps, quote
+from .functionals import Functional, _Table, _tabulate, _WeightedSum
 from .hamming import AlphaWeights, normalize
 from .space import Distribution, FiniteSpace, SetSpec, _check_cap
-from .verify import GapTarget, MeanTarget, MedianTarget, Scenario, SetTarget, Target, _sha256
 
-__all__ = ["ScenarioFileError", "scenario_from_dict", "load_scenario"]
+__all__ = [
+    "SetTarget",
+    "MedianTarget",
+    "GapTarget",
+    "MeanTarget",
+    "Target",
+    "Scenario",
+    "scenario_to_dict",
+    "scenario_fingerprint",
+    "ScenarioFileError",
+    "scenario_from_dict",
+    "load_scenario",
+]
+
+
+@dataclass(frozen=True)
+class SetTarget:
+    """Verify the set-distance bounds for a fixed nonempty set."""
+
+    set_spec: SetSpec
+    kind: ClassVar[str] = "set"
+
+
+@dataclass(frozen=True)
+class MedianTarget:
+    """Verify the median-centered tail bounds for a Lipschitz functional."""
+
+    functional: Functional
+    kind: ClassVar[str] = "median"
+
+
+@dataclass(frozen=True)
+class GapTarget:
+    """Verify the mean-median gap bounds for a Lipschitz functional."""
+
+    functional: Functional
+    kind: ClassVar[str] = "gap"
+
+
+@dataclass(frozen=True)
+class MeanTarget:
+    """Verify mean-centered tail and MGF bounds under the drop condition."""
+
+    functional: Functional
+    kind: ClassVar[str] = "mean"
+
+
+Target = Union[SetTarget, MedianTarget, GapTarget, MeanTarget]
+
+
+def _clean_grid(values: Iterable[float], key: str, positive: bool) -> tuple:
+    """The grid ``grids.<key>`` sorted, without repeats; every value must be
+    finite and positive, or nonnegative when not ``positive``."""
+    vals = [float(v) for v in values]
+    if not vals:
+        raise ValueError(f"grids.{key} must be nonempty when given")
+    for i, v in enumerate(vals):
+        if not math.isfinite(v) or v < 0.0 or (positive and v == 0.0):
+            sign = "positive" if positive else "nonnegative"
+            raise ValueError(f"grids.{key}[{i}] must be {sign}, got {v}")
+    return tuple(sorted(set(vals)))
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One testable unit: space, law, weights, target, and grids.
+
+    Grids left as None are resolved per flow: the t grid defaults to
+    :func:`hamconc.verify.default_t_grid` with flow-specific points
+    inserted, the lambda grid to ``DEFAULT_LAMBDA_GRID``.  ``seed``
+    identifies generated scenarios and keys reproducibility; exact
+    verification itself draws no randomness.
+    """
+
+    space: FiniteSpace
+    dist: Distribution
+    alpha: AlphaWeights
+    target: Target
+    t_grid: tuple[float, ...] | None = None
+    lambda_grid: tuple[float, ...] | None = None
+    seed: int = 0
+    cap: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.alpha.n != self.space.n:
+            raise ValueError(
+                f"alpha has {self.alpha.n} weights, space has {self.space.n} coordinates"
+            )
+        self.dist.require_matches(self.space)
+        if self.t_grid is not None:
+            object.__setattr__(self, "t_grid", _clean_grid(self.t_grid, "t", True))
+        if self.lambda_grid is not None:
+            object.__setattr__(
+                self, "lambda_grid", _clean_grid(self.lambda_grid, "lambda", False)
+            )
+        # A bool is an int, but a report would write it as true, which is no seed.
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
+        if self.cap is not None and (
+            isinstance(self.cap, bool) or not isinstance(self.cap, int) or self.cap < 1
+        ):
+            raise ValueError(f"cap must be a positive integer, got {self.cap!r}")
+
+
+def _sha256(a: np.ndarray) -> str:
+    """sha256 of ``a + 0`` (so -0.0 hashes as 0.0) in C order, as
+    little-endian int64 if ``a`` holds integers, else float64."""
+    le = "<i8" if a.dtype.kind == "i" else "<f8"
+    return hashlib.sha256((a + 0).astype(le, copy=False).tobytes()).hexdigest()
+
+
+def _functional_to_dict(f: Functional, scenario: Scenario, table: np.ndarray | None) -> dict:
+    """f in the form it was declared in, and ``table_sha256``.
+
+    A weighted sum is written as its coefficients and a distance to a
+    set under the scenario's weights as the set; any other functional
+    as its table.  ``table_sha256`` is :func:`_sha256` of f's table in
+    rank order.  ``table`` is f over the space, when the caller has it;
+    without it, f is tabulated here, once the space is within the
+    scenario's cap.
+    """
+    ev = f.evaluator
+    if table is None:
+        _check_cap(scenario.space, scenario.cap)
+        table = _tabulate(ev, scenario.space.alphabet_sizes)
+    if isinstance(ev, _WeightedSum):
+        d: dict = {"type": "weighted_sum", "coefficients": list(ev.coeffs)}
+    elif isinstance(ev, _Table) and ev.source is not None and ev.source[0] == scenario.alpha:
+        members = ev.source[1].member_symbols(scenario.space).tolist()
+        d = {"type": "distance_to_set", "set": {"members": members}}
+    else:
+        d = {"type": "table", "values": table.ravel().tolist()}
+    d["table_sha256"] = _sha256(table)
+    return d
+
+
+def scenario_to_dict(scenario: Scenario, table: np.ndarray | None = None) -> dict:
+    """Canonical plain-data form, a scenario file the loader reads back:
+    the functional declared as in :func:`_functional_to_dict`, weights
+    already normalized, ``params`` on mean targets only, ``grids`` and
+    ``caps`` only when set.  ``table`` is the functional's values, the
+    law's, when the caller already has them."""
+    if scenario.dist.kind == "product":
+        dd: dict = {"kind": "product", "pmfs": [list(pmf) for pmf in scenario.dist.pmfs]}
+    else:
+        dd = {"kind": "joint", "joint_table": list(scenario.dist.joint_table)}
+    tgt = scenario.target
+    if isinstance(tgt, SetTarget):
+        td: dict = {
+            "kind": "set",
+            "set": {"members": tgt.set_spec.member_symbols(scenario.space).tolist()},
+        }
+    else:
+        td = {
+            "kind": tgt.kind,
+            "functional": _functional_to_dict(tgt.functional, scenario, table),
+        }
+        if tgt.kind == "mean" and tgt.functional.self_bounding_params is not None:
+            td["params"] = list(tgt.functional.self_bounding_params)
+    sd = {
+        "space": {"alphabet_sizes": list(scenario.space.alphabet_sizes)},
+        "distribution": dd,
+        "alpha": {"weights": list(scenario.alpha.weights), "normalize": False},
+        "target": td,
+    }
+    given = {"t": scenario.t_grid, "lambda": scenario.lambda_grid}
+    if grids := {k: list(v) for k, v in given.items() if v is not None}:
+        sd["grids"] = grids
+    sd["seed"] = scenario.seed
+    if scenario.cap is not None:
+        sd["caps"] = {"enumeration": scenario.cap}
+    return sd
+
+
+def _fingerprint(scenario: Scenario, sd: dict) -> str:
+    """sha256 of ``sd``, the canonical form of ``scenario``, keys sorted,
+    with the functional reduced to its ``table_sha256`` (one function
+    declared in different forms has one fingerprint), a set's members
+    to ``members_sha256``, the :func:`_sha256` of their array, and a
+    joint law's table to ``joint_table_sha256``, that of its array."""
+    if scenario.dist.kind == "joint":
+        joint = {"kind": "joint", "joint_table_sha256": _sha256(scenario.dist._joint)}
+        sd = {**sd, "distribution": joint}
+    tgt = sd["target"]
+    if "functional" in tgt:
+        tgt = {**tgt, "functional": {"table_sha256": tgt["functional"]["table_sha256"]}}
+    else:
+        members = scenario.target.set_spec.member_symbols(scenario.space)
+        tgt = {**tgt, "set": {"members_sha256": _sha256(members)}}
+    canonical = dumps({**sd, "target": tgt}, sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def scenario_fingerprint(scenario: Scenario) -> str:
+    """Hash of the canonical serialization, each table by its digest;
+    stable across runs and machines."""
+    return _fingerprint(scenario, scenario_to_dict(scenario))
 
 
 class ScenarioFileError(ValueError):
@@ -302,21 +506,6 @@ def _target_from(data: dict, space: FiniteSpace, alpha: AlphaWeights, cap: int |
     return {"median": MedianTarget, "gap": GapTarget, "mean": MeanTarget}[kind](f)
 
 
-def _grid_from(gd: dict, key: str, positive: bool) -> tuple | None:
-    """The grid ``grids.<key>``, or None when the file gives none."""
-    if key not in gd:
-        return None
-    where = f"grids.{key}"
-    vals = _number_list(gd[key], where)
-    if not vals:
-        raise ScenarioFileError(f"{where} must be nonempty when given")
-    for i, v in enumerate(vals):
-        if not math.isfinite(v) or v < 0.0 or (positive and v == 0.0):
-            sign = "positive" if positive else "nonnegative"
-            raise ScenarioFileError(f"{where}[{i}] must be {sign}, got {v}")
-    return tuple(vals)
-
-
 def scenario_from_dict(data: Any) -> Scenario:
     """Build a Scenario from already-parsed JSON data."""
     _as_dict(data, "")
@@ -335,15 +524,11 @@ def scenario_from_dict(data: Any) -> Scenario:
             raise ScenarioFileError(f"caps.enumeration must be positive, got {cap}")
     target = _target_from(data, space, alpha, cap)
     gd = _as_dict(data.get("grids", {}), "grids")
-    t_grid = _grid_from(gd, "t", positive=True)
-    lam_grid = _grid_from(gd, "lambda", positive=False)
-    seed = 0
-    if "seed" in data:
-        seed = _as_int(data["seed"], "seed")
-        if seed < 0:
-            raise ScenarioFileError(f"seed must be nonnegative, got {seed}")
+    t_grid, lam_grid = (
+        _number_list(gd[k], f"grids.{k}") if k in gd else None for k in ("t", "lambda")
+    )
     try:
-        return Scenario(space, dist, alpha, target, t_grid, lam_grid, seed, cap)
+        return Scenario(space, dist, alpha, target, t_grid, lam_grid, data.get("seed", 0), cap)
     except ValueError as e:
         raise ScenarioFileError(str(e)) from None
 

@@ -113,6 +113,12 @@ def _split(work, total: int) -> list:
     return results
 
 
+def _require_integral(value, what: str) -> None:
+    """Refuse a bool or a non-integer ``what``, which ``int`` would truncate."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FiniteSpace:
     """Product of finite alphabets; coordinate i has ``alphabet_sizes[i]`` symbols."""
@@ -121,12 +127,14 @@ class FiniteSpace:
     size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.alphabet_sizes)
+        sizes = tuple(self.alphabet_sizes)
         if not sizes:
             raise ValueError("a product space needs at least one coordinate")
         for s in sizes:
+            _require_integral(s, "an alphabet size")
             if s < 1:
                 raise ValueError(f"alphabet sizes must be >= 1, got {s}")
+        sizes = tuple(map(int, sizes))
         total = 1
         for s in sizes:
             total *= s
@@ -140,6 +148,7 @@ class FiniteSpace:
         return len(self.alphabet_sizes)
 
     def unrank(self, rank: int) -> Point:
+        _require_integral(rank, "rank")
         if not 0 <= rank < self.size:
             raise ValueError(f"rank {rank} out of range [0, {self.size})")
         syms = [0] * self.n

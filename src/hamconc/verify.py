@@ -1,12 +1,14 @@
 """Scenario-level verification: exact quantities vs closed-form bounds.
 
-A Scenario binds a finite product space, a distribution, a weight
-vector, and one target (a set, or a functional checked around its
-median, its mean, or for the mean-median gap).  Each verify_* flow
+Each verify_* flow takes a :class:`~hamconc.scenario_io.Scenario`,
 certifies the structural conditions its bounds assume, computes the
 exact left-hand quantities by enumeration, evaluates every applicable
 bound on a grid, and returns a BoundReport whose rows record lhs,
-bound, slack, and a pass flag at slack tolerance -1e-12.
+bound, slack, and a pass flag at slack tolerance -1e-12.  The report's
+``scenario`` block is :func:`~hamconc.scenario_io.scenario_to_dict` of
+the scenario and its fingerprint that block's digest; the scenario type
+and its file form live in :mod:`hamconc.scenario_io` and are imported
+here under the same names.
 
 Reports are deterministic: given the same scenario and seed, the JSON
 serialization is byte-identical (no timestamps, floats printed with 17
@@ -15,11 +17,10 @@ significant digits, fixed row order).
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, replace
 from itertools import chain
-from typing import ClassVar, Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,30 +31,33 @@ from .estimators import FunctionalLaw, exact_functional_stats, exact_set_stats, 
 from .functionals import (
     Functional,
     _Table,
-    _tabulate,
-    _WeightedSum,
     check_drop_condition,
     check_lipschitz,
     check_self_bounding,
 )
 from .hamming import AlphaWeights, distance_field
-from .space import RNG_NAME, Distribution, FiniteSpace, SetSpec, _check_cap, _require_ints, _rng
+# The scenario type and its file form, re-exported.  _make_report looks
+# scenario_to_dict up in this module, so a wrapper set on it here sees each report.
+from .scenario_io import (  # noqa: F401
+    GapTarget,
+    MeanTarget,
+    MedianTarget,
+    Scenario,
+    SetTarget,
+    Target,
+    _fingerprint,
+    scenario_fingerprint,
+    scenario_to_dict,
+)
+from .space import RNG_NAME, Distribution, FiniteSpace, SetSpec, _require_ints, _rng
 
 __all__ = [
     "PASS_TOL",
     "DEFAULT_LAMBDA_GRID",
     "GENERATOR_KINDS",
-    "SetTarget",
-    "MedianTarget",
-    "GapTarget",
-    "MeanTarget",
-    "Target",
-    "Scenario",
     "BoundRow",
     "BoundReport",
     "default_t_grid",
-    "scenario_to_dict",
-    "scenario_fingerprint",
     "verify_set",
     "verify_median",
     "verify_gap",
@@ -79,96 +83,6 @@ DEFAULT_LAMBDA_GRID = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)
 # Generator/sweep vocabulary; "drop" produces mean-centered targets
 # verified through the drop-condition flow.
 GENERATOR_KINDS = ("set", "median", "gap", "drop")
-
-
-@dataclass(frozen=True)
-class SetTarget:
-    """Verify the set-distance bounds for a fixed nonempty set."""
-
-    set_spec: SetSpec
-    kind: ClassVar[str] = "set"
-
-
-@dataclass(frozen=True)
-class MedianTarget:
-    """Verify the median-centered tail bounds for a Lipschitz functional."""
-
-    functional: Functional
-    kind: ClassVar[str] = "median"
-
-
-@dataclass(frozen=True)
-class GapTarget:
-    """Verify the mean-median gap bounds for a Lipschitz functional."""
-
-    functional: Functional
-    kind: ClassVar[str] = "gap"
-
-
-@dataclass(frozen=True)
-class MeanTarget:
-    """Verify mean-centered tail and MGF bounds under the drop condition."""
-
-    functional: Functional
-    kind: ClassVar[str] = "mean"
-
-
-Target = Union[SetTarget, MedianTarget, GapTarget, MeanTarget]
-
-
-def _clean_grid(values: Iterable[float], name: str, minimum_exclusive: bool) -> tuple:
-    out = sorted({float(v) for v in values})
-    if not out:
-        raise ValueError(f"{name} must be nonempty when given")
-    for v in out:
-        if not math.isfinite(v):
-            raise ValueError(f"{name} values must be finite, got {v}")
-        if minimum_exclusive and v <= 0.0:
-            raise ValueError(f"{name} values must be positive, got {v}")
-        if not minimum_exclusive and v < 0.0:
-            raise ValueError(f"{name} values must be nonnegative, got {v}")
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """One testable unit: space, law, weights, target, and grids.
-
-    Grids left as None are resolved per flow: the t grid defaults to
-    :func:`default_t_grid` with flow-specific points inserted, the
-    lambda grid to DEFAULT_LAMBDA_GRID.  ``seed`` identifies generated
-    scenarios and keys reproducibility; exact verification itself draws
-    no randomness.
-    """
-
-    space: FiniteSpace
-    dist: Distribution
-    alpha: AlphaWeights
-    target: Target
-    t_grid: tuple[float, ...] | None = None
-    lambda_grid: tuple[float, ...] | None = None
-    seed: int = 0
-    cap: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.alpha.n != self.space.n:
-            raise ValueError(
-                f"alpha has {self.alpha.n} weights, space has {self.space.n} coordinates"
-            )
-        self.dist.require_matches(self.space)
-        if self.t_grid is not None:
-            object.__setattr__(self, "t_grid", _clean_grid(self.t_grid, "t grid", True))
-        if self.lambda_grid is not None:
-            object.__setattr__(
-                self, "lambda_grid", _clean_grid(self.lambda_grid, "lambda grid", False)
-            )
-        # A bool is an int, but the loader refuses one, so its report would not replay.
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.cap is not None and (
-            isinstance(self.cap, bool) or not isinstance(self.cap, int) or self.cap < 1
-        ):
-            raise ValueError(f"cap must be a positive integer, got {self.cap!r}")
 
 
 def default_t_grid(alpha: AlphaWeights, extras: Iterable[float] = ()) -> tuple:
@@ -349,101 +263,6 @@ def _summary(rows: list[BoundRow], derived: dict) -> dict:
         "worst_slack": dict(sorted(worst.items())),
         "derived": derived,
     }
-
-
-def _sha256(a: np.ndarray) -> str:
-    """sha256 of ``a + 0`` (so -0.0 hashes as 0.0) in C order, as
-    little-endian int64 if ``a`` holds integers, else float64."""
-    le = "<i8" if a.dtype.kind == "i" else "<f8"
-    return hashlib.sha256((a + 0).astype(le, copy=False).tobytes()).hexdigest()
-
-
-def _functional_to_dict(f: Functional, scenario: Scenario, table: np.ndarray | None) -> dict:
-    """f in the form it was declared in, and ``table_sha256``.
-
-    A weighted sum is written as its coefficients and a distance to a
-    set under the scenario's weights as the set; any other functional
-    as its table.  ``table_sha256`` is :func:`_sha256` of f's table in
-    rank order.  ``table`` is f over the space, when the caller has it;
-    without it, f is tabulated here, once the space is within the
-    scenario's cap.
-    """
-    ev = f.evaluator
-    if table is None:
-        _check_cap(scenario.space, scenario.cap)
-        table = _tabulate(ev, scenario.space.alphabet_sizes)
-    if isinstance(ev, _WeightedSum):
-        d: dict = {"type": "weighted_sum", "coefficients": list(ev.coeffs)}
-    elif isinstance(ev, _Table) and ev.source is not None and ev.source[0] == scenario.alpha:
-        members = ev.source[1].member_symbols(scenario.space).tolist()
-        d = {"type": "distance_to_set", "set": {"members": members}}
-    else:
-        d = {"type": "table", "values": table.ravel().tolist()}
-    d["table_sha256"] = _sha256(table)
-    return d
-
-
-def scenario_to_dict(scenario: Scenario, table: np.ndarray | None = None) -> dict:
-    """Canonical plain-data form, a scenario file the loader reads back:
-    the functional declared as in :func:`_functional_to_dict`, weights
-    already normalized, ``params`` on mean targets only, ``grids`` and
-    ``caps`` only when set.  ``table`` is the functional's values, the
-    law's, when the caller already has them."""
-    if scenario.dist.kind == "product":
-        dd: dict = {"kind": "product", "pmfs": [list(pmf) for pmf in scenario.dist.pmfs]}
-    else:
-        dd = {"kind": "joint", "joint_table": list(scenario.dist.joint_table)}
-    tgt = scenario.target
-    if isinstance(tgt, SetTarget):
-        td: dict = {
-            "kind": "set",
-            "set": {"members": tgt.set_spec.member_symbols(scenario.space).tolist()},
-        }
-    else:
-        td = {
-            "kind": tgt.kind,
-            "functional": _functional_to_dict(tgt.functional, scenario, table),
-        }
-        if tgt.kind == "mean" and tgt.functional.self_bounding_params is not None:
-            td["params"] = list(tgt.functional.self_bounding_params)
-    sd = {
-        "space": {"alphabet_sizes": list(scenario.space.alphabet_sizes)},
-        "distribution": dd,
-        "alpha": {"weights": list(scenario.alpha.weights), "normalize": False},
-        "target": td,
-    }
-    given = {"t": scenario.t_grid, "lambda": scenario.lambda_grid}
-    if grids := {k: list(v) for k, v in given.items() if v is not None}:
-        sd["grids"] = grids
-    sd["seed"] = scenario.seed
-    if scenario.cap is not None:
-        sd["caps"] = {"enumeration": scenario.cap}
-    return sd
-
-
-def _fingerprint(scenario: Scenario, sd: dict) -> str:
-    """sha256 of ``sd``, the canonical form of ``scenario``, keys sorted,
-    with the functional reduced to its ``table_sha256`` (one function
-    declared in different forms has one fingerprint), a set's members
-    to ``members_sha256``, the :func:`_sha256` of their array, and a
-    joint law's table to ``joint_table_sha256``, that of its array."""
-    if scenario.dist.kind == "joint":
-        joint = {"kind": "joint", "joint_table_sha256": _sha256(scenario.dist._joint)}
-        sd = {**sd, "distribution": joint}
-    tgt = sd["target"]
-    if "functional" in tgt:
-        tgt = {**tgt, "functional": {"table_sha256": tgt["functional"]["table_sha256"]}}
-    else:
-        members = scenario.target.set_spec.member_symbols(scenario.space)
-        tgt = {**tgt, "set": {"members_sha256": _sha256(members)}}
-    canonical = dumps({**sd, "target": tgt}, sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def scenario_fingerprint(scenario: Scenario) -> str:
-    """Hash of the canonical serialization, each table by its digest;
-    stable across runs and machines."""
-    return _fingerprint(scenario, scenario_to_dict(scenario))
 
 
 def _make_report(

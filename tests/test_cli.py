@@ -154,11 +154,25 @@ def test_verify_refuses_a_key_of_another_kind(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown key 'distribution.joint_table'\n"
 
 
-def test_verify_negative_seed_is_an_input_error(capsys):
-    assert main(["verify", S1, "--seed", "-1"]) == 2
+def _s1_with_seed(tmp_path, seed) -> str:
+    """s1.json with its "seed" set to ``seed``, as a file."""
+    path = tmp_path / f"s1_seed_{seed}.json"
+    path.write_text(json.dumps({**json.loads(Path(S1).read_text()), "seed": seed}))
+    return str(path)
+
+
+def test_verify_negative_seed_is_an_input_error(tmp_path, capsys):
+    assert main(["verify", _s1_with_seed(tmp_path, -1)]) == 2
     assert capsys.readouterr().err == (
         "error: seed must be a nonnegative integer, got -1\n"
     )
+
+
+def test_verify_takes_its_seed_from_the_file_only(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", S1, "--seed", "7"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
 
 
 def test_verify_non_utf8_file_is_an_input_error(tmp_path, capsys):
@@ -187,11 +201,11 @@ def test_verify_csv_output_uses_crlf(tmp_path):
 def test_verify_same_seed_gives_identical_bytes(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    assert main(["verify", S1, "--seed", "7", "--out", str(a)]) == 0
-    assert main(["verify", S1, "--seed", "7", "--out", str(b)]) == 0
+    assert main(["verify", _s1_with_seed(tmp_path, 7), "--out", str(a)]) == 0
+    assert main(["verify", _s1_with_seed(tmp_path, 7), "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     c = tmp_path / "c.json"
-    assert main(["verify", S1, "--seed", "8", "--out", str(c)]) == 0
+    assert main(["verify", _s1_with_seed(tmp_path, 8), "--out", str(c)]) == 0
     assert a.read_bytes() != c.read_bytes()
 
 
@@ -328,7 +342,7 @@ def test_back_to_back_calls_share_no_state(tmp_path, capsys):
         "t = 1\nrho = 0\nh = 2\nlam = 2\nmgf = 1.6487212707001282\n"
     )
     out = tmp_path / "r.json"
-    assert main(["verify", S1, "--seed", "7", "--out", str(out)]) == 0
+    assert main(["verify", _s1_with_seed(tmp_path, 7), "--out", str(out)]) == 0
     assert json.loads(out.read_text())["scenario"]["seed"] == 7
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--trials", "3"])

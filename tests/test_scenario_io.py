@@ -439,24 +439,50 @@ def test_grids_are_kept():
     assert scenario_from_dict(d).lambda_grid == (0.0,)
 
 
-@pytest.mark.parametrize(
-    "grids, message",
-    [
-        ({"t": []}, "grids.t must be nonempty when given"),
-        ({"lambda": []}, "grids.lambda must be nonempty when given"),
-        ({"t": [1.0, 0.0]}, r"grids.t\[1\] must be positive, got 0.0"),
-        ({"t": [-0.0]}, r"grids.t\[0\] must be positive, got -0.0"),
-        ({"t": [float("inf")]}, r"grids.t\[0\] must be positive, got inf"),
-        ({"lambda": [0.0, -1.0]}, r"grids.lambda\[1\] must be nonnegative, got -1.0"),
-        ({"lambda": [float("nan")]}, r"grids.lambda\[0\] must be nonnegative, got nan"),
-        (None, "grids must be an object"),
-    ],
-)
+_BAD_GRIDS = [
+    ({"t": []}, "grids.t must be nonempty when given"),
+    ({"lambda": []}, "grids.lambda must be nonempty when given"),
+    ({"t": [1.0, 0.0]}, r"grids.t\[1\] must be positive, got 0.0"),
+    ({"t": [-0.0]}, r"grids.t\[0\] must be positive, got -0.0"),
+    ({"t": [float("inf")]}, r"grids.t\[0\] must be positive, got inf"),
+    ({"lambda": [0.0, -1.0]}, r"grids.lambda\[1\] must be nonnegative, got -1.0"),
+    ({"lambda": [float("nan")]}, r"grids.lambda\[0\] must be nonnegative, got nan"),
+]
+
+
+@pytest.mark.parametrize("grids, message", [*_BAD_GRIDS, (None, "grids must be an object")])
 def test_grid_values_are_checked(grids, message):
     d = _base()
     d["grids"] = grids
     with pytest.raises(ScenarioFileError, match=f"^{message}$"):
         scenario_from_dict(d)
+
+
+@pytest.mark.parametrize("grids, message", _BAD_GRIDS)
+def test_one_grid_message_on_both_paths(grids, message):
+    # Scenario makes the one grid check; a caller that builds one directly
+    # reads the loader's text, as a plain ValueError.
+    sc = scenario_from_dict(_base())
+    ((key, values),) = grids.items()
+    with pytest.raises(ValueError, match=f"^{message}$") as info:
+        dataclasses.replace(sc, **{f"{key}_grid": tuple(values)})
+    assert type(info.value) is ValueError
+
+
+def test_the_scenario_module_imports_nothing_from_verify():
+    # scenario_io owns the scenario type, its file form and its digest;
+    # verify imports them, never the other way round.
+    import ast
+
+    import hamconc.scenario_io as scenario_io
+
+    tree = ast.parse(Path(scenario_io.__file__).read_text(encoding="utf-8"))
+    imported = {
+        node.module
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module is not None
+    }
+    assert "verify" not in imported and "hamconc.verify" not in imported
 
 
 def test_invalid_json_file(tmp_path):

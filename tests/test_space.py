@@ -159,6 +159,31 @@ def test_non_integer_and_bool_symbols_are_refused(make, bad):
     assert SetSpec.from_points([(np.int64(1), 0)]).symbols.tolist() == [[1, 0]]
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: FiniteSpace((2.7, 2)), "an alphabet size must be an integer, got 2.7"),
+        (lambda: FiniteSpace((True, 3)), "an alphabet size must be an integer, got True"),
+        (
+            lambda: FiniteSpace((2, np.float64(2.0))),
+            r"an alphabet size must be an integer, got .*2\.0",
+        ),
+        (lambda: FiniteSpace(("2", 2)), "an alphabet size must be an integer, got '2'"),
+        (lambda: FiniteSpace((2, 2)).unrank(True), "rank must be an integer, got True"),
+        (lambda: FiniteSpace((2, 2)).unrank(1.0), "rank must be an integer, got 1.0"),
+    ],
+)
+def test_non_integer_and_bool_sizes_and_ranks_are_refused(make, message):
+    # int() would truncate each of these to a size or rank the caller never gave
+    with pytest.raises(ValueError, match=f"^{message}"):
+        make()
+    # numpy integers are sizes and ranks, held as int
+    space = FiniteSpace((np.int64(2), np.uint8(3)))
+    assert space.alphabet_sizes == (2, 3)
+    assert set(map(type, space.alphabet_sizes)) == {int}
+    assert space.unrank(np.int64(5)).symbols == (1, 2)
+
+
 def test_set_spec_array_and_list_inputs_give_identical_symbols():
     rng = np.random.default_rng(5)
     rows = rng.integers(0, 3, (200, 6))

@@ -979,3 +979,21 @@ def test_the_benchmark_finds_every_name_it_patches_or_reads(monkeypatch):
     metrics = trace.layer_metrics()
     for key in ("verify.rows", "functionals.check_drop_condition.calls", "estimators.mc_tail.calls"):
         assert metrics[key] > 0, key
+
+
+# -- the package's names ---------------------------------------------------------
+
+
+def test_the_package_exports_each_modules_public_names_once():
+    import hamconc
+    from hamconc import bounds, estimators, hamming, scenario_io, space, verify
+
+    modules = (bounds, estimators, functionals, hamming, scenario_io, space, verify)
+    names = hamconc.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == {"__version__"}.union(*(m.__all__ for m in modules))
+    for name in names:
+        assert hasattr(hamconc, name), name
+    # the scenario type and its file form stay importable from verify
+    for name in ("Scenario", "SetTarget", "scenario_to_dict", "scenario_fingerprint"):
+        assert getattr(verify, name) is getattr(scenario_io, name)
