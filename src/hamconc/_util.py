@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from itertools import chain
 from json.encoder import encode_basestring_ascii as quote
 
 import numpy as np
@@ -110,9 +109,6 @@ def _encode(obj, sort_keys: bool) -> str:
             return "[" + fmt_floats(obj) + "]"
         if kinds == {int}:
             return "[" + ",".join(map(str, obj)) + "]"
-        if t is list and kinds == {list} and set(map(type, chain.from_iterable(obj))) <= {int}:
-            # Set members: the repr of lists of exact ints, less its spaces.
-            return repr(obj).replace(" ", "")
         return "[" + ",".join([_encode(item, sort_keys) for item in obj]) + "]"
     if t is dict:
         return _encode_dict(obj, sort_keys)
@@ -135,7 +131,46 @@ def _encode(obj, sort_keys: bool) -> str:
         return "[" + ",".join([_encode(item, sort_keys) for item in obj]) + "]"
     if isinstance(obj, dict):
         return _encode_dict(obj, sort_keys)
+    if t is np.ndarray and obj.dtype == np.int64 and obj.ndim == 2:
+        return _int_rows(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _int_rows(a: np.ndarray) -> str:
+    """``repr(a.tolist()).replace(" ", "")`` of a 2-d int64 array, in one pass.
+
+    Each row is a uint8 line of fixed-width fields, one per entry: its
+    separator ("[" first in the row, else ","), a minus sign if any entry
+    is negative, and as many digit slots as the longest entry has
+    digits, right-aligned; the line ends with "]" and ",".  If some slot
+    can go unused (a sign, or entries of more than one digit), one
+    boolean mask keeps the signs of the negative entries and each
+    entry's own digits.  One ``tobytes`` makes the text, less its last ",".
+    """
+    if not a.size:
+        return repr(a.tolist()).replace(" ", "")
+    rows, cols = a.shape
+    low, high = int(a.min()), int(a.max())
+    sign = int(low < 0)
+    mag = (np.abs(a) if sign else a).view(np.uint64)  # abs(-2**63) wraps, read as 2**63
+    powers = 10 ** np.arange(len(str(max(high, -low))) - 1, -1, -1, dtype=np.uint64)
+    field = 1 + sign + powers.size
+    text = np.empty((rows, cols * field + 2), dtype=np.uint8)
+    cells = text[:, :-2].reshape(rows, cols, field)
+    cells[:, :, 0] = ord(",")
+    cells[:, 0, 0] = ord("[")
+    np.add(mag[:, :, None] // powers % 10, ord("0"), out=cells[:, :, 1 + sign :], casting="unsafe")
+    text[:, -2] = ord("]")
+    text[:, -1] = ord(",")
+    if sign or powers.size > 1:
+        keep = np.ones(text.shape, dtype=bool)
+        kept = keep[:, :-2].reshape(rows, cols, field)
+        if sign:
+            cells[:, :, 1] = ord("-")
+            kept[:, :, 1] = a < 0
+        kept[:, :, 1 + sign : -1] = mag[:, :, None] >= powers[:-1]
+        text = text[keep]
+    return "[" + text.tobytes()[:-1].decode("ascii") + "]"
 
 
 def _encode_dict(obj: dict, sort_keys: bool) -> str:
@@ -150,9 +185,11 @@ def _encode_dict(obj: dict, sort_keys: bool) -> str:
 def dumps(obj, *, sort_keys: bool = False) -> str:
     """JSON text with floats written via :func:`fmt_float`.
 
-    Compact separators, keys in insertion order unless ``sort_keys``,
-    strings ASCII-escaped as :func:`json.dumps` escapes them.  Byte-stable:
-    the same object graph always yields the same string, which is what
-    report fingerprints and reproducibility tests rely on.
+    A 2-d int64 ndarray (a set's members) is written as its nested list
+    of ints; any other ndarray raises TypeError.  Compact separators,
+    keys in insertion order unless ``sort_keys``, strings ASCII-escaped
+    as :func:`json.dumps` escapes them.  Byte-stable: the same object
+    graph always yields the same string, which is what report
+    fingerprints and reproducibility tests rely on.
     """
     return _encode(obj, sort_keys)

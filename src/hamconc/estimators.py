@@ -346,9 +346,11 @@ def _sampled_distances(
         _min_plus(field.reshape(*sizes[m:], -1), alpha.weights[m:])
         return field[block % span, block // span - first]
 
-    # Blocks of ``rows`` prefixes; a run of prefixes no rank has adds none.
-    bounds = np.searchsorted(ranks, np.arange(0, math.prod(sizes[:m]), rows) * span)
-    return _by_blocks(ranks, np.unique(np.append(bounds, ranks.size)).tolist(), fill)
+    # Blocks of ``rows`` prefixes; a run of prefixes no rank has adds none,
+    # so of the sorted cuts each repeat is dropped.
+    cuts = np.searchsorted(ranks, np.arange(0, math.prod(sizes[:m]), rows) * span)
+    cuts = np.append(cuts, ranks.size)
+    return _by_blocks(ranks, cuts[np.diff(cuts, prepend=-1) > 0].tolist(), fill)
 
 
 def _sampled_values(

@@ -26,7 +26,9 @@ one back as such a file (:func:`scenario_to_dict`) and hashes that form
       "caps":         {"enumeration": 1000000}
     }
 
-A report's "scenario" block is such a file.  "grids", "seed", "caps",
+A report's "scenario" block is such a file; in memory, as
+:func:`scenario_to_dict` gives it, a set's members are an int64 array,
+which the loader takes as it takes the lists.  "grids", "seed", "caps",
 "params" and "table_sha256" are optional; "params" is only valid for
 mean targets and switches on the self-bounding rows.  Weights must
 satisfy ||alpha|| = 1 unless "normalize" is true.  Only a functional
@@ -185,7 +187,7 @@ def _functional_to_dict(f: Functional, scenario: Scenario, table: np.ndarray | N
     if isinstance(ev, _WeightedSum):
         d: dict = {"type": "weighted_sum", "coefficients": list(ev.coeffs)}
     elif isinstance(ev, _Table) and ev.source is not None and ev.source[0] == scenario.alpha:
-        members = ev.source[1].member_symbols(scenario.space).tolist()
+        members = ev.source[1].member_symbols(scenario.space)
         d = {"type": "distance_to_set", "set": {"members": members}}
     else:
         d = {"type": "table", "values": table.ravel().tolist()}
@@ -197,18 +199,18 @@ def scenario_to_dict(scenario: Scenario, table: np.ndarray | None = None) -> dic
     """Canonical plain-data form, a scenario file the loader reads back:
     the functional declared as in :func:`_functional_to_dict`, weights
     already normalized, ``params`` on mean targets only, ``grids`` and
-    ``caps`` only when set.  ``table`` is the functional's values, the
-    law's, when the caller already has them."""
+    ``caps`` only when set.  A set's members, of a set target or a
+    distance to a set, are the :class:`SetSpec`'s own read-only (|A|, n)
+    int64 array, which :func:`~hamconc._util.dumps` writes as its nested
+    list.  ``table`` is the functional's values, the law's, when the
+    caller already has them."""
     if scenario.dist.kind == "product":
         dd: dict = {"kind": "product", "pmfs": [list(pmf) for pmf in scenario.dist.pmfs]}
     else:
         dd = {"kind": "joint", "joint_table": list(scenario.dist.joint_table)}
     tgt = scenario.target
     if isinstance(tgt, SetTarget):
-        td: dict = {
-            "kind": "set",
-            "set": {"members": tgt.set_spec.member_symbols(scenario.space).tolist()},
-        }
+        td: dict = {"kind": "set", "set": {"members": tgt.set_spec.member_symbols(scenario.space)}}
     else:
         td = {
             "kind": tgt.kind,
@@ -244,8 +246,7 @@ def _fingerprint(scenario: Scenario, sd: dict) -> str:
     if "functional" in tgt:
         tgt = {**tgt, "functional": {"table_sha256": tgt["functional"]["table_sha256"]}}
     else:
-        members = scenario.target.set_spec.member_symbols(scenario.space)
-        tgt = {**tgt, "set": {"members_sha256": _sha256(members)}}
+        tgt = {**tgt, "set": {"members_sha256": _sha256(tgt["set"]["members"])}}
     canonical = dumps({**sd, "target": tgt}, sort_keys=True)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -321,7 +322,11 @@ def _as_list(v: Any, where: str) -> list:
 def _as_number(v: Any, where: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ScenarioFileError(f"{where} must be a number")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        message = f"{where} must be finite, got an integer past float range"
+        raise ScenarioFileError(message) from None
 
 
 def _as_int(v: Any, where: str) -> int:
@@ -340,11 +345,15 @@ def _number_list(v: Any, where: str) -> list[float]:
     """The list as floats, its types checked in bulk.
 
     Only when the bulk check fails is the list walked one entry at a
-    time, to name the first entry that is not a number.
+    time, to name the first entry that is not a number or is an integer
+    too large for a float.
     """
     raw = _as_list(v, where)
     if set(map(type, raw)) <= {float, int}:
-        return list(map(float, raw))
+        try:
+            return list(map(float, raw))
+        except OverflowError:
+            pass
     return [_as_number(x, f"{where}[{i}]") for i, x in enumerate(raw)]
 
 
@@ -403,23 +412,34 @@ def _alpha_from(data: dict) -> AlphaWeights:
     return a
 
 
-def _checked_members(raw: list, where: str, space: FiniteSpace) -> np.ndarray:
-    """The members as one (|A|, n) int64 array, checked in bulk.
-
-    Only when the bulk check fails are the members walked one by one, to
-    name the first offending entry.
-    """
-    sizes, n = space.alphabet_sizes, space.n
-    if set(map(type, raw)) == {list} and set(map(len, raw)) == {n} and set(
-        map(type, itertools.chain.from_iterable(raw))
-    ) == {int}:
+def _member_array(raw: Any, n: int) -> np.ndarray | None:
+    """``raw`` as int64 rows of n symbols, if it is such an array (as
+    :func:`scenario_to_dict` writes the members) or a list of lists of n
+    ints each that int64 holds; else None."""
+    if isinstance(raw, np.ndarray):
+        return raw if raw.dtype == np.int64 and raw.ndim == 2 and raw.shape[1] == n else None
+    rows = isinstance(raw, list) and set(map(type, raw)) == {list} and set(map(len, raw)) == {n}
+    if rows and set(map(type, itertools.chain.from_iterable(raw))) == {int}:
         try:
-            symbols = np.array(raw, dtype=np.int64)
+            return np.array(raw, dtype=np.int64)
         except OverflowError:
             pass
-        else:
-            if ((symbols >= 0) & (symbols < sizes)).all():
-                return symbols
+    return None
+
+
+def _checked_members(raw: Any, where: str, space: FiniteSpace) -> np.ndarray:
+    """The nonempty members as one (|A|, n) int64 array, checked in bulk.
+
+    Only when the bulk check fails are the members, an array as its
+    nested list, walked one by one, to name the first offending entry.
+    """
+    sizes, n = space.alphabet_sizes, space.n
+    symbols = _member_array(raw, n)
+    if symbols is not None and len(symbols) and ((symbols >= 0) & (symbols < sizes)).all():
+        return symbols
+    raw = _as_list(raw.tolist() if isinstance(raw, np.ndarray) else raw, f"{where}.members")
+    if not raw:
+        raise ScenarioFileError(f"{where}.members must be nonempty")
     for i, m in enumerate(raw):
         row = _as_list(m, f"{where}.members[{i}]")
         syms = [_as_int(s, f"{where}.members[{i}][{j}]") for j, s in enumerate(row)]
@@ -439,10 +459,7 @@ def _checked_members(raw: list, where: str, space: FiniteSpace) -> np.ndarray:
 
 def _set_from(v: Any, where: str, space: FiniteSpace) -> SetSpec:
     sd = _as_dict(v, where)
-    raw = _as_list(_require(sd, "members", where), f"{where}.members")
-    if not raw:
-        raise ScenarioFileError(f"{where}.members must be nonempty")
-    return SetSpec(_checked_members(raw, where, space))
+    return SetSpec(_checked_members(_require(sd, "members", where), where, space))
 
 
 def _functional_from(
@@ -538,8 +555,8 @@ def load_scenario(path) -> Scenario:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as e:
-        raise ScenarioFileError(f"invalid JSON in {path}: {e}") from None
     except UnicodeDecodeError as e:
         raise ScenarioFileError(f"{path} is not UTF-8 text: {e}") from None
+    except ValueError as e:  # a JSONDecodeError, or an integer of more digits than int() reads
+        raise ScenarioFileError(f"invalid JSON in {path}: {e}") from None
     return scenario_from_dict(data)

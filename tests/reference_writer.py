@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 
 def fmt_float(x: float) -> str:
     x = float(x)
@@ -40,6 +42,8 @@ def _dump(obj, parts: list[str], sort_keys: bool) -> None:
                 parts.append(",")
             _dump(item, parts, sort_keys)
         parts.append("]")
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.int64 and obj.ndim == 2:
+        _dump(obj.tolist(), parts, sort_keys)  # a set's members
     elif isinstance(obj, dict):
         parts.append("{")
         keys = sorted(obj) if sort_keys else list(obj)

@@ -154,6 +154,29 @@ def test_verify_refuses_a_key_of_another_kind(tmp_path, capsys):
     assert capsys.readouterr().err == "error: unknown key 'distribution.joint_table'\n"
 
 
+@pytest.mark.parametrize("key", ["grids.t[1]", "distribution.pmfs[0][0]"])
+def test_verify_refuses_an_integer_past_float_range(tmp_path, capsys, key):
+    # 10**400 is written as its 401 digits, and float() of it overflows.
+    scn = json.loads(Path(S1).read_text())
+    if key.startswith("grids"):
+        scn["grids"] = {"t": [1.0, 10**400]}
+    else:
+        scn["distribution"]["pmfs"][0][0] = 10**400
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(scn))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {key} must be finite, got an integer past float range\n"
+    )
+
+
+def test_verify_refuses_an_integer_of_too_many_digits_to_parse(tmp_path, capsys):
+    path = tmp_path / "digits.json"
+    path.write_text(Path(S1).read_text().replace("[1.0, 1.0]", "[1.0, 1" + "0" * 5000 + "]"))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: invalid JSON in {path}: ")
+
+
 def _s1_with_seed(tmp_path, seed) -> str:
     """s1.json with its "seed" set to ``seed``, as a file."""
     path = tmp_path / f"s1_seed_{seed}.json"

@@ -5,20 +5,25 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hamconc import functionals, space
-from hamconc.hamming import Point
+from hamconc._util import dumps
+from hamconc.functionals import Functional
+from hamconc.hamming import Point, normalize
 from hamconc.scenario_io import ScenarioFileError, load_scenario, scenario_from_dict
-from hamconc.space import FiniteSpace, SetSpec
+from hamconc.space import Distribution, FiniteSpace, SetSpec
 from hamconc.verify import (
     GENERATOR_KINDS,
     GapTarget,
     MeanTarget,
     MedianTarget,
+    Scenario,
     SetTarget,
     random_scenario,
     scenario_fingerprint,
+    scenario_to_dict,
     verify_scenario,
 )
 
@@ -316,6 +321,67 @@ def test_member_errors_name_the_first_bad_entry(members, message):
     with pytest.raises(ScenarioFileError) as info:
         scenario_from_dict(d)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "members",
+    [
+        np.array([[0, 0], [1, 2]]),
+        np.array([[0, -1], [1, 1]]),
+        np.array([[0, 0], [0, 2**62]]),
+        np.array([[0.0, 0.0], [1.0, 0.0]]),
+        np.array([[False, True]]),
+        np.zeros((2, 3), dtype=np.int64),
+        np.zeros((2, 1), dtype=np.int64),
+        np.zeros(2, dtype=np.int64),
+        np.zeros((1, 1, 2), dtype=np.int64),
+        np.zeros((0, 2), dtype=np.int64),
+        np.int64(0),
+    ],
+    ids=repr,
+)
+def test_member_arrays_are_refused_as_their_lists_are(members):
+    # scenario_to_dict gives the members as an int64 array; the loader
+    # takes any array as its nested list, with the list's messages.
+    messages = []
+    for form in (members, members.tolist()):
+        d = _base()
+        d["target"]["set"]["members"] = form
+        with pytest.raises(ScenarioFileError) as info:
+            scenario_from_dict(d)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+
+
+def _set_scenarios() -> list:
+    """Set targets and distance_to_set functionals, one- and multi-digit symbols."""
+    scenarios = [random_scenario(seed, "set") for seed in range(20)]
+    rng = np.random.default_rng(5)
+    for sizes in [(2, 3), (12, 300, 2), (1000, 11)]:
+        fs = FiniteSpace(sizes)
+        members = SetSpec(np.stack(np.unravel_index(rng.choice(fs.size, 200), sizes), axis=1))
+        dist = Distribution.product([[1.0 / s] * s for s in sizes])
+        alpha = normalize([1.0] * len(sizes))
+        scenarios.append(Scenario(fs, dist, alpha, SetTarget(members)))
+        f = Functional.distance_to(alpha, members, fs)
+        scenarios += [Scenario(fs, dist, alpha, cls(f)) for cls in (MedianTarget, MeanTarget)]
+    return scenarios
+
+
+def test_the_canonical_form_round_trips_its_member_arrays():
+    for sc in _set_scenarios():
+        d = scenario_to_dict(sc)
+        tgt = d["target"]
+        members = tgt["set"]["members"] if "set" in tgt else tgt["functional"]["set"]["members"]
+        assert members.dtype == np.int64 and not members.flags.writeable
+        back = scenario_from_dict(d)
+        assert dumps(scenario_to_dict(back)) == dumps(d)
+        assert scenario_fingerprint(back) == scenario_fingerprint(sc)
+        if isinstance(sc.target, SetTarget):
+            assert back.target.set_spec == sc.target.set_spec
+        # read back from the text, as lists, they give the same scenario
+        again = scenario_from_dict(json.loads(dumps(d)))
+        assert scenario_fingerprint(again) == scenario_fingerprint(sc)
 
 
 def _median_table(values: list) -> dict:

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
 from functools import cached_property
 from pathlib import Path
 
@@ -11,7 +14,7 @@ import pytest
 
 import reference_pointwise as ref
 from hamconc import bounds, functionals
-from hamconc._util import fmt_float
+from hamconc._util import dumps, fmt_float
 from hamconc.estimators import hoeffding_half_width
 from hamconc.cli import _describe_row
 from hamconc.functionals import Functional
@@ -701,7 +704,7 @@ def test_fingerprint_tracks_scenario_content():
     assert scenario_fingerprint(sc) != scenario_fingerprint(_set_scenario(seed=1))
     d = scenario_to_dict(sc)
     assert d["alpha"]["normalize"] is False
-    assert d["target"]["set"]["members"] == [[0, 0]]
+    assert d["target"]["set"]["members"].tolist() == [[0, 0]]
     assert d["space"]["alphabet_sizes"] == [2, 2]
 
 
@@ -820,7 +823,7 @@ def test_random_scenario_is_deterministic():
     for kind in GENERATOR_KINDS:
         a = random_scenario(11, kind)
         b = random_scenario(11, kind)
-        assert scenario_to_dict(a) == scenario_to_dict(b)
+        assert dumps(scenario_to_dict(a)) == dumps(scenario_to_dict(b))
 
 
 def test_random_scenario_structure():
@@ -979,6 +982,53 @@ def test_the_benchmark_finds_every_name_it_patches_or_reads(monkeypatch):
     metrics = trace.layer_metrics()
     for key in ("verify.rows", "functionals.check_drop_condition.calls", "estimators.mc_tail.calls"):
         assert metrics[key] > 0, key
+
+
+# -- start-up -----------------------------------------------------------------------
+
+_FIRST_CALLS = """
+import sys
+import numpy as np
+import hamconc
+from hamconc import estimators, scenario_io, verify
+
+np.random.default_rng(0)
+before = set(sys.modules)
+for path in sys.argv[1:]:
+    verify.verify_scenario(scenario_io.load_scenario(path)).to_json()
+for kind in verify.GENERATOR_KINDS:
+    verify.verify_scenario(verify.random_scenario(0, kind)).to_json()
+n = 12
+members = hamconc.SetSpec(np.random.default_rng(1).integers(0, 2, size=(16, n)))
+quantity = hamconc.DistanceToSet(hamconc.normalize([1.0] * n), members)
+dist = hamconc.Distribution.product([(0.4, 0.6)] * n)
+estimators.mc_tail(hamconc.FiniteSpace((2,) * n), dist, quantity, 0.3, n_samples=2000)
+print(sorted(set(sys.modules) - before))
+"""
+
+
+def test_the_first_calls_in_a_process_import_no_module(tmp_path):
+    # A module imported on first use costs every run of the command its
+    # import: under numpy 2.4 a plain np.unique imports numpy.ma (20 ms or
+    # more).  The set file has multi-digit symbols, and the mc_tail call
+    # takes the min-plus path of the sampled distances, whose block cuts
+    # drop their repeats without np.unique.
+    path = tmp_path / "set.json"
+    members = [[r // 600, r // 2 % 300, r % 2] for r in range(0, 7200, 37)]
+    d = {
+        "space": {"alphabet_sizes": [12, 300, 2]},
+        "distribution": {"kind": "product", "pmfs": [[1 / 12] * 12, [1 / 300] * 300, [0.5] * 2]},
+        "alpha": {"weights": [1.0, 1.0, 1.0], "normalize": True},
+        "target": {"kind": "set", "set": {"members": members}},
+    }
+    path.write_text(json.dumps(d))
+    src = str(Path(functionals.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", _FIRST_CALLS, str(CORRELATED.parent / "s1.json"), str(path)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert out.stdout == "[]\n"
 
 
 # -- the package's names ---------------------------------------------------------

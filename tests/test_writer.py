@@ -100,6 +100,13 @@ def _error(writer, obj, sort_keys):
         [np.int64(3)],
         {"a": {1, 2}},
         [np.bool_(True)],
+        # arrays other than a set's 2-d int64 members
+        {"v": np.zeros((2, 2))},
+        {"v": np.zeros((2, 2), dtype=np.int32)},
+        {"v": np.zeros((2, 2), dtype=bool)},
+        {"v": np.zeros((2, 2), dtype=">i8")},
+        {"v": np.zeros(3, dtype=np.int64)},
+        {"v": np.zeros((1, 2, 2), dtype=np.int64)},
     ],
 )
 def test_errors_match_the_reference_writer(obj, sort_keys):
@@ -145,7 +152,7 @@ def test_generated_reports_match_the_reference_writer(kind):
         _check_report(report)
         if kind == "set":
             members = scenario.target.set_spec.member_symbols(scenario.space).tolist()
-            assert report.scenario["target"]["set"]["members"] == members
+            assert report.scenario["target"]["set"]["members"].tolist() == members
 
 
 @pytest.mark.parametrize("name", ["s1.json", "correlated_pair.json"])
@@ -240,6 +247,46 @@ def test_member_lists_match_the_reference_writer(shape):
     assert dumps(as_tuples) == ref.dumps(as_tuples)
     assert dumps(tuple(members)) == ref.dumps(tuple(members))
     assert dumps([members, members]) == ref.dumps([members, members])
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (5, 1), (64, 3), (2048, 12)])
+@pytest.mark.parametrize(
+    "low, high", [(0, 10), (0, 300), (0, 10**12 + 1), (-(10**12), 300), (-9, 0)]
+)
+def test_member_arrays_match_the_reference_writer(shape, low, high):
+    # scenario_to_dict holds a set's members as a read-only int64 array.
+    rng = np.random.default_rng(shape[0])
+    members = rng.integers(low, high, shape)
+    members[0, 0] = high - 1  # the widest entry
+    members[-1, -1] = low
+    members.setflags(write=False)
+    assert dumps(members) == ref.dumps(members) == repr(members.tolist()).replace(" ", "")
+    for view in (members[::-1], members[:, ::-1], members[::2], members.T):
+        assert dumps({"members": view}) == ref.dumps({"members": view})
+
+
+def test_member_arrays_at_the_int64_extremes_match_the_reference_writer():
+    members = np.array([[-(2**63), 2**63 - 1, 0], [-1, 10**18, -(10**18)]])
+    assert dumps(members) == ref.dumps(members) == repr(members.tolist()).replace(" ", "")
+    for empty in (np.zeros((0, 3), dtype=np.int64), np.zeros((2, 0), dtype=np.int64)):
+        assert dumps(empty) == ref.dumps(empty)
+
+
+def test_a_multi_digit_set_report_matches_the_reference_writer():
+    sizes = (12, 300, 2)
+    space = FiniteSpace(sizes)
+    rng = np.random.default_rng(25)
+    ranks = rng.choice(space.size, size=200, replace=False)
+    members = np.stack(np.unravel_index(ranks, sizes), axis=1)
+    scenario = Scenario(
+        space=space,
+        dist=Distribution.product([[1.0 / s] * s for s in sizes]),
+        alpha=normalize([1.0, 2.0, 0.5]),
+        target=SetTarget(SetSpec(members)),
+    )
+    report = verify_scenario(scenario)
+    assert report.scenario["target"]["set"]["members"].max() >= 100
+    _check_report(report)
 
 
 def test_a_report_with_2048_members_matches_the_reference_writer():
