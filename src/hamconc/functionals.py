@@ -25,6 +25,7 @@ axis, and the gaps lie in [0, 1] exactly when ``spreads[i] <= 1``.
 The drop condition implies the Lipschitz property, as both values of an
 edge lie in [f_i, f_i + alpha_i] over the same dropped point.  Checks
 return a :class:`Certificate`, which keeps a failing point as evidence.
+The spreads, gaps, gap sum and witnesses all reduce by ``hamming._reduce_lines``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ._util import frozen
-from .hamming import AlphaWeights, Point, distance_field
+from .hamming import AlphaWeights, Point, _lines, _reduce_lines, distance_field
 # Not called here since distance_to tabulates through distance_field; the
 # name stays because bench/tracer.py counts calls through this attribute.
 from .hamming import hamming_distance  # noqa: F401
@@ -113,8 +114,15 @@ class _Table(_Evaluator):
     def spreads(self) -> np.ndarray:
         """Per axis i, the largest max f - min f over the lines along i, NaN
         if f has a NaN; taken once, as the table is read-only and its own."""
-        t = self.table
-        return frozen(np.array([np.max(t.max(i) - t.min(i)) for i in range(t.ndim)]))
+        return frozen(np.array([np.max(self.line_spreads(i)) for i in range(self.table.ndim)]))
+
+    def line_spreads(self, i: int) -> np.ndarray:
+        """max f - min f on each line along axis i, a (prefix, rest) array."""
+        return _reduce_lines(np.maximum, self.table, i) - _reduce_lines(np.minimum, self.table, i)
+
+    def gaps(self, i: int) -> np.ndarray:
+        """The infimum family's drop gaps f(x) - f_i along axis i, in the lines' shape."""
+        return _lines(self.table, i) - _reduce_lines(np.minimum, self.table, i)[:, None]
 
     def values(self, coords: Sequence[np.ndarray]) -> np.ndarray:
         if len(coords) != self.table.ndim:
@@ -269,8 +277,7 @@ def _gap_witness(table: _Table, bound: np.ndarray, space: FiniteSpace) -> Point 
     failing = np.flatnonzero(~(table.spreads <= bound))
     if not failing.size:
         return None
-    i, values = int(failing[0]), table.table
-    return _first_flagged(~(values - values.min(i, keepdims=True) <= bound[i]), space)
+    return _first_flagged(~(table.gaps(failing[0]) <= bound[failing[0]]), space)
 
 
 def check_lipschitz(f: Functional, alpha: AlphaWeights, space: FiniteSpace) -> Certificate:
@@ -297,14 +304,14 @@ def check_lipschitz(f: Functional, alpha: AlphaWeights, space: FiniteSpace) -> C
     worst = -math.inf if j is None else float(slack[j])
     if worst <= CERT_TOL:
         return Certificate("lipschitz", True, None, worst)
-    i, values = int(axes[j]), table.table
-    lines = values.max(i) - values.min(i) - alpha.weights[i]
-    k = np.unravel_index(int(np.argmax(lines)), lines.shape)
-    line = values[k[:i] + (slice(None),) + k[i:]]
-    lo, hi = sorted((int(np.argmin(line)), int(np.argmax(line))))
+    i = int(axes[j])
+    v = _lines(table.table, i)
+    p, r = divmod(int(np.argmax(table.line_spreads(i) - alpha.weights[i])), v.shape[2])
+    lo, hi = sorted((int(np.argmin(v[p, :, r])), int(np.argmax(v[p, :, r]))))
     if lo == hi:  # both found the NaN; pair it with a neighbour
         lo, hi = sorted((int(hi == 0), hi))
-    return Certificate("lipschitz", False, (Point(k).insert(i, lo), Point(k).insert(i, hi)), worst)
+    ends = (space.unrank(int(np.ravel_multi_index((p, s, r), v.shape))) for s in (lo, hi))
+    return Certificate("lipschitz", False, tuple(ends), worst)
 
 
 def check_drop_condition(
@@ -343,7 +350,7 @@ def check_self_bounding(f: Functional, space: FiniteSpace) -> Certificate:
     values = table.table
     total = np.zeros(values.shape)
     for i in range(space.n):  # one gap table at a time, not n at once
-        total += values - values.min(i, keepdims=True)
+        total += table.gaps(i).reshape(values.shape)
     total -= a * values
     total -= b
     if witness is None:

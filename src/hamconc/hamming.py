@@ -180,20 +180,28 @@ def distance_field(alpha: AlphaWeights, in_set: np.ndarray) -> np.ndarray:
 
 
 def _min_plus(d: np.ndarray, weights: tuple[float, ...]) -> np.ndarray:
-    """``d = min(d, min over axis i of d + w_i)`` in place, for each weight
-    w_i in order, over the first axes of ``d`` (C-contiguous float64): from
-    distances over earlier coordinates, the least over these too."""
-    shape = d.shape
+    """``d = min(d, min over axis i of d + w_i)`` in place by :func:`_reduce_lines`,
+    for each weight w_i in order, over the first axes of ``d`` (C-contiguous
+    float64): from distances over earlier coordinates, the least over these too."""
     for i, w in enumerate(weights):
-        if shape[i] == 1:  # d + w >= d: the pass would change nothing
-            continue
-        # Axis i as the middle of three: the mins below then run along
-        # whole rows, where numpy's reduction over a short axis would run
-        # one tiny loop per output entry, several times slower.
-        v = d.reshape(math.prod(shape[:i]), shape[i], -1)
-        low = np.minimum(v[:, 0], v[:, 1])
-        for s in range(2, shape[i]):
-            np.minimum(low, v[:, s], out=low)
-        low += w
-        np.minimum(v, low[:, None], out=v)
+        if d.shape[i] > 1:  # else d + w >= d: the pass would change nothing
+            low = _reduce_lines(np.minimum, d, i)
+            low += w
+            np.minimum(_lines(d, i), low[:, None], out=_lines(d, i))
     return d
+
+
+def _lines(a: np.ndarray, i: int) -> np.ndarray:
+    """``a`` as (prefix, |A_i|, rest), a view if C-contiguous: axis i's lines down the middle."""
+    return a.reshape(math.prod(a.shape[:i]), a.shape[i], -1)
+
+
+def _reduce_lines(op: np.ufunc, a: np.ndarray, i: int) -> np.ndarray:
+    """``op`` (np.minimum or np.maximum) along axis i of ``a``, a (prefix, rest) array:
+    one pass per symbol over the rows of :func:`_lines`, in the order numpy reduces
+    a strided axis (NaN propagates), where ``a.min(i)`` runs a tiny loop per entry."""
+    v = _lines(a, i)
+    out = op(v[:, 0], v[:, 1]) if v.shape[1] > 1 else v[:, 0].copy()
+    for s in range(2, v.shape[1]):
+        op(out, v[:, s], out=out)
+    return out

@@ -487,15 +487,15 @@ def verify_gap(scenario: Scenario) -> BoundReport:
 def verify_drop_functional(scenario: Scenario) -> BoundReport:
     """Mean-centered bounds under the coordinate-drop condition.
 
-    The distribution may be a joint table: the drop-condition rows are
-    stated without an independence hypothesis, so they are emitted (and
-    checked) under dependence as well.  Rows per t: both tails against
-    exp(-2t^2) when the drop gaps stay within alpha, and against
-    exp(-2t^2/n) when they stay within 1.  MGF rows compare the exact
-    centered moment generating function with exp(lambda^2/8).  When
-    self-bounding parameters are present the distribution must be a
-    product and the (a, b) conditions must certify; that adds the
-    sb-upper/sb-lower rows.
+    The distribution may be a joint table, and the drop rows are then
+    asserted under it, although McDiarmid's and Hoeffding's caps need
+    independent coordinates: a known defect, which acceptance check C5
+    records (ROADMAP item 1).  Rows per t: both tails against exp(-2t^2)
+    when the drop gaps stay within alpha, and against exp(-2t^2/n) when
+    they stay within 1.  MGF rows compare the exact centered moment
+    generating function with exp(lambda^2/8).  When self-bounding
+    parameters are present the distribution must be a product and the
+    (a, b) conditions must certify; that adds the sb-upper/sb-lower rows.
 
     The certificates hold for the infimum family f_i = min of f over
     coordinate i, the greatest admissible family, so they hold whenever
@@ -631,9 +631,9 @@ def random_scenario(
     """Deterministic random scenario for soundness sweeps.
 
     kind selects the target: "set", "median", "gap", or "drop".  Set,
-    median, and gap scenarios always draw product distributions (their
-    flows require independence); drop scenarios draw a joint table half
-    the time, exercising the dependence-free form of the drop rows.
+    median and gap scenarios draw product laws, as their flows require;
+    drop scenarios draw a joint table half the time, where the drop rows
+    are asserted though their caps need independence (the C5 defect).
     """
     if kind not in GENERATOR_KINDS:
         raise ValueError(f"kind must be one of {GENERATOR_KINDS}, got {kind!r}")

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import reference_pointwise as ref
+import report_digest
 from hamconc import bounds, functionals
 from hamconc._util import dumps, fmt_float
 from hamconc.estimators import hoeffding_half_width
@@ -824,6 +825,11 @@ def test_random_scenario_is_deterministic():
         a = random_scenario(11, kind)
         b = random_scenario(11, kind)
         assert dumps(scenario_to_dict(a)) == dumps(scenario_to_dict(b))
+
+
+def test_report_bytes_match_the_committed_digest():
+    # seeds 0-299 of each kind and the bundled files; CI checks 0-2399
+    assert report_digest.main(["--stop", "300"]) == 0
 
 
 def test_random_scenario_structure():
