@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from enum import Enum
+import sys
 from typing import Callable, NamedTuple
 
 __all__ = [
     "Bound",
-    "BoundId",
     "h_exponent",
     "mcdiarmid_set_bound",
     "simple_set_bound",
@@ -48,28 +47,6 @@ __all__ = [
     "GAP_IMPROVED_SUP",
     "GAP_CLASSICAL_VALUE",
 ]
-
-
-class BoundId(str, Enum):
-    """Stable identifiers for every bound; the CLI accepts the values."""
-
-    MCD_SET = "mcd-set"
-    SIMPLE_SET = "simple-set"
-    IMPROVED_SET = "improved-set"
-    MEMBERSHIP_PRODUCT = "membership-product"
-    MEDIAN_IMPROVED = "median-improved"
-    MEDIAN_CLASSICAL = "median-classical"
-    MGF = "mgf"
-    SHIFTED_MEDIAN = "shifted-median"
-    GAP_IMPROVED = "gap-improved"
-    GAP_CLASSICAL = "gap-classical"
-    SB_UPPER = "sb-upper"
-    SB_LOWER = "sb-lower"
-    DROP_MEAN_TAIL = "drop-mean-tail"
-    DROP_MEAN_TAIL_SCALED = "drop-mean-tail-scaled"
-
-    def __str__(self) -> str:  # argparse help prints the bare value
-        return self.value
 
 
 def _require_finite(name: str, value: float) -> float:
@@ -145,9 +122,23 @@ def median_tail_classical(t: float) -> float:
     return 2.0 * math.exp(-0.5 * t * t)
 
 
+# exp(lam^2 / 8) is finite exactly while lam^2 / 8 is at most ln of the
+# largest double, that is, for lam up to _MGF_LAM_MAX, about 75.35.
+_LN_DOUBLE_MAX = math.log(sys.float_info.max)
+_MGF_LAM_MAX = math.sqrt(8.0 * _LN_DOUBLE_MAX)
+
+
 def mgf_bound(lam: float) -> float:
-    """Centered moment generating function cap: exp(lam^2 / 8)."""
+    """Centered moment generating function cap: exp(lam^2 / 8).
+
+    A lam past _MGF_LAM_MAX is refused: its cap overflows a double.
+    """
     lam = _require_nonneg("lam", lam)
+    if 0.125 * lam * lam > _LN_DOUBLE_MAX:
+        raise ValueError(
+            f"lam must be at most {_MGF_LAM_MAX!r}, where exp(lam^2/8) overflows "
+            f"a double; got {lam}"
+        )
     return math.exp(0.125 * lam * lam)
 
 
@@ -241,20 +232,20 @@ class Bound(NamedTuple):
 
 # Every bound by its id, and the raw exponent "h" through the same front door.
 EVALUATORS: dict[str, Bound] = {
-    BoundId.MCD_SET.value: Bound(mcdiarmid_set_bound, ("t",), True),
-    BoundId.SIMPLE_SET.value: Bound(simple_set_bound, ("t",), True),
-    BoundId.IMPROVED_SET.value: Bound(improved_set_bound, ("t", "rho"), True),
-    BoundId.MEMBERSHIP_PRODUCT.value: Bound(membership_product_bound, ("rho",), True),
-    BoundId.MEDIAN_IMPROVED.value: Bound(median_tail_bound, ("t", "rho"), True),
-    BoundId.MEDIAN_CLASSICAL.value: Bound(median_tail_classical, ("t",), True),
-    BoundId.MGF.value: Bound(mgf_bound, ("lam",), False),
-    BoundId.SHIFTED_MEDIAN.value: Bound(shifted_median_bound, ("t", "gap"), True),
-    BoundId.GAP_IMPROVED.value: Bound(gap_bound, ("rho",), False),
-    BoundId.GAP_CLASSICAL.value: Bound(gap_bound_classical, (), False),
-    BoundId.SB_UPPER.value: Bound(sb_upper_bound, ("t", "mu", "a", "b"), True),
-    BoundId.SB_LOWER.value: Bound(sb_lower_bound, ("t", "mu", "a", "b"), True),
-    BoundId.DROP_MEAN_TAIL.value: Bound(drop_mean_tail_bound, ("t",), True),
-    BoundId.DROP_MEAN_TAIL_SCALED.value: Bound(drop_mean_tail_scaled, ("t", "n"), True),
+    "mcd-set": Bound(mcdiarmid_set_bound, ("t",), True),
+    "simple-set": Bound(simple_set_bound, ("t",), True),
+    "improved-set": Bound(improved_set_bound, ("t", "rho"), True),
+    "membership-product": Bound(membership_product_bound, ("rho",), True),
+    "median-improved": Bound(median_tail_bound, ("t", "rho"), True),
+    "median-classical": Bound(median_tail_classical, ("t",), True),
+    "mgf": Bound(mgf_bound, ("lam",), False),
+    "shifted-median": Bound(shifted_median_bound, ("t", "gap"), True),
+    "gap-improved": Bound(gap_bound, ("rho",), False),
+    "gap-classical": Bound(gap_bound_classical, (), False),
+    "sb-upper": Bound(sb_upper_bound, ("t", "mu", "a", "b"), True),
+    "sb-lower": Bound(sb_lower_bound, ("t", "mu", "a", "b"), True),
+    "drop-mean-tail": Bound(drop_mean_tail_bound, ("t",), True),
+    "drop-mean-tail-scaled": Bound(drop_mean_tail_scaled, ("t", "n"), True),
     "h": Bound(h_exponent, ("t", "rho"), False),
 }
 

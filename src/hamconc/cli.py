@@ -6,7 +6,9 @@ Four subcommands: ``eval-bound`` evaluates one closed-form bound,
 plot-ready CSV tables of bound values over a parameter range.
 
 Exit codes: 0 success and all rows pass, 1 at least one inequality row
-failed, 2 usage or input error.
+failed, 2 usage or input error.  A command refuses an input by raising
+ValueError (a ScenarioFileError is one); :func:`main` alone turns that
+into one ``error:`` line and exit 2.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import bounds
 from ._util import fmt_float
-from .scenario_io import ScenarioFileError, load_scenario
+from .scenario_io import load_scenario
 from .verify import GENERATOR_KINDS, BoundRow, sweep, verify_scenario
 
 __all__ = ["main"]
@@ -52,14 +54,10 @@ def _given_params(args: argparse.Namespace) -> dict:
 
 def cmd_eval_bound(args: argparse.Namespace) -> int:
     params = _given_params(args)
-    try:
-        value = bounds.evaluate_bound(args.name, **params)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    for key in bounds.EVALUATORS[args.name].params:
-        print(f"{key} = {fmt_float(float(params[key]))}")
-    print(f"{args.name} = {fmt_float(value)}")
+    value = bounds.evaluate_bound(args.name, **params)
+    # Every line formatted before any is printed: a non-finite value prints none.
+    lines = [f"{k} = {fmt_float(float(params[k]))}" for k in bounds.EVALUATORS[args.name].params]
+    print("\n".join([*lines, f"{args.name} = {fmt_float(value)}"]))
     return 0
 
 
@@ -80,40 +78,26 @@ def _describe_row(r: BoundRow) -> str:
     )
 
 
-def _emit(text: str, out: str | None, end: str = "") -> bool:
-    """Write ``text`` to the file ``out``, or to stdout followed by ``end``.
-
-    Returns False, having reported the error, if the file cannot be written.
-    """
+def _emit(text: str, out: str | None, end: str = "") -> None:
+    """Write ``text`` to the file ``out``, or to stdout followed by ``end``."""
     if not out:
         sys.stdout.write(text + end)
-        return True
+        return
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as e:
-        print(f"error: cannot write {out}: {e}", file=sys.stderr)
-        return False
-    return True
+        raise ValueError(f"cannot write {out}: {e}") from None
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     try:
         scenario = load_scenario(args.scenario)
-    except ScenarioFileError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except OSError as e:
-        print(f"error: cannot read {args.scenario}: {e}", file=sys.stderr)
-        return 2
-    try:
-        report = verify_scenario(scenario)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise ValueError(f"cannot read {args.scenario}: {e}") from None
+    report = verify_scenario(scenario)
     text = report.to_json() if args.format == "json" else report.to_csv()
-    if not _emit(text, args.out, "\n" if args.format == "json" else ""):
-        return 2
+    _emit(text, args.out, "\n" if args.format == "json" else "")
     if not report.all_pass:
         failing = report.failing_rows()
         print(f"FAIL: {len(failing)} row(s) violate their bound", file=sys.stderr)
@@ -124,17 +108,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    try:
-        result = sweep(
-            args.kind,
-            args.trials,
-            args.seed,
-            max_n=args.max_n,
-            max_alphabet=args.max_alphabet,
-        )
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    result = sweep(
+        args.kind, args.trials, args.seed, max_n=args.max_n, max_alphabet=args.max_alphabet
+    )
     print(f"{result.passes}/{result.trials} pass")
     print(f"worst slack = {fmt_float(result.worst_slack)} (seed {result.worst_seed})")
     if result.kind == "drop":
@@ -166,45 +142,31 @@ def _parse_range(spec: str) -> np.ndarray:
 
 def cmd_curves(args: argparse.Namespace) -> int:
     if (args.t_range is None) == (args.rho_range is None):
-        print("error: provide exactly one of --t-range or --rho-range", file=sys.stderr)
-        return 2
-    try:
-        if args.t_range is not None:
-            axis, grid = "t", _parse_range(args.t_range)
-        else:
-            axis, grid = "rho", _parse_range(args.rho_range)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        raise ValueError("provide exactly one of --t-range or --rho-range")
+    axis, spec = ("t", args.t_range) if args.t_range is not None else ("rho", args.rho_range)
+    grid = _parse_range(spec)
     fixed = _given_params(args)
     if axis in fixed:
-        print(f"error: --{axis} conflicts with the range axis", file=sys.stderr)
-        return 2
+        raise ValueError(f"--{axis} conflicts with the range axis")
     # Each bound's parameters are checked once: (name, fixed arguments, takes the axis).
     calls = []
     for name in args.bound_set:
         params = bounds.EVALUATORS[name].params
         for k in params:
             if k != axis and k not in fixed:
-                print(
-                    f"error: bound {name} needs parameter {k}; pass --{k} "
-                    "or use it as the range axis",
-                    file=sys.stderr,
+                raise ValueError(
+                    f"bound {name} needs parameter {k}; pass --{k} or use it as the range axis"
                 )
-                return 2
         calls.append((name, {k: fixed[k] for k in params if k != axis}, axis in params))
     lines = [",".join([axis] + list(args.bound_set))]
     for x in grid:
         row = [fmt_float(float(x))]
         for name, given, on_axis in calls:
             kwargs = {**given, axis: float(x)} if on_axis else given
-            try:
-                row.append(fmt_float(bounds.evaluate_bound(name, **kwargs)))
-            except ValueError as e:
-                print(f"error: {e}", file=sys.stderr)
-                return 2
+            row.append(fmt_float(bounds.evaluate_bound(name, **kwargs)))
         lines.append(",".join(row))
-    return 0 if _emit("\r\n".join(lines) + "\r\n", args.out) else 2
+    _emit("\r\n".join(lines) + "\r\n", args.out)
+    return 0
 
 
 @functools.cache
@@ -262,7 +224,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as e:  # every refused input, a ScenarioFileError among them
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -50,7 +50,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, ClassVar, Iterable, Union
+from typing import Any, Callable, ClassVar, Iterable, Union
 
 import numpy as np
 
@@ -285,6 +285,15 @@ _KEYS = {
 }
 
 
+def _built(where: str, make: Callable, *args, **kwargs) -> Any:
+    """``make(*args, **kwargs)``, a constructor's ValueError raised again as
+    a ScenarioFileError that names ``where``, the key it was built from."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise ScenarioFileError(f"{where}: {e}" if where else str(e)) from None
+
+
 def _require(data: dict, key: str, where: str) -> Any:
     if key not in data:
         full = f"{where}.{key}" if where else key
@@ -371,10 +380,7 @@ def _space_from(data: dict) -> FiniteSpace:
     d = _as_dict(_require(data, "space", ""), "space")
     raw = _as_list(_require(d, "alphabet_sizes", "space"), "space.alphabet_sizes")
     sizes = [_as_int(x, f"space.alphabet_sizes[{i}]") for i, x in enumerate(raw)]
-    try:
-        return FiniteSpace(tuple(sizes))
-    except ValueError as e:
-        raise ScenarioFileError(f"space.alphabet_sizes: {e}") from None
+    return _built("space.alphabet_sizes", FiniteSpace, tuple(sizes))
 
 
 def _distribution_from(data: dict, space: FiniteSpace) -> Distribution:
@@ -386,11 +392,8 @@ def _distribution_from(data: dict, space: FiniteSpace) -> Distribution:
     else:
         key, make = "joint_table", Distribution.joint
         arg = tuple(_number_list(_require(d, key, "distribution"), "distribution.joint_table"))
-    try:
-        dist = make(arg)
-        dist.require_matches(space)
-    except ValueError as e:
-        raise ScenarioFileError(f"distribution.{key}: {e}") from None
+    dist = _built(f"distribution.{key}", make, arg)
+    _built(f"distribution.{key}", dist.require_matches, space)
     return dist
 
 
@@ -398,12 +401,9 @@ def _alpha_from(data: dict) -> AlphaWeights:
     d = _as_dict(_require(data, "alpha", ""), "alpha")
     weights = _number_list(_require(d, "weights", "alpha"), "alpha.weights")
     do_norm = _as_bool(d.get("normalize", False), "alpha.normalize")
-    try:
-        a = AlphaWeights(tuple(weights))
-    except ValueError as e:
-        raise ScenarioFileError(f"alpha.weights: {e}") from None
+    a = _built("alpha.weights", AlphaWeights, tuple(weights))
     if do_norm:
-        return normalize(a)
+        return _built("alpha.weights", normalize, a)
     if not a.normalized:
         raise ScenarioFileError(
             "alpha.weights: theorems require ||α||=1; "
@@ -474,16 +474,10 @@ def _functional_from(
     ftype = fd["type"]
     kw: dict = {} if params is None else {"self_bounding_params": params}
     if ftype == "distance_to_set" or "table_sha256" in fd:
-        try:
-            _check_cap(space, cap)
-        except ValueError as e:
-            raise ScenarioFileError(f"{where}: {e}") from None
+        _built(where, _check_cap, space, cap)
     if ftype == "table":
         values = _finite_list(_require(fd, "values", where), f"{where}.values")
-        try:
-            f = Functional.from_table(space, values, **kw)
-        except ValueError as e:
-            raise ScenarioFileError(f"{where}.values: {e}") from None
+        f = _built(f"{where}.values", Functional.from_table, space, values, **kw)
     elif ftype == "weighted_sum":
         coeffs = _finite_list(_require(fd, "coefficients", where), f"{where}.coefficients")
         if len(coeffs) != space.n:
@@ -544,10 +538,8 @@ def scenario_from_dict(data: Any) -> Scenario:
     t_grid, lam_grid = (
         _number_list(gd[k], f"grids.{k}") if k in gd else None for k in ("t", "lambda")
     )
-    try:
-        return Scenario(space, dist, alpha, target, t_grid, lam_grid, data.get("seed", 0), cap)
-    except ValueError as e:
-        raise ScenarioFileError(str(e)) from None
+    seed = data.get("seed", 0)
+    return _built("", Scenario, space, dist, alpha, target, t_grid, lam_grid, seed, cap)
 
 
 def load_scenario(path) -> Scenario:

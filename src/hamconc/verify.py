@@ -301,7 +301,8 @@ def _require_product(dist: Distribution, what: str) -> None:
 
 
 def _fmt_slack(slack: float) -> str:
-    """A certificate's worst slack in a message; a NaN one (f has a NaN value) as ``nan``."""
+    """A certificate's worst slack in a message; a NaN one (f has a NaN value)
+    as ``nan``, and the ``-inf`` of a space with no edges as ``-inf``."""
     return fmt_float(slack) if math.isfinite(slack) else str(slack)
 
 
@@ -317,7 +318,7 @@ def _certify_lipschitz(
             f"|f(x) - f(x')| exceeds d_alpha(x, x') by {_fmt_slack(cert.worst_slack)} "
             f"at x={a.symbols}, x'={b.symbols}"
         )
-    return [f"lipschitz certified directly (worst slack {fmt_float(cert.worst_slack)})"]
+    return [f"lipschitz certified directly (worst slack {_fmt_slack(cert.worst_slack)})"]
 
 
 def _tabulated(scenario: Scenario) -> tuple[Functional, FunctionalLaw]:
@@ -566,9 +567,11 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
             _row("mean", bid, lhs, b, tail=tail, t=t) for bid, tail, lhs, b in cells
         ]
     if cert_alpha.holds:
+        # Each cap first: it refuses a lambda past its limit before the exact MGF overflows.
+        caps = [bounds.mgf_bound(lam) for lam in lams]
         rows += [
-            _row("mean", "mgf", mgf_from_law(law, lam), bounds.mgf_bound(lam), lam=lam)
-            for lam in lams
+            _row("mean", "mgf", mgf_from_law(law, lam), cap, lam=lam)
+            for lam, cap in zip(lams, caps)
         ]
     derived = {
         "mu": mu,

@@ -354,6 +354,128 @@ def test_curves_rejects_a_range_of_too_many_points(capsys):
     assert captured.err.startswith("error: range needs 1 to 1000000 points")
 
 
+# -- refusals -----------------------------------------------------------------
+
+
+def _scenario(sizes, **changes) -> dict:
+    """A uniform scenario on ``sizes`` with a set target, its top-level
+    entries replaced by ``changes``."""
+    return {
+        "space": {"alphabet_sizes": sizes},
+        "distribution": {"kind": "product", "pmfs": [[1 / s] * s if s else [] for s in sizes]},
+        "alpha": {"weights": [1.0] * len(sizes), "normalize": True},
+        "target": {"kind": "set", "set": {"members": [[0] * len(sizes)]}},
+        **changes,
+    }
+
+
+def _argv(tmp_path, argv) -> list[str]:
+    """``argv`` with a scenario, given as a dict, written to a file."""
+    path = tmp_path / "scenario.json"
+    for a in argv:
+        if isinstance(a, dict):
+            path.write_text(json.dumps(a))
+    return [str(path) if isinstance(a, dict) else a for a in argv]
+
+
+def _mean_of(coefficients) -> dict:
+    return {"kind": "mean", "functional": {"type": "weighted_sum", "coefficients": coefficients}}
+
+
+def _table(kind, values) -> dict:
+    return {"kind": kind, "functional": {"type": "table", "values": values}}
+
+
+_LAM_REFUSED = (
+    "error: lam must be at most 75.35424144099038, where exp(lam^2/8) overflows a double; "
+    "got {}\n"
+)
+_BIG_LAMBDA = {"lambda": [1000]}
+
+# Each refused input: its argv, a scenario file given as its dict, and the
+# one line it prints on stderr.
+REFUSALS = {
+    "alphabet size 0": (
+        ["verify", _scenario([0, 2])],
+        "error: space.alphabet_sizes: alphabet sizes must be >= 1, got 0\n",
+    ),
+    "negative weight": (
+        ["verify", _scenario([2, 2], alpha={"weights": [-1.0, 1.0]})],
+        "error: alpha.weights: weights must be finite and >= 0, got -1.0\n",
+    ),
+    "table of 3 values": (
+        ["verify", _scenario([2, 2], target=_table("median", [0.0, 0.1, 0.2]))],
+        "error: target.functional.values: table has 3 values, space has 4 outcomes\n",
+    ),
+    "3 coefficients": (
+        ["verify", _scenario([2, 2], target=_mean_of([0.1] * 3))],
+        "error: target.functional.coefficients has 3 entries, space has 2 coordinates\n",
+    ),
+    "3 weights": (
+        ["verify", _scenario([2, 2], alpha={"weights": [1.0] * 3, "normalize": True})],
+        "error: alpha.weights has 3 entries, space has 2 coordinates\n",
+    ),
+    "not Lipschitz": (
+        ["verify", _scenario([2, 2], target=_table("median", [0, 5, 0, 0]))],
+        "error: functional is not Lipschitz for the weighted Hamming distance: "
+        "|f(x) - f(x')| exceeds d_alpha(x, x') by 4.2928932188134521 at x=(0, 1), x'=(1, 1)\n",
+    ),
+    "range not numeric": (
+        ["curves", "--bound-set", "mcd-set", "--t-range", "a:b:3"],
+        "error: range must be start:stop:steps with numeric parts, got 'a:b:3'\n",
+    ),
+    "range not finite": (
+        ["curves", "--bound-set", "mcd-set", "--t-range", "0:inf:3"],
+        "error: range endpoints must be finite, got '0:inf:3'\n",
+    ),
+    "bound outside its region": (
+        ["curves", "--bound-set", "shifted-median", "--t-range", "0.1:1:5", "--gap", "0.5"],
+        "error: t=0.1 is outside the validity region t > gap=0.5\n",
+    ),
+    "weights that normalize to nothing": (
+        ["verify", _scenario([2, 2], alpha={"weights": [0, 0], "normalize": True})],
+        "error: alpha.weights: degenerate weights: all weights are zero\n",
+    ),
+    "lambda grid past the MGF limit": (
+        ["verify", _scenario([2, 2], target=_mean_of([0.5**0.5] * 2), grids=_BIG_LAMBDA)],
+        _LAM_REFUSED.format(1000.0),
+    ),
+    "lambda grid past the MGF limit, n = 8": (
+        ["verify", _scenario([2] * 8, target=_mean_of([8**-0.5] * 8), grids=_BIG_LAMBDA)],
+        _LAM_REFUSED.format(1000.0),
+    ),
+    "eval-bound lambda past the MGF limit": (
+        ["eval-bound", "mgf", "--lam", "1000"],
+        _LAM_REFUSED.format(1000.0),
+    ),
+    "curves lambda past the MGF limit": (
+        ["curves", "--bound-set", "mgf", "--t-range", "0:1:3", "--lam", "100"],
+        _LAM_REFUSED.format(100.0),
+    ),
+    "a bound value that is not finite": (
+        ["eval-bound", "h", "--t", "1e200", "--rho", "0"],
+        "error: cannot serialize non-finite value inf\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_every_refusal_exits_2_with_one_error_line(tmp_path, capsys, case):
+    argv, err = REFUSALS[case]
+    assert main(_argv(tmp_path, argv)) == 2
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("kind", ["median", "gap"])
+def test_verify_a_space_with_no_edges(tmp_path, capsys, kind):
+    # no axis has two symbols, so the Lipschitz certificate has no edge to read
+    scenario = _scenario([1, 1], target=_table(kind, [0.0]))
+    assert main(_argv(tmp_path, ["verify", scenario])) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["summary"]["all_pass"] is True
+
+
 # -- repeated calls -----------------------------------------------------------
 
 
