@@ -160,7 +160,9 @@ def shifted_median_bound(t: float, gap: float) -> float:
 def gap_bound(rho: float) -> float:
     """Bound on |mean - median| given rho: (2*rho + sqrt(pi/2)) * exp(-2*rho^2)."""
     rho = _require_nonneg("rho", rho)
-    return (2.0 * rho + math.sqrt(0.5 * math.pi)) * math.exp(-2.0 * rho * rho)
+    decay = math.exp(-2.0 * rho * rho)
+    # Past rho of about 9e307 the factor is inf, and inf * 0 is no bound.
+    return (2.0 * rho + math.sqrt(0.5 * math.pi)) * decay if decay else 0.0
 
 
 def gap_bound_classical() -> float:
@@ -176,6 +178,22 @@ GAP_IMPROVED_SUP = gap_bound(GAP_RHO_STAR)
 GAP_CLASSICAL_VALUE = gap_bound_classical()
 
 
+def _exact_tail(t: float, a: float, mu: float, b: float, upper: bool) -> float:
+    """exp(-t^2 / (2 * denom)), denom = a*mu + b + (a*t if upper else t/3),
+    with the quotient taken exactly and rounded once, or 0 past float
+    range: the self-bounding tails where t^2 or 2 * denom overflows a
+    float, and their float quotient is NaN, 0 or -0 whatever the true one
+    is.  ``fractions`` is imported here, on this rare path only."""
+    from fractions import Fraction
+
+    t_, a_ = Fraction(t), Fraction(a)
+    denom = a_ * Fraction(mu) + Fraction(b) + (a_ * t_ if upper else t_ / 3)
+    try:
+        return math.exp(-float(t_**2 / (2 * denom)))
+    except OverflowError:
+        return 0.0
+
+
 def sb_upper_bound(t: float, mu: float, a: float, b: float) -> float:
     """Self-bounding upper tail: exp(-t^2 / (2*(a*mu + b + a*t)))."""
     t = _require_pos("t", t)
@@ -185,7 +203,9 @@ def sb_upper_bound(t: float, mu: float, a: float, b: float) -> float:
     denom = a * mu + b + a * t
     if denom <= 0.0:
         raise ValueError(f"degenerate denominator a*mu + b + a*t = {denom}")
-    return math.exp(-t * t / (2.0 * denom))
+    if math.isfinite(t * t) and math.isfinite(2.0 * denom):
+        return math.exp(-t * t / (2.0 * denom))
+    return _exact_tail(t, a, mu, b, upper=True)
 
 
 def sb_lower_bound(t: float, mu: float, a: float, b: float) -> float:
@@ -197,7 +217,9 @@ def sb_lower_bound(t: float, mu: float, a: float, b: float) -> float:
     denom = a * mu + b + t / 3.0
     if denom <= 0.0:
         raise ValueError(f"degenerate denominator a*mu + b + t/3 = {denom}")
-    return math.exp(-t * t / (2.0 * denom))
+    if math.isfinite(t * t) and math.isfinite(2.0 * denom):
+        return math.exp(-t * t / (2.0 * denom))
+    return _exact_tail(t, a, mu, b, upper=False)
 
 
 def drop_mean_tail_bound(t: float) -> float:

@@ -214,8 +214,13 @@ class Functional:
 
     @classmethod
     def from_table(cls, space: FiniteSpace, values: Iterable[float], **kw) -> "Functional":
-        """Explicit value per outcome rank."""
-        table = np.asarray([float(v) for v in values], dtype=np.float64)
+        """Explicit value per outcome rank; an array of them is copied once."""
+        if isinstance(values, np.ndarray):
+            table = np.array(values, dtype=np.float64)
+            if table.ndim != 1:
+                raise ValueError(f"table values must be a flat array, got {table.ndim} axes")
+        else:
+            table = np.asarray([float(v) for v in values], dtype=np.float64)
         if table.size != space.size:
             raise ValueError(
                 f"table has {table.size} values, space has {space.size} outcomes"

@@ -27,8 +27,9 @@ one back as such a file (:func:`scenario_to_dict`) and hashes that form
     }
 
 A report's "scenario" block is such a file; in memory, as
-:func:`scenario_to_dict` gives it, a set's members are an int64 array,
-which the loader takes as it takes the lists.  "grids", "seed", "caps",
+:func:`scenario_to_dict` gives it, a set's members are an int64 array
+and a table's values and a joint law's table are float64 arrays, which
+the loader takes as it takes the lists.  "grids", "seed", "caps",
 "params" and "table_sha256" are optional; "params" is only valid for
 mean targets and switches on the self-bounding rows.  Weights must
 satisfy ||alpha|| = 1 unless "normalize" is true.  Only a functional
@@ -54,7 +55,7 @@ from typing import Any, Callable, ClassVar, Iterable, Union
 
 import numpy as np
 
-from ._util import dumps, quote
+from ._util import dumps, frozen, quote
 from .functionals import Functional, _Table, _tabulate, _WeightedSum
 from .hamming import AlphaWeights, normalize
 from .space import Distribution, FiniteSpace, SetSpec, _check_cap
@@ -190,7 +191,7 @@ def _functional_to_dict(f: Functional, scenario: Scenario, table: np.ndarray | N
         members = ev.source[1].member_symbols(scenario.space)
         d = {"type": "distance_to_set", "set": {"members": members}}
     else:
-        d = {"type": "table", "values": table.ravel().tolist()}
+        d = {"type": "table", "values": frozen(np.asarray(table, dtype=np.float64).ravel())}
     d["table_sha256"] = _sha256(table)
     return d
 
@@ -201,13 +202,17 @@ def scenario_to_dict(scenario: Scenario, table: np.ndarray | None = None) -> dic
     already normalized, ``params`` on mean targets only, ``grids`` and
     ``caps`` only when set.  A set's members, of a set target or a
     distance to a set, are the :class:`SetSpec`'s own read-only (|A|, n)
-    int64 array, which :func:`~hamconc._util.dumps` writes as its nested
-    list.  ``table`` is the functional's values, the law's, when the
-    caller already has them."""
+    int64 array; a ``table`` functional's ``values`` (f's table in rank
+    order, a read-only view when the table is float64) and a joint law's
+    ``joint_table`` (the :class:`Distribution`'s own array) are
+    read-only 1-d float64 arrays.  :func:`~hamconc._util.dumps` writes
+    each as its list, and :func:`scenario_from_dict` reads them back.
+    ``table`` is the functional's values, the law's, when the caller
+    already has them."""
     if scenario.dist.kind == "product":
         dd: dict = {"kind": "product", "pmfs": [list(pmf) for pmf in scenario.dist.pmfs]}
     else:
-        dd = {"kind": "joint", "joint_table": list(scenario.dist.joint_table)}
+        dd = {"kind": "joint", "joint_table": scenario.dist._joint}
     tgt = scenario.target
     if isinstance(tgt, SetTarget):
         td: dict = {"kind": "set", "set": {"members": tgt.set_spec.member_symbols(scenario.space)}}
@@ -366,13 +371,32 @@ def _number_list(v: Any, where: str) -> list[float]:
     return [_as_number(x, f"{where}[{i}]") for i, x in enumerate(raw)]
 
 
-def _finite_list(v: Any, where: str) -> list[float]:
-    """:func:`_number_list` with every entry finite; JSON readers accept NaN and Infinity."""
-    vals = _number_list(v, where)
+def _number_array(v: Any, where: str) -> np.ndarray:
+    """:func:`_number_list` as one float64 array, built from the list at once.
+
+    A 1-d float64 array, as :func:`scenario_to_dict` holds a table, is
+    taken as it is, and any other array as its list.
+    """
+    if isinstance(v, np.ndarray):
+        if v.dtype == np.float64 and v.ndim == 1:
+            return v
+        v = v.tolist()
+    raw = _as_list(v, where)
+    if set(map(type, raw)) <= {float, int}:
+        try:
+            return np.array(raw, dtype=np.float64)
+        except OverflowError:
+            pass
+    return np.array(_number_list(raw, where), dtype=np.float64)
+
+
+def _finite_array(v: Any, where: str) -> np.ndarray:
+    """:func:`_number_array` with every entry finite; JSON readers accept NaN and Infinity."""
+    vals = _number_array(v, where)
     finite = np.isfinite(vals)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ScenarioFileError(f"{where}[{i}] must be finite, got {vals[i]}")
+        raise ScenarioFileError(f"{where}[{i}] must be finite, got {float(vals[i])}")
     return vals
 
 
@@ -391,7 +415,7 @@ def _distribution_from(data: dict, space: FiniteSpace) -> Distribution:
         arg = tuple(tuple(_number_list(p, f"distribution.pmfs[{i}]")) for i, p in enumerate(raw))
     else:
         key, make = "joint_table", Distribution.joint
-        arg = tuple(_number_list(_require(d, key, "distribution"), "distribution.joint_table"))
+        arg = _number_array(_require(d, key, "distribution"), "distribution.joint_table")
     dist = _built(f"distribution.{key}", make, arg)
     _built(f"distribution.{key}", dist.require_matches, space)
     return dist
@@ -476,10 +500,10 @@ def _functional_from(
     if ftype == "distance_to_set" or "table_sha256" in fd:
         _built(where, _check_cap, space, cap)
     if ftype == "table":
-        values = _finite_list(_require(fd, "values", where), f"{where}.values")
+        values = _finite_array(_require(fd, "values", where), f"{where}.values")
         f = _built(f"{where}.values", Functional.from_table, space, values, **kw)
     elif ftype == "weighted_sum":
-        coeffs = _finite_list(_require(fd, "coefficients", where), f"{where}.coefficients")
+        coeffs = _finite_array(_require(fd, "coefficients", where), f"{where}.coefficients")
         if len(coeffs) != space.n:
             raise ScenarioFileError(
                 f"{where}.coefficients has {len(coeffs)} entries, "
@@ -505,7 +529,7 @@ def _target_from(data: dict, space: FiniteSpace, alpha: AlphaWeights, cap: int |
     if "params" in d:
         if kind != "mean":
             raise ScenarioFileError('target.params is only valid for "mean" targets')
-        params = tuple(_finite_list(d["params"], "target.params"))
+        params = tuple(_finite_array(d["params"], "target.params").tolist())
         if len(params) != 2:
             raise ScenarioFileError("target.params must be [a, b]")
         if params[0] <= 0.0:

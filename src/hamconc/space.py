@@ -22,6 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ._util import exact_sum
 from .hamming import Point, _require_symbols
 
 __all__ = [
@@ -158,11 +159,19 @@ class FiniteSpace:
         return Point(tuple(syms))
 
 
-def _check_pmf(pmf: tuple[float, ...], what: str) -> None:
-    for p in pmf:
+def _check_pmf(pmf: tuple[float, ...] | np.ndarray, what: str) -> None:
+    """Refuse a negative or non-finite entry, the first in order, and a
+    correctly rounded sum further than ``_PMF_SUM_ATOL`` from 1.  A
+    joint table, a float64 array, is checked in one pass."""
+    entries = pmf
+    if isinstance(pmf, np.ndarray):
+        ok = np.isfinite(pmf) & (pmf >= 0.0)
+        entries = () if ok.all() else (float(pmf[np.argmin(ok)]),)
+    for p in entries:
         if not math.isfinite(p) or p < 0.0:
             raise ValueError(f"{what} entries must be finite and >= 0, got {p!r}")
-    total = math.fsum(pmf)
+    # Summed once every entry is finite: fsum refuses inf + -inf.
+    total = exact_sum(pmf) if isinstance(pmf, np.ndarray) else math.fsum(pmf)
     if abs(total - 1.0) > _PMF_SUM_ATOL:
         raise ValueError(f"{what} must sum to 1 within {_PMF_SUM_ATOL}, got {total!r}")
 
@@ -181,7 +190,8 @@ class Distribution:
     kind: str
     pmfs: tuple[tuple[float, ...], ...] | None = None
     joint_table: tuple[float, ...] | None = None
-    # joint_table as a read-only float64 array, for law_arrays and the sampler
+    # joint_table as a read-only float64 array, for law_arrays, the sampler
+    # and scenario_to_dict
     _joint: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -200,13 +210,15 @@ class Distribution:
         elif self.kind == "joint":
             if self.joint_table is None or self.pmfs is not None:
                 raise ValueError("joint distribution takes joint_table only")
-            table = tuple(float(p) for p in self.joint_table)
-            if not table:
+            # A copy, so a caller's array is neither aliased nor frozen.
+            joint = np.array(self.joint_table, dtype=np.float64)
+            if joint.ndim != 1:
+                raise ValueError(f"joint table must be flat, got {joint.ndim} axes")
+            if not joint.size:
                 raise ValueError("joint table is empty")
-            _check_pmf(table, "joint table")
-            object.__setattr__(self, "joint_table", table)
-            joint = np.array(table, dtype=np.float64)
+            _check_pmf(joint, "joint table")
             joint.setflags(write=False)
+            object.__setattr__(self, "joint_table", tuple(joint.tolist()))
         else:
             raise ValueError(f"distribution kind must be product or joint, got {self.kind!r}")
         object.__setattr__(self, "_joint", joint)
@@ -217,7 +229,8 @@ class Distribution:
 
     @classmethod
     def joint(cls, table: Iterable[float]) -> "Distribution":
-        return cls(kind="joint", joint_table=tuple(table))
+        table = table if isinstance(table, np.ndarray) else tuple(table)
+        return cls(kind="joint", joint_table=table)
 
     @classmethod
     def uniform(cls, space: FiniteSpace) -> "Distribution":
@@ -245,10 +258,30 @@ class Distribution:
                 )
 
 
+def _increasing(a: np.ndarray) -> bool:
+    """Whether the rows of an int64 member array strictly increase in
+    lexicographic order, checked on them read as mixed-radix numbers;
+    False (not known) when a symbol is negative or the numbers pass int64.
+    """
+    if len(a) < 2 or not a.shape[1]:
+        return len(a) < 2
+    if a[0].tolist() >= a[1].tolist():  # unsorted rows often fail here, cheaply
+        return False
+    low, radix = int(a.min()), int(a.max()) + 1
+    if low < 0 or radix ** a.shape[1] > 2**63:
+        return False
+    keys = a @ (radix ** np.arange(a.shape[1] - 1, -1, -1, dtype=np.int64))
+    return bool((keys[1:] > keys[:-1]).all())
+
+
 def _unique_rows(a: np.ndarray) -> np.ndarray:
-    """The distinct rows of an int64 member array, sorted; no rows give (0, 0)."""
+    """The distinct rows of an int64 member array, sorted, in a new array;
+    no rows give (0, 0).  Rows already strictly increasing, as a report
+    writes them, are copied without the sort."""
     if not len(a):
         return np.empty((0, 0), dtype=np.int64)
+    if _increasing(a):
+        return a.copy()
     if a.shape[1]:
         a = a[np.lexsort(a.T[::-1])]
     keep = np.ones(len(a), dtype=bool)

@@ -215,7 +215,8 @@ class BoundReport:
     mean, medians, gaps) the rows were built from.  Serializations are
     deterministic; JSON and CSV carry identical numeric strings.
     ``scenario`` is the :func:`scenario_to_dict` form, its functional
-    written as declared and a set's members a read-only int64 array,
+    written as declared, a set's members a read-only int64 array and a
+    table's values and a joint law's table read-only float64 arrays,
     and is written to JSON as it is at the call.
     """
 

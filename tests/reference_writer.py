@@ -44,6 +44,8 @@ def _dump(obj, parts: list[str], sort_keys: bool) -> None:
         parts.append("]")
     elif isinstance(obj, np.ndarray) and obj.dtype == np.int64 and obj.ndim == 2:
         _dump(obj.tolist(), parts, sort_keys)  # a set's members
+    elif isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1:
+        _dump(obj.tolist(), parts, sort_keys)  # a table or a joint law
     elif isinstance(obj, dict):
         parts.append("{")
         keys = sorted(obj) if sort_keys else list(obj)

@@ -177,6 +177,12 @@ def test_gap_constants():
     assert GAP_CLASSICAL_VALUE - GAP_IMPROVED_SUP > 0.95
 
 
+def test_gap_bound_is_0_where_its_factor_overflows():
+    # 2*rho + sqrt(pi/2) is inf past rho of about 9e307, and exp(-2*rho^2) is 0
+    for rho in (30.0, 1e154, 8.98e307, 1e308, sys.float_info.max):
+        assert gap_bound(rho) == 0.0
+
+
 @given(st.floats(0.0, 10.0))
 def test_gap_bound_never_exceeds_its_supremum(rho):
     assert gap_bound(rho) <= GAP_IMPROVED_SUP + 1e-15
@@ -189,6 +195,19 @@ def test_sb_bound_values():
     assert sb_upper_bound(1.0, 1.0, 1.0, 0.0) == 0.7788007830714049  # e^-1/4
     assert sb_lower_bound(1.0, 1.0, 1.0, 0.0) == 0.6872892787909722  # e^-3/8
     assert sb_upper_bound(3.0, 2.0, 1.0, 1.0) == 0.4723665527410147  # e^-9/12
+
+
+def test_sb_bounds_where_a_float_step_overflows():
+    # t^2 and 2*denom both overflow: the float quotient is NaN, the value 0.
+    assert sb_upper_bound(1e308, 0.0, 10.0, 0.0) == 0.0
+    assert sb_lower_bound(1e308, 1e308, 10.0, 0.0) == 0.0
+    # Only 2*denom overflows: t^2 / (2*denom) is 1/2, not the float -0.
+    assert sb_upper_bound(1e154, 1e308, 1.0, 0.0) == math.exp(-0.5)
+    assert sb_lower_bound(1e154, 1e308, 1.0, 0.0) == math.exp(-0.5)
+    # Only t^2 overflows: the quotient 4e308 / 3.4e308 is finite, not inf.
+    assert sb_upper_bound(2e154, 1.7e308, 1.0, 0.0) == math.exp(-4.0 / 3.4)
+    # Both overflow but the quotient is tiny.
+    assert sb_upper_bound(1e155, 0.0, 1e300, 0.0) == 1.0
 
 
 def test_sb_bound_domains():

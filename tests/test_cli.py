@@ -36,6 +36,22 @@ def test_eval_bound_lambda_alias(capsys):
     assert capsys.readouterr().out == "lam = 2\nmgf = 1.6487212707001282\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap-improved", "--rho", "1e308"],
+        ["sb-upper", "--t", "1e308", "--mu", "0", "--a", "10", "--b", "0"],
+        ["sb-lower", "--t", "1e308", "--mu", "1e308", "--a", "10", "--b", "0"],
+    ],
+)
+def test_eval_bound_prints_0_where_a_float_step_overflows(capsys, argv):
+    # (2*rho + c) * exp(-2*rho^2) is inf * 0, and -t^2 / (2*denom) is -inf / inf.
+    assert main(["eval-bound", *argv]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.splitlines()[-1] == f"{argv[0]} = 0"
+
+
 def test_eval_bound_missing_param(capsys):
     assert main(["eval-bound", "improved-set", "--t", "1"]) == 2
     err = capsys.readouterr().err

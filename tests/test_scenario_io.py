@@ -431,12 +431,8 @@ def test_number_lists_in_functionals_and_joint_tables():
     assert str(info.value) == "distribution.joint_table[3] must be a number"
     # Integers are numbers: a table of ints and floats parses to floats.
     sc = scenario_from_dict(_median_table([0, 0.5, 0.5, 1]))
-    assert verify_scenario(sc).scenario["target"]["functional"]["values"] == [
-        0.0,
-        0.5,
-        0.5,
-        1.0,
-    ]
+    values = verify_scenario(sc).scenario["target"]["functional"]["values"]
+    assert values.dtype == np.float64 and values.tolist() == [0.0, 0.5, 0.5, 1.0]
 
 
 @pytest.mark.parametrize(

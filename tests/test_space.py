@@ -94,6 +94,21 @@ def test_distribution_validation():
         Distribution.product(((1.5, -0.5),))
     with pytest.raises(ValueError, match="sum to 1"):
         Distribution.joint((0.5, 0.4))
+    # A joint table given as an array is checked in one pass, with the same
+    # messages, before it is summed (fsum refuses inf + -inf), and copied.
+    refused = r"^joint table entries must be finite and >= 0, got inf$"
+    for table in ((math.inf, -math.inf), np.array([math.inf, -math.inf])):
+        with pytest.raises(ValueError, match=refused):
+            Distribution.joint(table)
+    with pytest.raises(ValueError, match=r"got -0\.5$"):
+        Distribution.joint(np.array([1.5, -0.5]))
+    with pytest.raises(ValueError, match="flat"):
+        Distribution.joint(np.full((2, 2), 0.25))
+    table = np.array([0.25, 0.75])
+    dist = Distribution.joint(table)
+    table[0] = 0.5
+    assert dist == Distribution.joint((0.25, 0.75)) and dist._joint.tolist() == [0.25, 0.75]
+    assert table.flags.writeable and not dist._joint.flags.writeable
     with pytest.raises(ValueError, match="kind"):
         Distribution(kind="other")
     space = FiniteSpace((2, 2))
@@ -210,6 +225,33 @@ def test_set_spec_array_and_list_inputs_give_identical_symbols():
     assert huge.symbols.tolist() == [[0, 0], [2**70, 0]]
     with pytest.raises(ValueError, match=r"^point \(1180591620717411303424, 0\) is not"):
         huge.member_symbols(FiniteSpace((2, 2)))
+
+
+@pytest.mark.parametrize("order", ["canonical", "unsorted", "duplicated", "object"])
+def test_set_spec_skips_the_sort_only_for_canonical_rows_and_keeps_the_callers_array(order):
+    # Rows already strictly increasing (as a report writes them) are copied,
+    # not sorted again; any other rows are sorted and deduplicated.
+    rng = np.random.default_rng(7)
+    ranks = np.sort(rng.choice(3**6, size=300, replace=False))
+    canonical = np.stack(np.unravel_index(ranks, (3,) * 6), axis=1).astype(np.int64)
+    rows = {
+        "canonical": canonical,
+        "unsorted": canonical[rng.permutation(300)],
+        "duplicated": np.concatenate([canonical[:10], canonical[9:]]),
+        "object": canonical.astype(object),
+    }[order]
+    before, expected = rows.copy(), canonical.tobytes()
+    spec = SetSpec(rows)
+    assert spec.symbols.dtype == np.int64
+    assert spec.symbols.tobytes() == expected
+    assert not spec.symbols.flags.writeable
+    # The caller's array is neither aliased, frozen nor reordered.
+    assert not np.shares_memory(spec.symbols, rows)
+    assert rows.flags.writeable
+    assert np.array_equal(rows, before)
+    rows[0, 0] = 2
+    assert spec.symbols.tobytes() == expected
+    assert spec == SetSpec(before.tolist())
 
 
 def test_set_spec_outside_the_space_names_its_first_bad_member():

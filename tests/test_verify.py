@@ -762,7 +762,7 @@ def test_a_distance_under_other_weights_is_written_as_its_table():
     f = Functional.distance_to(other, SetSpec.from_points([(0, 0, 0)]), FORM_SPACE)
     fd = scenario_to_dict(_form_scenario(f))["target"]["functional"]
     assert fd["type"] == "table"
-    assert fd["values"] == _values(f)
+    assert fd["values"].tolist() == _values(f)
 
 
 def test_the_table_digest_is_the_sha256_of_the_little_endian_values():

@@ -11,15 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_writer as ref
+from hamconc import _util
 from hamconc._util import dumps, fmt_float
+from hamconc.functionals import Functional
 from hamconc.hamming import normalize
-from hamconc.scenario_io import load_scenario
+from hamconc.scenario_io import load_scenario, scenario_from_dict
 from hamconc.space import Distribution, FiniteSpace, SetSpec
 from hamconc.verify import (
     CSV_COLUMNS,
     GENERATOR_KINDS,
     BoundReport,
     BoundRow,
+    MeanTarget,
+    MedianTarget,
     Scenario,
     SetTarget,
     random_scenario,
@@ -162,10 +166,14 @@ def test_bundled_reports_match_the_reference_writer(name):
 
 def test_json_follows_changes_to_the_scenario_table():
     # to_json writes the report's scenario dict as it is at the call, so
-    # a table a caller changes after the verify is written as changed.
+    # a table a caller changes after the verify is written as changed.  The
+    # table is a read-only array, so the caller replaces it.
     report = verify_scenario(random_scenario(3, "median"))
     fd = report.scenario["target"]["functional"]
     _check_report(report)
+    with pytest.raises(ValueError, match="read-only"):
+        fd["values"][0] = 123.5
+    fd["values"] = fd["values"].tolist()
     fd["values"][0] = 123.5
     assert '"values":[123.5,' in report.to_json()
     assert report.to_json() == ref.dumps(ref.report_payload(report))
@@ -229,6 +237,105 @@ def test_large_float_lists_match_the_reference_writer(size):
             got = _outcome(lambda o: dumps({"v": o}, sort_keys=sort_keys), obj)
             want = _outcome(lambda o: ref.dumps({"v": o}, sort_keys=sort_keys), obj)
             assert got == want
+
+
+def test_float_arrays_match_the_reference_writer(monkeypatch):
+    # A 1-d float64 array (a table, a joint law) is written as its list;
+    # from _VECTOR_FROM entries on by the vectorized kernel, block by block,
+    # and a non-finite entry raises for the first one in order.
+    monkeypatch.setattr(_util, "_BLOCK", 700)
+    rng = np.random.default_rng(9)
+    for size in (0, 1, _util._VECTOR_FROM - 1, _util._VECTOR_FROM, 2048, 3000):
+        base = rng.uniform(-3.0, 3.0, size)
+        base[rng.random(size) < 0.05] = 0.0
+        base[rng.random(size) < 0.05] = -0.0
+        base[rng.random(size) < 0.05] *= 1e-9
+        cases = [base, base[::-1], base[::2]]
+        for bad in (math.nan, math.inf, -math.inf):
+            for _ in range(2 if size else 0):
+                spoiled = base.copy()
+                spoiled[rng.choice(size, size=min(size, 2), replace=False)] = bad
+                cases.append(spoiled)
+        for obj in cases:
+            for sort_keys in (False, True):
+                got = _outcome(lambda o: dumps({"v": o}, sort_keys=sort_keys), obj)
+                want = _outcome(lambda o: ref.dumps({"v": o}, sort_keys=sort_keys), obj)
+                assert got == want
+
+
+def _kernel_inputs() -> np.ndarray:
+    """About a million doubles that the float kernel must write as '%.17g' does."""
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2**64, 250_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    # Powers of ten and both neighbours: the exponent's corrections, and the
+    # largest doubles below a power, where 17 digits could round up to it.
+    tens = np.array([float(f"1e{k}") for k in range(-7, 18)])
+    tens = np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+    edges = np.array([2e-6, 1e15, 5e-324, 2.2250738585072014e-308])
+    edges = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+    edges = np.append(edges, [1.7976931348623157e308, 8.98846567431158e307])
+    spread = rng.uniform(1.0, 10.0, 300_000) * 10.0 ** rng.integers(-7, 17, 300_000)
+    x = np.concatenate(
+        [
+            bits[np.isfinite(bits)],
+            spread,
+            np.arange(-100_000, 100_000, dtype=np.float64),  # integers
+            np.arange(-100_000, 100_000) / 1024,
+            rng.integers(1, 2**52, 50_000, dtype=np.uint64).view(np.float64),  # subnormals
+        ]
+    )
+    x *= rng.choice([-1.0, 1.0], x.size)
+    return np.concatenate([x, tens, -tens, edges, -edges, [0.0, -0.0]])
+
+
+def test_the_float_kernel_writes_17_significant_digits_as_format_does():
+    x = _kernel_inputs()
+    assert x.size >= 10**6
+    got = dumps(x)[1:-1].split(",")
+    want = [format(v + 0.0, ".17g") for v in x.tolist()]
+    if got != want:
+        bad = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+        pytest.fail(f"{x[bad]!r} written as {got[bad]}, want {want[bad]}")
+
+
+def _functional_law_scenario(n: int, kind: str, joint: bool = False) -> Scenario:
+    """A functional-law-shaped scenario on (2,)*n: a weighted-sum table with
+    negative, zero and tiny entries (the kernel's other lanes)."""
+    space = FiniteSpace((2,) * n)
+    rng = np.random.default_rng(n)
+    alpha = normalize([1e-8, *rng.uniform(0.2, 1.0, n - 1).tolist()])
+    coeffs = np.asarray(alpha.weights) * rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0, n)
+    symbols = np.indices(space.alphabet_sizes).reshape(n, -1)
+    table = sum(c * s for c, s in zip(coeffs.tolist(), symbols))
+    if joint:
+        probs = rng.uniform(0.1, 1.0, space.size)
+        dist = Distribution.joint(probs / probs.sum())
+    else:
+        dist = Distribution.product([[0.5, 0.5]] * n)
+    target = {"median": MedianTarget, "mean": MeanTarget}[kind]
+    return Scenario(space, dist, alpha, target(Functional.from_table(space, table)))
+
+
+@pytest.mark.parametrize(
+    "n, kind, joint",
+    [(9, "median", False), (10, "median", False), (11, "median", False), (12, "median", False),
+     (10, "mean", True)],
+)
+def test_functional_law_reports_match_the_reference_writer_and_replay(n, kind, joint):
+    report = verify_scenario(_functional_law_scenario(n, kind, joint))
+    values = report.scenario["target"]["functional"]["values"]
+    assert values.dtype == np.float64 and values.size == 2**n >= _util._VECTOR_FROM
+    assert not values.flags.writeable
+    assert (values == 0.0).any() and (np.abs(values[values != 0.0]) < 2e-6).any()
+    if joint:
+        table = report.scenario["distribution"]["joint_table"]
+        assert table.dtype == np.float64 and table.size == 1024 and not table.flags.writeable
+    _check_report(report)
+    # Check C10 in process: the report's scenario block, arrays and all,
+    # is a scenario whose report has the same bytes.
+    replay = verify_scenario(scenario_from_dict(report.scenario))
+    assert replay.to_json() == report.to_json()
+    assert replay.to_csv() == report.to_csv()
 
 
 @pytest.mark.parametrize("shape", [(1, 1), (64, 3), (2048, 12)])
