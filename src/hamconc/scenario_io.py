@@ -28,10 +28,10 @@ one back as such a file (:func:`scenario_to_dict`) and hashes that form
 
 A report's "scenario" block is such a file; in memory, as
 :func:`scenario_to_dict` gives it, a set's members are an int64 array
-and a table's values and a joint law's table are float64 arrays, which
-the loader takes as it takes the lists.  "grids", "seed", "caps",
-"params" and "table_sha256" are optional; "params" is only valid for
-mean targets and switches on the self-bounding rows.  Weights must
+and a table's values, a joint law's table and each pmf are float64
+arrays, which the loader takes as it takes the lists.  "grids",
+"seed", "caps", "params" and "table_sha256" are optional; "params" is
+only valid for mean targets and switches on the self-bounding rows.  Weights must
 satisfy ||alpha|| = 1 unless "normalize" is true.  Only a functional
 that is a "distance_to_set" or gives "table_sha256" is tabulated here,
 once the space is within the cap; the digest must then match f's table
@@ -50,6 +50,7 @@ import hashlib
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Any, Callable, ClassVar, Iterable, Union
 
@@ -123,6 +124,17 @@ def _clean_grid(values: Iterable[float], key: str, positive: bool) -> tuple:
     return tuple(sorted(set(vals)))
 
 
+def _whole(value, what: str, sign: str, least: int) -> int:
+    """``value``, any integer but a bool, as an int at least ``least``.
+
+    A bool is an int, but a report would write it as true, which is no
+    seed; a numpy integer is held as the int the report writes.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{what} must be a {sign} integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One testable unit: space, law, weights, target, and grids.
@@ -155,13 +167,9 @@ class Scenario:
             object.__setattr__(
                 self, "lambda_grid", _clean_grid(self.lambda_grid, "lambda", False)
             )
-        # A bool is an int, but a report would write it as true, which is no seed.
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if self.cap is not None and (
-            isinstance(self.cap, bool) or not isinstance(self.cap, int) or self.cap < 1
-        ):
-            raise ValueError(f"cap must be a positive integer, got {self.cap!r}")
+        object.__setattr__(self, "seed", _whole(self.seed, "seed", "nonnegative", 0))
+        if self.cap is not None:
+            object.__setattr__(self, "cap", _whole(self.cap, "cap", "positive", 1))
 
 
 def _sha256(a: np.ndarray) -> str:
@@ -203,16 +211,17 @@ def scenario_to_dict(scenario: Scenario, table: np.ndarray | None = None) -> dic
     ``caps`` only when set.  A set's members, of a set target or a
     distance to a set, are the :class:`SetSpec`'s own read-only (|A|, n)
     int64 array; a ``table`` functional's ``values`` (f's table in rank
-    order, a read-only view when the table is float64) and a joint law's
-    ``joint_table`` (the :class:`Distribution`'s own array) are
-    read-only 1-d float64 arrays.  :func:`~hamconc._util.dumps` writes
-    each as its list, and :func:`scenario_from_dict` reads them back.
+    order, a read-only view when the table is float64), a joint law's
+    ``joint_table`` and a product law's ``pmfs``, a list (the
+    :class:`Distribution`'s own arrays), are read-only 1-d float64
+    arrays.  :func:`~hamconc._util.dumps` writes each as its list, and
+    :func:`scenario_from_dict` reads them back.
     ``table`` is the functional's values, the law's, when the caller
     already has them."""
     if scenario.dist.kind == "product":
-        dd: dict = {"kind": "product", "pmfs": [list(pmf) for pmf in scenario.dist.pmfs]}
+        dd: dict = {"kind": "product", "pmfs": list(scenario.dist.pmfs)}
     else:
-        dd = {"kind": "joint", "joint_table": scenario.dist._joint}
+        dd = {"kind": "joint", "joint_table": scenario.dist.joint_table}
     tgt = scenario.target
     if isinstance(tgt, SetTarget):
         td: dict = {"kind": "set", "set": {"members": tgt.set_spec.member_symbols(scenario.space)}}
@@ -245,7 +254,7 @@ def _fingerprint(scenario: Scenario, sd: dict) -> str:
     to ``members_sha256``, the :func:`_sha256` of their array, and a
     joint law's table to ``joint_table_sha256``, that of its array."""
     if scenario.dist.kind == "joint":
-        joint = {"kind": "joint", "joint_table_sha256": _sha256(scenario.dist._joint)}
+        joint = {"kind": "joint", "joint_table_sha256": _sha256(scenario.dist.joint_table)}
         sd = {**sd, "distribution": joint}
     tgt = sd["target"]
     if "functional" in tgt:
@@ -355,27 +364,14 @@ def _as_bool(v: Any, where: str) -> bool:
     return v
 
 
-def _number_list(v: Any, where: str) -> list[float]:
-    """The list as floats, its types checked in bulk.
+def _number_array(v: Any, where: str) -> np.ndarray:
+    """The list as one float64 array, its types checked in bulk.
 
     Only when the bulk check fails is the list walked one entry at a
     time, to name the first entry that is not a number or is an integer
-    too large for a float.
-    """
-    raw = _as_list(v, where)
-    if set(map(type, raw)) <= {float, int}:
-        try:
-            return list(map(float, raw))
-        except OverflowError:
-            pass
-    return [_as_number(x, f"{where}[{i}]") for i, x in enumerate(raw)]
-
-
-def _number_array(v: Any, where: str) -> np.ndarray:
-    """:func:`_number_list` as one float64 array, built from the list at once.
-
-    A 1-d float64 array, as :func:`scenario_to_dict` holds a table, is
-    taken as it is, and any other array as its list.
+    too large for a float.  A 1-d float64 array, as
+    :func:`scenario_to_dict` holds a pmf or a table, is taken as it is,
+    and any other array as its list.
     """
     if isinstance(v, np.ndarray):
         if v.dtype == np.float64 and v.ndim == 1:
@@ -387,7 +383,7 @@ def _number_array(v: Any, where: str) -> np.ndarray:
             return np.array(raw, dtype=np.float64)
         except OverflowError:
             pass
-    return np.array(_number_list(raw, where), dtype=np.float64)
+    return np.array([_as_number(x, f"{where}[{i}]") for i, x in enumerate(raw)], dtype=np.float64)
 
 
 def _finite_array(v: Any, where: str) -> np.ndarray:
@@ -412,7 +408,7 @@ def _distribution_from(data: dict, space: FiniteSpace) -> Distribution:
     if d["kind"] == "product":
         key, make = "pmfs", Distribution.product
         raw = _as_list(_require(d, key, "distribution"), "distribution.pmfs")
-        arg = tuple(tuple(_number_list(p, f"distribution.pmfs[{i}]")) for i, p in enumerate(raw))
+        arg = [_number_array(p, f"distribution.pmfs[{i}]") for i, p in enumerate(raw)]
     else:
         key, make = "joint_table", Distribution.joint
         arg = _number_array(_require(d, key, "distribution"), "distribution.joint_table")
@@ -423,9 +419,9 @@ def _distribution_from(data: dict, space: FiniteSpace) -> Distribution:
 
 def _alpha_from(data: dict) -> AlphaWeights:
     d = _as_dict(_require(data, "alpha", ""), "alpha")
-    weights = _number_list(_require(d, "weights", "alpha"), "alpha.weights")
+    weights = _number_array(_require(d, "weights", "alpha"), "alpha.weights")
     do_norm = _as_bool(d.get("normalize", False), "alpha.normalize")
-    a = _built("alpha.weights", AlphaWeights, tuple(weights))
+    a = _built("alpha.weights", AlphaWeights, weights)
     if do_norm:
         return _built("alpha.weights", normalize, a)
     if not a.normalized:
@@ -560,7 +556,7 @@ def scenario_from_dict(data: Any) -> Scenario:
     target = _target_from(data, space, alpha, cap)
     gd = _as_dict(data.get("grids", {}), "grids")
     t_grid, lam_grid = (
-        _number_list(gd[k], f"grids.{k}") if k in gd else None for k in ("t", "lambda")
+        _number_array(gd[k], f"grids.{k}") if k in gd else None for k in ("t", "lambda")
     )
     seed = data.get("seed", 0)
     return _built("", Scenario, space, dist, alpha, target, t_grid, lam_grid, seed, cap)

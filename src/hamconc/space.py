@@ -18,7 +18,7 @@ import numbers
 import os
 import threading
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -159,83 +159,90 @@ class FiniteSpace:
         return Point(tuple(syms))
 
 
-def _check_pmf(pmf: tuple[float, ...] | np.ndarray, what: str) -> None:
-    """Refuse a negative or non-finite entry, the first in order, and a
-    correctly rounded sum further than ``_PMF_SUM_ATOL`` from 1.  A
-    joint table, a float64 array, is checked in one pass."""
-    entries = pmf
-    if isinstance(pmf, np.ndarray):
-        ok = np.isfinite(pmf) & (pmf >= 0.0)
-        entries = () if ok.all() else (float(pmf[np.argmin(ok)]),)
-    for p in entries:
-        if not math.isfinite(p) or p < 0.0:
-            raise ValueError(f"{what} entries must be finite and >= 0, got {p!r}")
-    # Summed once every entry is finite: fsum refuses inf + -inf.
-    total = exact_sum(pmf) if isinstance(pmf, np.ndarray) else math.fsum(pmf)
+def _pmf_array(values, what: str) -> np.ndarray:
+    """``values`` as a new read-only 1-d float64 array, checked as a pmf:
+    nonempty, with no negative or non-finite entry (the first in order is
+    named) and a correctly rounded sum within ``_PMF_SUM_ATOL`` of 1.  A
+    copy, so a caller's array is neither aliased nor frozen."""
+    pmf = np.array(values, dtype=np.float64)
+    if pmf.ndim != 1:
+        raise ValueError(f"{what} must be flat, got {pmf.ndim} axes")
+    if not pmf.size:
+        raise ValueError(f"{what} is empty")
+    # The least entry, or the first NaN.  With none negative or NaN, the
+    # sum is finite unless an entry is inf; it is taken only then, as
+    # fsum refuses inf + -inf.
+    total = exact_sum(pmf) if pmf[pmf.argmin()] >= 0.0 else math.nan
+    if not math.isfinite(total):
+        bad = pmf[~(np.isfinite(pmf) & (pmf >= 0.0))][0]
+        raise ValueError(f"{what} entries must be finite and >= 0, got {float(bad)!r}")
     if abs(total - 1.0) > _PMF_SUM_ATOL:
         raise ValueError(f"{what} must sum to 1 within {_PMF_SUM_ATOL}, got {total!r}")
+    pmf.setflags(write=False)
+    return pmf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
-    """A law on a finite product space.
+    """A law on a finite product space, held once as read-only float64 arrays.
 
     Two kinds:
 
-    * ``product``: one pmf per coordinate; coordinates are independent.
-    * ``joint``: a full probability table indexed by outcome rank, which
-      can encode arbitrary dependence.
+    * ``product``: ``pmfs``, one pmf per coordinate; coordinates are
+      independent.
+    * ``joint``: ``joint_table``, a full probability table indexed by
+      outcome rank, which can encode arbitrary dependence.
+
+    Each array is a checked copy of what the caller gave (a list, a tuple
+    or an array), so it never aliases or freezes the caller's array.
+    Laws of one kind with equal arrays are equal and hash equal.
     """
 
     kind: str
-    pmfs: tuple[tuple[float, ...], ...] | None = None
-    joint_table: tuple[float, ...] | None = None
-    # joint_table as a read-only float64 array, for law_arrays, the sampler
-    # and scenario_to_dict
-    _joint: np.ndarray | None = field(init=False, repr=False, compare=False)
+    pmfs: tuple[np.ndarray, ...] | None = None
+    joint_table: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        joint = None
         if self.kind == "product":
             if self.pmfs is None or self.joint_table is not None:
                 raise ValueError("product distribution takes pmfs only")
-            pmfs = tuple(tuple(float(p) for p in pmf) for pmf in self.pmfs)
+            pmfs = tuple(_pmf_array(pmf, f"pmf {i}") for i, pmf in enumerate(self.pmfs))
             if not pmfs:
                 raise ValueError("product distribution needs at least one pmf")
-            for i, pmf in enumerate(pmfs):
-                if not pmf:
-                    raise ValueError(f"pmf {i} is empty")
-                _check_pmf(pmf, f"pmf {i}")
             object.__setattr__(self, "pmfs", pmfs)
         elif self.kind == "joint":
             if self.joint_table is None or self.pmfs is not None:
                 raise ValueError("joint distribution takes joint_table only")
-            # A copy, so a caller's array is neither aliased nor frozen.
-            joint = np.array(self.joint_table, dtype=np.float64)
-            if joint.ndim != 1:
-                raise ValueError(f"joint table must be flat, got {joint.ndim} axes")
-            if not joint.size:
-                raise ValueError("joint table is empty")
-            _check_pmf(joint, "joint table")
-            joint.setflags(write=False)
-            object.__setattr__(self, "joint_table", tuple(joint.tolist()))
+            object.__setattr__(self, "joint_table", _pmf_array(self.joint_table, "joint table"))
         else:
             raise ValueError(f"distribution kind must be product or joint, got {self.kind!r}")
-        object.__setattr__(self, "_joint", joint)
+
+    @property
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return self.pmfs if self.kind == "product" else (self.joint_table,)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Distribution) or self.kind != other.kind:
+            return False
+        a, b = self._arrays, other._arrays
+        return len(a) == len(b) and all(map(np.array_equal, a, b))
+
+    def __hash__(self) -> int:
+        # + 0.0: -0.0, equal to 0.0, hashes as 0.0
+        return hash((self.kind, *[(a + 0.0).tobytes() for a in self._arrays]))
 
     @classmethod
-    def product(cls, pmfs: Iterable[Iterable[float]]) -> "Distribution":
-        return cls(kind="product", pmfs=tuple(tuple(p) for p in pmfs))
+    def product(cls, pmfs: Iterable[Sequence[float]]) -> "Distribution":
+        return cls(kind="product", pmfs=pmfs)
 
     @classmethod
-    def joint(cls, table: Iterable[float]) -> "Distribution":
-        table = table if isinstance(table, np.ndarray) else tuple(table)
+    def joint(cls, table: Sequence[float]) -> "Distribution":
         return cls(kind="joint", joint_table=table)
 
     @classmethod
     def uniform(cls, space: FiniteSpace) -> "Distribution":
         """Independent uniform symbols on each coordinate."""
-        return cls.product(tuple((1.0 / m,) * m for m in space.alphabet_sizes))
+        return cls.product([1.0 / m] * m for m in space.alphabet_sizes)
 
     def require_matches(self, space: FiniteSpace) -> None:
         if self.kind == "product":
@@ -245,15 +252,15 @@ class Distribution:
                     f"distribution has {len(self.pmfs)} pmfs, space has {space.n} coordinates"
                 )
             for i, (pmf, m) in enumerate(zip(self.pmfs, space.alphabet_sizes)):
-                if len(pmf) != m:
+                if pmf.size != m:
                     raise ValueError(
-                        f"pmf {i} has {len(pmf)} entries, alphabet size is {m}"
+                        f"pmf {i} has {pmf.size} entries, alphabet size is {m}"
                     )
         else:
             assert self.joint_table is not None
-            if len(self.joint_table) != space.size:
+            if self.joint_table.size != space.size:
                 raise ValueError(
-                    f"joint table has {len(self.joint_table)} entries, "
+                    f"joint table has {self.joint_table.size} entries, "
                     f"space has {space.size} outcomes"
                 )
 
@@ -376,9 +383,10 @@ def law_arrays(
     ``np.indices(sizes, sparse=True)``: the form
     :meth:`~hamconc.functionals.Functional.values` takes for the whole
     space, axis i of shape (1, ..., s_i, ..., 1).  The probabilities are
-    in rank order, and a joint law's are its read-only table.  A product
-    law is the product ``pmf_0[x_0] * pmf_1[x_1] * ...`` at each point,
-    built as flat outer products that multiply in coordinate order, the
+    in rank order, and a joint law's are its own read-only
+    ``joint_table``.  A product law is the product
+    ``pmf_0[x_0] * pmf_1[x_1] * ...`` at each point, built as flat outer
+    products of its pmf arrays that multiply in coordinate order, the
     order of a per-point product.  The cap (default
     ``DEFAULT_ENUM_CAP``) guards against runaway exhaustive sweeps;
     pass an explicit ``cap`` to raise it for one call.
@@ -392,12 +400,12 @@ def law_arrays(
     coords = np.indices(space.alphabet_sizes, sparse=True)
     if dist.kind == "product":
         assert dist.pmfs is not None
-        probs = np.ones(1)
-        for pmf in dist.pmfs:
-            probs = np.multiply.outer(probs, pmf).ravel()
+        probs = dist.pmfs[0]
+        for pmf in dist.pmfs[1:]:
+            probs = (probs[:, None] * pmf).ravel()
         return coords, probs
-    assert dist._joint is not None
-    return coords, dist._joint
+    assert dist.joint_table is not None
+    return coords, dist.joint_table
 
 
 # Alphabets up to this size add a uniform draw's symbol to its rank by
@@ -461,7 +469,7 @@ def _sample_ranks(
     count = int(count)
     if dist.kind == "product":
         assert dist.pmfs is not None
-        cums = [np.cumsum(np.asarray(pmf, dtype=np.float64)) for pmf in dist.pmfs]
+        cums = [np.cumsum(pmf) for pmf in dist.pmfs]
         ranks = np.zeros(count, dtype=np.int64)
 
         def draw(a: int, b: int) -> None:
@@ -474,15 +482,15 @@ def _sample_ranks(
 
         _split(draw, count)
         return ranks
-    assert dist._joint is not None
-    cum = np.cumsum(dist._joint)
+    assert dist.joint_table is not None
+    cum = np.cumsum(dist.joint_table)
     ranks = np.empty(count, dtype=np.int64)
 
-    def draw_joint(a: int, b: int) -> None:
+    def draw_table(a: int, b: int) -> None:
         u = _rng(seed, a).random(b - a)
         ranks[a:b] = np.minimum(np.searchsorted(cum, u, side="right"), space.size - 1)
 
-    _split(draw_joint, count)
+    _split(draw_table, count)
     return ranks
 
 

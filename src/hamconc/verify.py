@@ -603,7 +603,7 @@ def verify_scenario(scenario: Scenario) -> BoundReport:
 
 def _random_lipschitz_table(
     rng: np.random.Generator, space: FiniteSpace, alpha: AlphaWeights
-) -> list[float]:
+) -> np.ndarray:
     """A random table that is Lipschitz for d_alpha by construction.
 
     Either a weighted coordinate sum sum_i alpha_i * theta_i * v_i(x_i)
@@ -620,13 +620,13 @@ def _random_lipschitz_table(
             v = rng.uniform(0.0, 1.0, k)
             theta = 1.0 if rng.random() < 0.5 else -1.0
             total += w[i] * theta * v[symbols[:, i]]
-        return [float(x) for x in total]
+        return total
     n_anchors = int(rng.integers(1, min(space.size, 4) + 1))
     anchor_ranks = rng.choice(space.size, size=n_anchors, replace=False)
     anchors = symbols[np.sort(anchor_ranks)]
     offsets = rng.uniform(0.0, alpha.l1_sum, n_anchors)
     dists = ((symbols[:, None, :] != anchors[None, :, :]) @ w) + offsets[None, :]
-    return [float(x) for x in dists.min(axis=1)]
+    return dists.min(axis=1)
 
 
 def random_scenario(
@@ -649,21 +649,15 @@ def random_scenario(
     n = int(rng.integers(2, max_n + 1)) if max_n >= 2 else 1
     sizes = tuple(int(x) for x in rng.integers(2, max_alphabet + 1, n))
     space = FiniteSpace(sizes)
-    use_joint = kind == "drop" and bool(rng.random() < 0.5)
-    if use_joint:
+    if kind == "drop" and rng.random() < 0.5:
         table = rng.uniform(0.1, 1.0, space.size)
-        table /= table.sum()
-        dist = Distribution.joint(tuple(float(x) for x in table))
+        dist = Distribution.joint(table / table.sum())
     else:
-        pmfs = []
-        for k in sizes:
-            p = rng.uniform(0.1, 1.0, k)
-            p /= p.sum()
-            pmfs.append(tuple(float(x) for x in p))
-        dist = Distribution.product(tuple(pmfs))
+        pmfs = [rng.uniform(0.1, 1.0, k) for k in sizes]
+        dist = Distribution.product([p / p.sum() for p in pmfs])
     w = rng.uniform(0.1, 1.0, n)
     w /= math.sqrt(float(np.dot(w, w)))
-    alpha = AlphaWeights(tuple(float(x) for x in w))
+    alpha = AlphaWeights(w)
     if kind == "set":
         count = int(rng.integers(1, space.size))
         ranks = rng.choice(space.size, size=count, replace=False)
@@ -712,6 +706,7 @@ def sweep(
     ``trials`` and ``seed`` must be integers, not bools.
     """
     _require_ints(trials=trials, seed=seed)
+    trials, seed = int(trials), int(seed)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
     passes = 0

@@ -102,13 +102,16 @@ def test_distribution_validation():
             Distribution.joint(table)
     with pytest.raises(ValueError, match=r"got -0\.5$"):
         Distribution.joint(np.array([1.5, -0.5]))
+    for pmf, first in (([0.5, math.nan, -1.0], "nan"), ([-1.0, math.nan, 2.0], "-1.0")):
+        with pytest.raises(ValueError, match=f"^pmf 0 entries must be finite and >= 0, got {first}$"):
+            Distribution.product([pmf])
     with pytest.raises(ValueError, match="flat"):
         Distribution.joint(np.full((2, 2), 0.25))
     table = np.array([0.25, 0.75])
     dist = Distribution.joint(table)
     table[0] = 0.5
-    assert dist == Distribution.joint((0.25, 0.75)) and dist._joint.tolist() == [0.25, 0.75]
-    assert table.flags.writeable and not dist._joint.flags.writeable
+    assert dist == Distribution.joint((0.25, 0.75)) and dist.joint_table.tolist() == [0.25, 0.75]
+    assert table.flags.writeable and not dist.joint_table.flags.writeable
     with pytest.raises(ValueError, match="kind"):
         Distribution(kind="other")
     space = FiniteSpace((2, 2))
@@ -341,18 +344,69 @@ def test_a_joint_law_converts_its_table_once():
     table = np.random.default_rng(20).uniform(0.1, 1.0, space.size)
     dist = Distribution.joint((table / table.sum()).tolist())
     probs = law_arrays(space, dist)[1]
-    assert probs.tobytes() == np.array(dist.joint_table, dtype=np.float64).tobytes()
-    assert not probs.flags.writeable
+    assert probs is dist.joint_table and not probs.flags.writeable
     assert law_arrays(space, dist)[1] is probs
     same = Distribution.joint(dist.joint_table)
     assert same == dist and hash(same) == hash(dist)
     assert repr(Distribution.joint((0.25, 0.75))) == (
-        "Distribution(kind='joint', pmfs=None, joint_table=(0.25, 0.75))"
+        "Distribution(kind='joint', pmfs=None, joint_table=array([0.25, 0.75]))"
     )
     # The estimate the sampler gave before the table was kept as an array.
     f = Functional.weighted_sum([0.3] * 10 + [0.5])
     est = mc_tail(space, dist, f, 2.0, n_samples=50_000, seed=9)
     assert est.estimate == float.fromhex("0x1.15ef1fddebd90p-1")
+
+
+def test_a_joint_law_holds_its_table_once():
+    table = np.random.default_rng(30).uniform(0.1, 1.0, 2**20)
+    table /= table.sum()
+    tracemalloc.start()
+    try:
+        dist = Distribution.joint(table)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dist.joint_table.nbytes == table.nbytes
+    assert held <= 1.25 * table.nbytes
+
+
+def test_laws_with_equal_values_are_equal_however_given():
+    pmfs = [[0.25, 0.75], [0.5, 0.0, 0.5]]
+    products = [
+        Distribution.product(pmfs),
+        Distribution.product(tuple(map(tuple, pmfs))),
+        Distribution.product([np.array(p) for p in pmfs]),
+        Distribution.product([[0.25, 0.75], [0.5, -0.0, 0.5]]),
+    ]
+    joints = [Distribution.joint(t) for t in ([0.25, 0.75], (0.25, 0.75), np.array([0.25, 0.75]))]
+    for same in (products, joints):
+        assert all(d == same[0] and hash(d) == hash(same[0]) for d in same)
+    distinct = [
+        products[0],
+        joints[0],
+        Distribution.product([[0.25, 0.75]]),
+        Distribution.product([[0.75, 0.25], [0.5, 0.0, 0.5]]),
+        Distribution.product(pmfs + [[1.0]]),
+    ]
+    assert all(d != e for i, d in enumerate(distinct) for e in distinct[i + 1 :])
+    assert products[0] != pmfs
+    for dist in products[:1] + joints[:1]:
+        arrays = dist.pmfs or (dist.joint_table,)
+        assert all(
+            type(a) is np.ndarray and a.dtype == np.float64 and a.ndim == 1 and not a.flags.writeable
+            for a in arrays
+        )
+
+
+def test_a_law_neither_aliases_nor_freezes_the_callers_array():
+    pmf, table = np.array([0.25, 0.75]), np.array([0.1, 0.2, 0.3, 0.4])
+    product, joint = Distribution.product([pmf]), Distribution.joint(table)
+    for caller, held in ((pmf, product.pmfs[0]), (table, joint.joint_table)):
+        assert not np.shares_memory(caller, held) and not held.flags.writeable
+        assert caller.flags.writeable
+        caller[0] = 0.5
+    assert product == Distribution.product([[0.25, 0.75]])
+    assert joint == Distribution.joint([0.1, 0.2, 0.3, 0.4])
 
 
 def test_enumeration_cap_guards_sweeps():

@@ -10,6 +10,7 @@ import sys
 from functools import cached_property
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reference_pointwise as ref
@@ -134,6 +135,23 @@ def test_scenario_validation():
         _set_scenario(seed=True)
     with pytest.raises(ValueError, match="cap must be a positive integer, got True"):
         _set_scenario(cap=True)
+    with pytest.raises(ValueError, match=r"seed must be a nonnegative integer, got np\.int64\(-1\)"):
+        _set_scenario(seed=np.int64(-1))
+    with pytest.raises(ValueError, match=r"cap must be a positive integer, got np\.float64\(9\.0\)"):
+        _set_scenario(cap=np.float64(9.0))
+
+
+def test_numpy_integers_are_held_as_the_ints_a_report_writes():
+    sc = _set_scenario(seed=np.int64(3), cap=np.uint16(100))
+    assert (type(sc.seed), type(sc.cap)) == (int, int)
+    assert verify_scenario(sc).to_json() == verify_scenario(_set_scenario(seed=3, cap=100)).to_json()
+    for kind in ("set", "drop"):
+        a, b = random_scenario(np.int64(5), kind), random_scenario(5, kind)
+        assert type(a.seed) is int and scenario_fingerprint(a) == scenario_fingerprint(b)
+        assert verify_scenario(a).to_json() == verify_scenario(b).to_json()
+    result = sweep("set", np.int64(2), np.int64(0))
+    assert result == sweep("set", 2, 0)
+    assert (type(result.trials), type(result.worst_seed)) == (int, int)
 
 
 # -- set flow -----------------------------------------------------------------

@@ -414,6 +414,27 @@ def test_a_report_with_2048_members_matches_the_reference_writer():
     _check_report(report)
 
 
+def test_a_300_symbol_pmf_matches_the_reference_writer_and_replays():
+    # A pmf is a float64 array; one of 300 symbols is written by the vector kernel.
+    sizes = (300, 2)
+    space = FiniteSpace(sizes)
+    rng = np.random.default_rng(300)
+    p = rng.uniform(0.1, 1.0, 300)
+    ranks = rng.choice(space.size, size=40, replace=False)
+    scenario = Scenario(
+        space=space,
+        dist=Distribution.product([p / p.sum(), [0.25, 0.75]]),
+        alpha=normalize([1.0, 2.0]),
+        target=SetTarget(SetSpec(np.stack(np.unravel_index(ranks, sizes), axis=1))),
+    )
+    report = verify_scenario(scenario)
+    pmfs = report.scenario["distribution"]["pmfs"]
+    assert [pmf.size for pmf in pmfs] == [300, 2] and pmfs[0].size >= _util._VECTOR_FROM
+    _check_report(report)
+    replay = verify_scenario(scenario_from_dict(report.scenario))
+    assert replay.to_json() == report.to_json()
+
+
 def test_a_non_finite_row_value_is_named_in_row_order():
     # The first bad value in row order is an inf bound; a later row's lhs,
     # in an earlier column, is nan.
