@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from json.encoder import encode_basestring_ascii as quote
+from typing import Callable
 
 import numpy as np
 
@@ -46,8 +47,9 @@ def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _TENS_HI, _TENS_LO = _halves(_TENS)
 
 
-def exact_layers(x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray | None]:
-    """Split a 1-d float64 array into layers whose sums are exact.
+def _peel(x: np.ndarray, take: Callable[[np.ndarray], object]) -> np.ndarray | None:
+    """Split a 1-d float64 array into layers whose sums are exact, handing
+    each layer to ``take`` as it is peeled off.
 
     Rump's ExtractScalar (Rump, Ogita and Oishi, "Accurate floating-point
     summation, part I", SIAM J. Sci. Comput. 31(1), 2008): for a power
@@ -56,44 +58,58 @@ def exact_layers(x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray | None]:
     and ``sum |q| < s``.  So any sum of entries of one layer ``q``, in any
     order (``np.sum``, ``np.cumsum``, differences of two cumsums), is
     exact.  The layers are peeled off until the residual is zero, and
-    ``x`` equals their elementwise sum exactly.
+    ``x`` equals their elementwise sum exactly.  The residual is one
+    array, updated in place after the first step, and a layer ``take``
+    does not keep is freed before the next is made, so the split holds
+    about two arrays of ``x``'s size besides ``x``.
 
-    Returns the layers and, if ``s`` would overflow (entries within a
-    factor ``2**M`` of the largest double, or non-finite), the residual
-    left unsplit; it is ``None`` otherwise.
+    Returns, if ``s`` would overflow (entries within a factor ``2**M`` of
+    the largest double, or non-finite), the residual left unsplit; it is
+    ``None`` otherwise.
     """
     m = (x.size + 1).bit_length()
-    layers: list[np.ndarray] = []
     r = x
     hi = float(np.abs(r).max()) if r.size else 0.0
     while hi != 0.0:
         if not math.isfinite(hi):
-            return layers, r
+            return r
         e = math.frexp(hi)[1] + m
         if e > 1023:
-            return layers, r
+            return r
         s = math.ldexp(1.0, e)
-        q = (r + s) - s
-        layers.append(q)
-        r = r - q
+        q = r + s
+        q -= s
+        r = r - q if r is x else np.subtract(r, q, out=r)
+        take(q)
+        del q
         hi = float(np.abs(r).max())
-    return layers, None
+    return None
+
+
+def exact_layers(x: np.ndarray) -> tuple[list[np.ndarray], np.ndarray | None]:
+    """The layers of :func:`_peel`, whose sums are exact, as a list, and the
+    residual left unsplit (``None`` unless ``x`` reaches near the largest
+    double or is not finite)."""
+    layers: list[np.ndarray] = []
+    rest = _peel(x, layers.append)
+    return layers, rest
 
 
 def exact_sum(x) -> float:
     """The correctly rounded sum of a float64 array: ``math.fsum(x.tolist())``.
 
-    Large arrays go through :func:`exact_layers`: each layer sums exactly
-    with ``np.sum``, and ``fsum`` of the layer totals (plus any unsplit
-    residual) rounds the same real number once, so the result is
-    bit-identical to ``fsum`` of the whole array by construction.  Small
-    arrays call ``fsum`` directly, which is faster there.
+    Large arrays go through :func:`_peel`: each layer sums exactly with
+    ``np.sum`` as it is peeled off, and ``fsum`` of the layer totals
+    (plus any unsplit residual) rounds the same real number once, so the
+    result is bit-identical to ``fsum`` of the whole array by
+    construction.  No layer outlives its sum, so the peak is about twice
+    the array.  Small arrays call ``fsum`` directly, which is faster there.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.size < _FSUM_BELOW:
         return math.fsum(x.tolist())
-    layers, rest = exact_layers(x)
-    parts = [float(q.sum()) for q in layers]
+    parts: list[float] = []
+    rest = _peel(x, lambda q: parts.append(float(q.sum())))
     if rest is not None:
         parts += rest.tolist()
     return math.fsum(parts)

@@ -57,6 +57,9 @@ def _require_finite(name: str, value: float) -> float:
 
 
 def _require_pos(name: str, value: float) -> float:
+    # A float in range passes at once; anything else takes the checks below.
+    if type(value) is float and 0.0 < value < math.inf:
+        return value
     value = _require_finite(name, value)
     if value <= 0.0:
         raise ValueError(f"{name} must be positive, got {value}")
@@ -64,6 +67,8 @@ def _require_pos(name: str, value: float) -> float:
 
 
 def _require_nonneg(name: str, value: float) -> float:
+    if type(value) is float and 0.0 <= value < math.inf:
+        return value
     value = _require_finite(name, value)
     if value < 0.0:
         raise ValueError(f"{name} must be nonnegative, got {value}")

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from operator import sub
 from typing import Sequence
 
 import numpy as np
@@ -119,9 +118,13 @@ class TailCurve:
     masses: the masses are split once into the exact layers of
     :func:`~hamconc._util.exact_layers`, whose running sums are exact,
     and so are their differences, the suffix sums; a query adds one
-    value per layer with ``math.fsum``.  Queries past either end of the
-    support return exactly 0.0, which is what makes "tail vanishes past
-    the range" checks exact rather than approximate.
+    value per layer with ``math.fsum``.  A grid of points is answered in
+    one call (:meth:`probs_ge`, :meth:`probs_le`): one NaN check, one
+    ``searchsorted`` and one gather of prefix rows for the whole grid,
+    then one ``fsum`` per point; the scalar queries are one-point grids.
+    Queries past either end of the support return exactly 0.0, which is
+    what makes "tail vanishes past the range" checks exact rather than
+    approximate.
     """
 
     def __init__(self, support, masses, total: float) -> None:
@@ -129,10 +132,11 @@ class TailCurve:
         self._m = frozen(np.asarray(masses, dtype=np.float64))
         self.total = float(total)
         layers, rest = exact_layers(self._m)
-        parts = np.stack(layers, axis=1) if layers else np.zeros((self._m.size, 1))
-        # Row i, one exact value per layer: the mass on support points 0..i.
-        self._pre = np.cumsum(parts, axis=0)
-        self._top = self._pre[-1].tolist()
+        # Row j, one exact value per layer: the mass on the first j support points.
+        self._pre = np.zeros((self._m.size + 1, max(len(layers), 1)))
+        for column, q in zip(self._pre[1:].T, layers):
+            np.cumsum(q, out=column)
+        self._top = self._pre[-1]
         # Masses too large to split (None for any probability law).
         self._rest = rest
 
@@ -149,54 +153,54 @@ class TailCurve:
     def masses(self) -> np.ndarray:
         return self._m
 
-    def _prefix(self, i: int) -> float:
-        """Mass on the first i + 1 support points."""
-        parts = self._pre[i].tolist()
+    def _masses(self, js, upper: bool) -> list[float]:
+        """For each index j of ``js``, the mass on support points j and
+        above (``upper``) or on the first j: per layer the prefix row, or
+        the total less it, an exact difference, with the unsplit residual's
+        slice, added by ``fsum``."""
+        rows = self._pre.take(js, axis=0)
+        if upper:
+            np.subtract(self._top, rows, out=rows)
+        parts = rows.tolist()
         if self._rest is not None:
-            parts += self._rest[: i + 1].tolist()
-        return math.fsum(parts)
+            rest = self._rest.tolist()
+            parts = [p + (rest[j:] if upper else rest[:j]) for p, j in zip(parts, js)]
+        return list(map(math.fsum, parts))
 
-    def _suffix(self, i: int) -> float:
-        """Mass on support points i and above: per layer, the total less
-        the mass below i, an exact difference."""
-        parts = list(map(sub, self._top, self._pre[i - 1].tolist())) if i else self._top[:]
-        if self._rest is not None:
-            parts += self._rest[i:].tolist()
-        return math.fsum(parts)
-
-    def _search(self, x: float, side: str) -> int:
-        """Where ``x`` falls in the support; a NaN has no place there and is refused."""
-        if math.isnan(x):
+    def _tails(self, xs, side: str, upper: bool) -> list[float]:
+        """At each point of ``xs``, the probability of the support points
+        from (``upper``) or before its ``searchsorted`` place on ``side``;
+        where there are none, their mass is an empty sum, exactly 0.0.
+        A NaN has no place and is refused."""
+        xs = np.asarray(xs, dtype=np.float64)
+        if np.count_nonzero(np.isnan(xs)):
             raise ValueError("tail query point must not be NaN")
-        return int(np.searchsorted(self._v, x, side=side))
+        js = self._v.searchsorted(xs, side=side).tolist()
+        return [mass / self.total for mass in self._masses(js, upper)]
+
+    def probs_ge(self, xs) -> list[float]:
+        """P(V >= x) at each point x of ``xs``."""
+        return self._tails(xs, "left", True)
+
+    def probs_le(self, xs) -> list[float]:
+        """P(V <= x) at each point x of ``xs``."""
+        return self._tails(xs, "right", False)
 
     def prob_ge(self, x: float) -> float:
         """P(V >= x)."""
-        idx = self._search(x, "left")
-        if idx >= self._v.size:
-            return 0.0
-        return self._suffix(idx) / self.total
+        return self._tails((x,), "left", True)[0]
 
     def prob_gt(self, x: float) -> float:
         """P(V > x)."""
-        idx = self._search(x, "right")
-        if idx >= self._v.size:
-            return 0.0
-        return self._suffix(idx) / self.total
+        return self._tails((x,), "right", True)[0]
 
     def prob_le(self, x: float) -> float:
         """P(V <= x)."""
-        idx = self._search(x, "right") - 1
-        if idx < 0:
-            return 0.0
-        return self._prefix(idx) / self.total
+        return self._tails((x,), "right", False)[0]
 
     def prob_lt(self, x: float) -> float:
         """P(V < x)."""
-        idx = self._search(x, "left") - 1
-        if idx < 0:
-            return 0.0
-        return self._prefix(idx) / self.total
+        return self._tails((x,), "left", False)[0]
 
 
 @dataclass(frozen=True)
@@ -216,9 +220,9 @@ def stats_from_law(law: Law) -> Stats:
     on the curve's correctly rounded prefix or suffix masses, which are
     monotone, compared exactly with half the total.
     """
-    curve, k = law.curve, law.support.size
-    lo = bisect_left(range(k), True, key=lambda i: 2.0 * curve._prefix(i) >= law.total)
-    hi = bisect_left(range(k), True, key=lambda i: 2.0 * curve._suffix(i) < law.total) - 1
+    masses, k = law.curve._masses, law.support.size
+    lo = bisect_left(range(k), True, key=lambda i: 2.0 * masses([i + 1], False)[0] >= law.total)
+    hi = bisect_left(range(k), True, key=lambda i: 2.0 * masses([i], True)[0] < law.total) - 1
     return Stats(law.mean, float(law.support[lo]), float(law.support[hi]))
 
 

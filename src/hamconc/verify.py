@@ -18,6 +18,7 @@ significant digits, fixed row order).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
@@ -185,25 +186,20 @@ def _row_cells(rows: tuple[BoundRow, ...], text, null: str) -> Iterator[tuple[st
     return zip(*[map(d.__getitem__, fields[f]) for d, f in zip(lookups, _COLUMN_FIELDS)])
 
 
-def _row(
-    target_kind: str,
-    bound_id: str,
-    lhs: float,
-    bound: float,
-    *,
-    median_used: float | None = None,
-    tail: str | None = None,
-    t: float | None = None,
-    lam: float | None = None,
-) -> BoundRow:
-    """A row of the bound ``bound_id``, vacuous when its value is a probability above 1."""
-    lhs = float(lhs)
-    bound = float(bound)
+# Whether each bound's value is a probability, so that a value above 1 is vacuous.
+_PROBABILITY = {bound_id: b.probability for bound_id, b in EVALUATORS.items()}
+# tuple.__new__ makes a BoundRow from its eleven fields without a Python frame.
+_new_tuple = tuple.__new__
+
+
+def _row(target_kind, bound_id, lhs, bound, median_used, tail, t, lam) -> BoundRow:
+    """The row of the bound ``bound_id`` (every argument positional, the
+    numbers floats), vacuous when its value is a probability above 1."""
     slack = bound - lhs
-    return BoundRow(
+    return _new_tuple(BoundRow, (
         target_kind, bound_id, lhs, bound, slack, slack >= -PASS_TOL,
-        EVALUATORS[bound_id].probability and bound > 1.0, median_used, tail, t, lam,
-    )
+        _PROBABILITY[bound_id] and bound > 1.0, median_used, tail, t, lam,
+    ))
 
 
 @dataclass(frozen=True)
@@ -353,17 +349,19 @@ def verify_set(scenario: Scenario) -> BoundReport:
     )
     ts = scenario.t_grid or default_t_grid(scenario.alpha, extras=(st.rho,))
     rows: list[BoundRow] = []
-    for t in ts:
-        lhs = st.p_in * st.distance_curve.prob_ge(t)
-        rows.append(_row("set", "mcd-set", lhs, bounds.mcdiarmid_set_bound(t), t=t))
-        rows.append(_row("set", "simple-set", lhs, bounds.simple_set_bound(t), t=t))
-        rows.append(_row("set", "improved-set", lhs, bounds.improved_set_bound(t, st.rho), t=t))
+    for t, tail in zip(ts, st.distance_curve.probs_ge(ts)):
+        lhs = st.p_in * tail
+        mcd, simple = bounds.mcdiarmid_set_bound(t), bounds.simple_set_bound(t)
+        improved = bounds.improved_set_bound(t, st.rho)
+        rows += (
+            _row("set", "mcd-set", lhs, mcd, None, None, t, None),
+            _row("set", "simple-set", lhs, simple, None, None, t, None),
+            _row("set", "improved-set", lhs, improved, None, None, t, None),
+        )
     rows.append(
         _row(
-            "set",
-            "membership-product",
-            st.p_in * (1.0 - st.p_in),
-            bounds.membership_product_bound(st.rho),
+            "set", "membership-product", st.p_in * (1.0 - st.p_in),
+            bounds.membership_product_bound(st.rho), None, None, None, None,
         )
     )
     derived = {"p_in": st.p_in, "rho": st.rho}
@@ -438,24 +436,31 @@ def verify_median(scenario: Scenario) -> BoundReport:
     law, infos, derived, notes = _median_law(scenario, MedianTarget)
     extras = [info[k] for info in infos for k in ("rho_sublevel", "rho_superlevel", "gap")]
     ts = scenario.t_grid or default_t_grid(scenario.alpha, extras=extras)
+    # Each bound once per t and per the parameters it reads: the classical
+    # one for every median and tail, the shifted one per median, for t > gap
+    # (a suffix of the sorted grid), and the improved one per median and tail.
+    classical = [bounds.median_tail_classical(t) for t in ts]
     rows: list[BoundRow] = []
     for info in infos:
         m, gap = info["median"], info["gap"]
-        for t in ts:
+        cut = bisect_right(ts, gap)
+        shifted = [bounds.shifted_median_bound(t, gap) for t in ts[cut:]]
+        tails = [
+            (tail, lhs, [bounds.median_tail_bound(t, rho) for t in ts])
             for tail, lhs, rho in (
-                ("upper", law.curve.prob_ge(m + t), info["rho_sublevel"]),
-                ("lower", law.curve.prob_le(m - t), info["rho_superlevel"]),
-            ):
-                pairs = [
-                    ("median-improved", bounds.median_tail_bound(t, rho)),
-                    ("median-classical", bounds.median_tail_classical(t)),
-                ]
-                if t > gap:
-                    pairs.append(("shifted-median", bounds.shifted_median_bound(t, gap)))
-                rows += [
-                    _row("median", bid, lhs, b, median_used=m, tail=tail, t=t)
-                    for bid, b in pairs
-                ]
+                ("upper", law.curve.probs_ge([m + t for t in ts]), info["rho_sublevel"]),
+                ("lower", law.curve.probs_le([m - t for t in ts]), info["rho_superlevel"]),
+            )
+        ]
+        for i, t in enumerate(ts):
+            for tail, lhs, improved in tails:
+                rows += (
+                    _row("median", "median-improved", lhs[i], improved[i], m, tail, t, None),
+                    _row("median", "median-classical", lhs[i], classical[i], m, tail, t, None),
+                )
+                if i >= cut:
+                    b = shifted[i - cut]
+                    rows.append(_row("median", "shifted-median", lhs[i], b, m, tail, t, None))
     notes.append(
         "upper tail rows use rho from the sublevel set {f <= m}, "
         "lower tail rows rho from the superlevel set {f >= m}"
@@ -482,7 +487,7 @@ def verify_gap(scenario: Scenario) -> BoundReport:
             ("gap-improved", bounds.gap_bound(rho)),
             ("gap-classical", bounds.gap_bound_classical()),
         )
-        rows += [_row("gap", bid, lhs, b, median_used=m) for bid, b in pairs]
+        rows += [_row("gap", bid, lhs, b, m, None, None, None) for bid, b in pairs]
     return _make_report(scenario, rows, derived, notes, law.values)
 
 
@@ -543,35 +548,32 @@ def verify_drop_functional(scenario: Scenario) -> BoundReport:
     ts = scenario.t_grid or default_t_grid(scenario.alpha)
     lams = scenario.lambda_grid or DEFAULT_LAMBDA_GRID
     rows: list[BoundRow] = []
-    for t in ts:
-        upper = law.curve.prob_ge(mu + t)
-        lower = law.curve.prob_le(mu - t)
-        cells = []
+    uppers = law.curve.probs_ge([mu + t for t in ts])
+    lowers = law.curve.probs_le([mu - t for t in ts])
+    for t, upper, lower in zip(ts, uppers, lowers):
         if cert_alpha.holds:
             b = bounds.drop_mean_tail_bound(t)
-            cells += [
-                ("drop-mean-tail", "upper", upper, b),
-                ("drop-mean-tail", "lower", lower, b),
-            ]
+            rows += (
+                _row("mean", "drop-mean-tail", upper, b, None, "upper", t, None),
+                _row("mean", "drop-mean-tail", lower, b, None, "lower", t, None),
+            )
         if cert_unit.holds:
             b = bounds.drop_mean_tail_scaled(t, space.n)
-            cells += [
-                ("drop-mean-tail-scaled", "upper", upper, b),
-                ("drop-mean-tail-scaled", "lower", lower, b),
-            ]
+            rows += (
+                _row("mean", "drop-mean-tail-scaled", upper, b, None, "upper", t, None),
+                _row("mean", "drop-mean-tail-scaled", lower, b, None, "lower", t, None),
+            )
         if cert_sb is not None:
-            cells += [
-                ("sb-upper", "upper", upper, bounds.sb_upper_bound(t, mu, *params)),
-                ("sb-lower", "lower", lower, bounds.sb_lower_bound(t, mu, *params)),
-            ]
-        rows += [
-            _row("mean", bid, lhs, b, tail=tail, t=t) for bid, tail, lhs, b in cells
-        ]
+            up, lo = bounds.sb_upper_bound(t, mu, *params), bounds.sb_lower_bound(t, mu, *params)
+            rows += (
+                _row("mean", "sb-upper", upper, up, None, "upper", t, None),
+                _row("mean", "sb-lower", lower, lo, None, "lower", t, None),
+            )
     if cert_alpha.holds:
         # Each cap first: it refuses a lambda past its limit before the exact MGF overflows.
         caps = [bounds.mgf_bound(lam) for lam in lams]
         rows += [
-            _row("mean", "mgf", mgf_from_law(law, lam), cap, lam=lam)
+            _row("mean", "mgf", mgf_from_law(law, lam), cap, None, None, None, lam)
             for lam, cap in zip(lams, caps)
         ]
     derived = {

@@ -1,6 +1,8 @@
 """Exact sums against math.fsum, bit for bit: the kernel, TailCurve and the MGF."""
 
 import math
+import tracemalloc
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
@@ -139,6 +141,66 @@ def test_tail_curve_with_masses_too_large_to_split():
     m = np.array([1e307, 1e-300, 3.0, 0.0, 2.5e306, 1e-320, 1.0])
     assert exact_layers(m)[1] is not None
     _check_curve(m)
+
+
+def _grid(support: np.ndarray) -> np.ndarray:
+    """Points on, between, below and above the support, and both infinities, shuffled."""
+    mids = (support[:-1] + support[1:]) / 2.0
+    ends = [support[0] - 1.0, support[-1] + 1.0, -math.inf, math.inf]
+    xs = np.concatenate([support, mids, ends])
+    return np.random.default_rng(support.size).permutation(xs)
+
+
+def _check_grid(curve: TailCurve) -> None:
+    """Each grid answer is its scalar query's and fsum of its mass slice over the total."""
+    v, m = curve.support.tolist(), curve.masses
+    xs = _grid(curve.support)
+    for points in (xs, xs.tolist()):
+        ge, le = curve.probs_ge(points), curve.probs_le(points)
+        assert len(ge) == len(le) == xs.size
+        for x, g, lo in zip(xs.tolist(), ge, le):
+            above = math.fsum(m[bisect_left(v, x) :].tolist()) / curve.total
+            below = math.fsum(m[: bisect_right(v, x)].tolist()) / curve.total
+            assert g.hex() == curve.prob_ge(x).hex() == above.hex(), x
+            assert lo.hex() == curve.prob_le(x).hex() == below.hex(), x
+
+
+def test_grid_queries_are_the_scalar_queries_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for size in (1, 2, 7, 40, _FSUM_BELOW + 3):
+        _check_grid(Law(*_law(rng, size)).curve)
+    # Masses too large to split: the unsplit residual is read at each point.
+    m = np.array([8e307, 1e-300, 3.0, 0.0, 8e307, 1e-320, 1.0])
+    assert exact_layers(m)[1] is not None
+    _check_grid(TailCurve(np.arange(m.size, dtype=np.float64), m, math.fsum(m.tolist())))
+    # One atom whose mass np.bincount adds in float order: the tail keeps it.
+    curve = Law([0.0] * 10, [0.1] * 10).curve
+    _check_grid(curve)
+    assert curve.probs_le([0.0, 1.0]) == [0.9999999999999999] * 2
+
+
+def test_a_nan_anywhere_in_a_grid_is_refused():
+    curve = Law([0.0, 1.0, 2.0], [0.25, 0.5, 0.25]).curve
+    for grid in ([math.nan], [0.0, math.nan, 1.0], np.array([1.0, 2.0, math.nan])):
+        for query in (curve.probs_ge, curve.probs_le):
+            with pytest.raises(ValueError, match="tail query point must not be NaN"):
+                query(grid)
+
+
+def test_exact_sum_holds_about_two_arrays():
+    # Each layer is summed as it is peeled off, the residual updated in
+    # place: the peak is about twice the array, whatever the layer count.
+    x = np.random.default_rng(5).random(1 << 20) ** 3
+    assert len(exact_layers(x)[0]) >= 3
+    want = math.fsum(x.tolist())
+    tracemalloc.start()
+    try:
+        got = exact_sum(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 3 * x.nbytes
 
 
 def test_tail_curve_on_a_product_law():

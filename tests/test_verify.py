@@ -268,6 +268,27 @@ def test_median_flow_shifted_rows_only_past_the_gap():
     assert len(shifted) == 4  # both medians, both tails
 
 
+def test_median_flow_evaluates_each_bound_once_per_point(monkeypatch):
+    # Two medians, median_lo != median_hi. The classical bound reads t
+    # alone: once per t for both medians and both tails. The shifted one
+    # reads t and the median's gap: once per median and t > gap.
+    calls = {"median_tail_classical": [], "shifted_median_bound": [], "median_tail_bound": []}
+    for name, seen in calls.items():
+        fn = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name, lambda *a, fn=fn, seen=seen: seen.append(a) or fn(*a))
+    report = verify_median(_functional_scenario(MedianTarget))
+    derived = report.summary["derived"]
+    assert derived["median_lo"] != derived["median_hi"]
+    ts = sorted({r.t for r in report.rows})
+    assert len(ts) > 20
+    assert sorted(calls["median_tail_classical"]) == [(t,) for t in ts]
+    assert sorted(calls["shifted_median_bound"]) == sorted(
+        (t, info["gap"]) for info in derived["medians"] for t in ts if t > info["gap"]
+    )
+    # The improved bound reads each tail's own rho: once per median, tail and t.
+    assert len(calls["median_tail_bound"]) == 2 * 2 * len(ts)
+
+
 def test_median_flow_rejects_non_lipschitz():
     f = Functional.from_table(FiniteSpace((2, 2)), [0.0, 10.0, 10.0, 10.0])
     sc = Scenario(
